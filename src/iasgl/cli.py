@@ -128,14 +128,17 @@ def _outcome_obj(outcome) -> dict:
 
 def cmd_search(args, parser) -> int:
     graph = _parse_graph(args.graph, parser)
-    cfg = SearchConfig(
-        mode=_mode(args),
-        node_budget=args.node_budget,
-        time_budget_ms=args.time_budget_ms,
-        find_all=args.find_all,
-        seed=args.seed,
-        disabled_rules=frozenset({"gate"}) if args.no_gate else frozenset(),
-    )
+    try:
+        cfg = SearchConfig(
+            mode=_mode(args),
+            node_budget=args.node_budget,
+            time_budget_ms=args.time_budget_ms,
+            find_all=args.find_all,
+            seed=args.seed,
+            disabled_rules=frozenset({"gate"}) if args.no_gate else frozenset(),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.ground_set.startswith("sweep:"):
         n, max_element = _parse_sweep(args.ground_set, parser)

@@ -1,7 +1,8 @@
 """Backtracking decision procedure for graceful set-labelability.
 
 Vertices are assigned distinct non-empty subsets of the ground set in
-descending-degree order. Four pruning rules cut the tree:
+descending-degree order. Four pruning rules and one symmetry rule cut
+the tree:
 
 P1  {0} is only tried on vertices whose degree can host every forced
     edge (degree >= |non_sumsets|).
@@ -14,11 +15,25 @@ P4  coverage: every target label not yet realized must still be
     realizable by a label pair with at least one unused label sitting
     next to an unassigned vertex, and enough unassigned edges must
     remain to carry the missing targets.
+twins
+    vertices with the same open neighbourhood (false twins) or the same
+    closed neighbourhood (true twins) are interchangeable: swapping
+    their labels is a graph automorphism. Within each twin class the
+    label masks must increase in DFS order, so the search visits one
+    labeling per orbit. Under find_all every verified canonical leaf is
+    expanded lazily over the label permutations within each class; each
+    extra labeling is verified and ticks the node budget.
 
-All four rules are sound (they never discard a completable branch), so
-a fully explored tree with no accepted leaf is a proof of nonexistence.
-Witnesses are re-verified by the independent checker before they are
-reported; search state is never trusted.
+P1 and the degree test of P2 depend only on the vertex, so each vertex
+draws its labels from a precomputed candidate list that already omits
+them: ``stats.nodes`` and ``stats.prunes`` do not count those labels.
+Only the dynamic part of P2 (the pendant's neighbor already holds a
+label other than {0}) is counted as a P2 prune.
+
+All rules are sound (they never discard a completable branch, up to
+twin symmetry), so a fully explored tree with no accepted leaf is a
+proof of nonexistence. Witnesses are re-verified by the independent
+checker before they are reported; search state is never trusted.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import permutations
 
 from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
@@ -44,7 +60,7 @@ from .sets import (
     _sum_value_mask,
 )
 
-PRUNE_RULES = ("gate", "P1", "P2", "P3", "P4")
+PRUNE_RULES = ("gate", "P1", "P2", "P3", "P4", "twins")
 
 
 class SearchStatus(Enum):
@@ -138,9 +154,16 @@ class _State:
             tuple(w for w in self.neighbors[i] if w < i) for i in range(len(self.order))
         ]
 
-        self.candidates = list(range(1, 1 << n))
+        candidates = list(range(1, 1 << n))
         if cfg.seed:
-            random.Random(cfg.seed).shuffle(self.candidates)
+            random.Random(cfg.seed).shuffle(candidates)
+        self.candidates = self._candidate_lists(candidates)
+
+        self.twin_classes = self._twin_classes() if cfg.enabled("twins") else []
+        self.twin_prev: list[int | None] = [None] * len(self.order)
+        for members in self.twin_classes:
+            for prev, v in zip(members, members[1:]):
+                self.twin_prev[v] = prev
 
         # Decomposition table: label-mask pairs (a < b) per target mask.
         self.pairs_by_target: dict[int, list[tuple[int, int]]] = {
@@ -160,8 +183,52 @@ class _State:
         self.realized: dict[int, int] = {}
         self.assigned_edges = 0
         self.unassigned = nv
+        self.free_neighbors = list(self.degree)  # unassigned neighbours per vertex
         self.witnesses: list[Labeling] = []
         self.deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
+
+    def _candidate_lists(self, candidates: list[int]) -> list[list[int]]:
+        """Per-vertex label lists with the static parts of P1 and P2 applied.
+
+        A list depends only on whether {0} and the non-summands are
+        allowed, so vertices share at most three distinct lists.
+        """
+        p1, p2 = self.cfg.enabled("P1"), self.cfg.enabled("P2")
+        shared: dict[tuple[bool, bool], list[int]] = {}
+        lists = []
+        for degree in self.degree:
+            zero_ok = not p1 or degree >= self.min_zero_degree
+            non_summand_ok = not p2 or degree == 1
+            key = (zero_ok, non_summand_ok)
+            if key not in shared:
+                shared[key] = [
+                    m
+                    for m in candidates
+                    if (zero_ok or m != self.zero_mask)
+                    and (non_summand_ok or m not in self.non_summand_masks)
+                ]
+            lists.append(shared[key])
+        return lists
+
+    def _twin_classes(self) -> list[list[int]]:
+        """Non-trivial twin classes, members in DFS order.
+
+        False twins share N(v), true twins share N[v]. A vertex is never
+        in non-trivial classes of both kinds: if u, v are false twins and
+        u, w true twins, then w is adjacent to v, so v lies in N[w] = N[u].
+        """
+        false_twins: dict[frozenset[int], list[int]] = {}
+        true_twins: dict[frozenset[int], list[int]] = {}
+        for v, nbrs in enumerate(self.neighbors):
+            key = frozenset(nbrs)
+            false_twins.setdefault(key, []).append(v)
+            true_twins.setdefault(key | {v}, []).append(v)
+        return [
+            members
+            for classes in (false_twins, true_twins)
+            for members in classes.values()
+            if len(members) > 1
+        ]
 
     def tick(self) -> None:
         self.stats.nodes += 1
@@ -186,7 +253,7 @@ class _State:
                         break
                 elif va is None or vb is None:
                     anchored = vb if va is None else va
-                    if any(self.assigned[w] is None for w in self.neighbors[anchored]):
+                    if self.free_neighbors[anchored]:
                         viable = True
                         break
                 # both labels placed on non-adjacent vertices: pair is dead
@@ -195,38 +262,62 @@ class _State:
         return True
 
     def label_allowed(self, vi: int, mask: int) -> bool:
-        cfg = self.cfg
-        if mask == self.zero_mask and cfg.enabled("P1"):
-            if self.degree[vi] < self.min_zero_degree:
-                self.stats.bump("P1")
-                return False
-        if mask in self.non_summand_masks and cfg.enabled("P2"):
-            if self.degree[vi] != 1:
-                self.stats.bump("P2")
-                return False
-            neighbor = self.neighbors[vi][0]
+        """Dynamic part of P2; the candidate lists hold the static part."""
+        if mask in self.non_summand_masks and self.cfg.enabled("P2"):
+            neighbor = self.neighbors[vi][0]  # vi is pendant by its candidate list
             placed = self.assigned[neighbor]
             if placed is not None and placed != self.zero_mask:
                 self.stats.bump("P2")
                 return False
         return True
 
+    def record(self) -> bool:
+        """Verify the full assignment independently; keep it if it passes."""
+        mapping = {
+            self.order[i]: IntegerSet.from_iterable(self.subset_elems[m])
+            for i, m in enumerate(self.assigned)
+        }
+        labeling = Labeling.from_mapping(self.x, mapping)
+        if verify_iasgl(self.g, labeling):
+            self.witnesses.append(labeling)
+            return True
+        return False
+
+    def expand_twins(self, k: int, identity: bool) -> None:
+        """Record the leaf's relabelings that permute labels within twin
+        classes k.., except the all-identity one (the leaf itself).
+
+        Permutations are generated lazily and each one ticks, so the
+        node and time budgets bound the expansion.
+        """
+        if k == len(self.twin_classes):
+            if not identity:
+                self.tick()
+                self.record()
+            return
+        members = self.twin_classes[k]
+        masks = [self.assigned[v] for v in members]
+        for j, perm in enumerate(permutations(masks)):
+            for v, m in zip(members, perm):
+                self.assigned[v] = m
+            self.expand_twins(k + 1, identity and j == 0)
+        for v, m in zip(members, masks):
+            self.assigned[v] = m
+
     def search(self, vi: int) -> bool:
         """Depth-first over vertex vi; returns True to stop the search."""
         if vi == len(self.order):
-            mapping = {
-                self.order[i]: IntegerSet.from_iterable(self.subset_elems[m])
-                for i, m in enumerate(self.assigned)
-                if m is not None
-            }
-            labeling = Labeling.from_mapping(self.x, mapping)
-            if verify_iasgl(self.g, labeling):
-                self.witnesses.append(labeling)
-                return not self.cfg.find_all
+            if not self.record():
+                return False
+            if not self.cfg.find_all:
+                return True
+            self.expand_twins(0, True)
             return False
 
-        for mask in self.candidates:
-            if mask in self.owner:
+        prev = self.twin_prev[vi]
+        floor = 0 if prev is None else self.assigned[prev]
+        for mask in self.candidates[vi]:
+            if mask <= floor or mask in self.owner:
                 continue
             self.tick()
             if not self.label_allowed(vi, mask):
@@ -257,6 +348,8 @@ class _State:
             self.owner[mask] = vi
             self.unassigned -= 1
             self.assigned_edges += len(self.earlier[vi])
+            for w in self.neighbors[vi]:
+                self.free_neighbors[w] -= 1
             for t in new_targets:
                 if t is not None and t != self.zero_mask:
                     self.realized[t] = self.realized.get(t, 0) + 1
@@ -271,6 +364,8 @@ class _State:
             for t in new_targets:
                 if t is not None and t != self.zero_mask:
                     self.realized[t] -= 1
+            for w in self.neighbors[vi]:
+                self.free_neighbors[w] += 1
             self.assigned_edges -= len(self.earlier[vi])
             self.unassigned += 1
             del self.owner[mask]

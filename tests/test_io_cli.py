@@ -177,6 +177,13 @@ class TestCli:
                 main(argv)
             assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--node-budget", "0"], ["--time-budget-ms", "-5"]])
+    def test_search_bad_budget_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", "star:2", "--ground-set", "0,1", *flag])
+        assert err.value.code == 2
+        assert "budgets must be positive" in capsys.readouterr().err
+
     def test_verify_builder_output(self, tmp_path, capsys):
         out = tmp_path / "doc.json"
         assert main(["construct", "--ground-set", "0,1,2,3",

@@ -1,5 +1,7 @@
 """Search engine: soundness, completeness against brute force, pruning."""
 
+import time
+
 import pytest
 
 from iasgl.graphs import Graph, enumerate_free_trees, generate
@@ -121,6 +123,29 @@ class TestPruneSafety:
             assert [labeling_to_frozensets(w) for w in base.witnesses] == [
                 labeling_to_frozensets(w) for w in relaxed.witnesses
             ]
+
+
+class TestTwins:
+    def test_twin_rule_prunes_and_keeps_verdict(self, x012):
+        broom = CORPUS_N3[-1]  # hub a with leaves b, c, d, g and path a-e-f
+        base = search_iasgl(broom, x012, nogate())
+        relaxed = search_iasgl(
+            broom, x012, SearchConfig(disabled_rules=frozenset({"gate", "twins"}))
+        )
+        assert base.status is relaxed.status
+        assert base.stats.nodes < relaxed.stats.nodes
+
+    def test_find_all_expansion_respects_node_budget(self, x0123):
+        # One canonical witness of star:14 stands for 14! labelings; the
+        # expansion must be lazy so the node budget still ends the run.
+        star = generate("star", 14)
+        start = time.monotonic()
+        out = search_iasgl(star, x0123, SearchConfig(find_all=True, node_budget=2_000))
+        assert time.monotonic() - start < 10
+        assert out.status is SearchStatus.FOUND
+        assert out.stats.nodes <= 2_000 + 1
+        assert out.witnesses
+        assert all(verify_iasgl(star, w).passed for w in out.witnesses)
 
 
 class TestRandomizedDifferential:
