@@ -42,10 +42,7 @@ from .sets import (
     classify_ground_set,
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
-    is_nontrivial_summand,
-    is_nontrivial_sumset,
     mask_to_subset,
-    nontrivial_sumset_decompositions,
     subset_to_mask,
     sumset,
 )

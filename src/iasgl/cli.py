@@ -171,7 +171,10 @@ def cmd_search(args, parser) -> int:
         return 1
 
     ground = _parse_ground_set(args.ground_set, parser)
-    outcome = search_iasgl(graph, ground, cfg)
+    try:
+        outcome = search_iasgl(graph, ground, cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
     payload = _outcome_obj(outcome)
     table = [
         f"status   {outcome.status.value}",

@@ -28,7 +28,7 @@ from .sets import (
     IntegerSet,
     SummandMode,
     classify_ground_set,
-    enumerate_nonempty_subsets,
+    subset_algebra,
     sumset,
 )
 
@@ -69,16 +69,18 @@ def _family_key(s: IntegerSet) -> tuple[int, tuple[int, ...]]:
 
 def _decomposition_pairs(x: GroundSet) -> dict[IntegerSet, list[LabelPair]]:
     """All unordered label pairs (A != B, both non-empty subsets of X)
-    keyed by their sumset, for sumsets that stay inside X."""
-    subsets = enumerate_nonempty_subsets(x)
+    keyed by their sumset, for sumsets that stay inside X.
+
+    A view of the subset algebra's mask pair table: the lower-mask
+    operand comes first, and each target's pairs are sorted.
+    """
+    alg = subset_algebra(x)
+    sets = alg.sets
     table: dict[IntegerSet, list[LabelPair]] = {}
-    for i, a in enumerate(subsets):
-        for b in subsets[i + 1:]:
-            s = sumset(a, b)
-            if s.is_subset_of(x.base) and s != ZERO_SET:
-                table.setdefault(s, []).append((a, b))
-    for pairs in table.values():
+    for t, mask_pairs in alg.pairs.items():
+        pairs = [(sets[a], sets[b]) for a, b in mask_pairs]
         pairs.sort()
+        table[sets[t]] = pairs
     return table
 
 

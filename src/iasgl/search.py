@@ -38,10 +38,8 @@ checker before they are reported; search state is never trusted.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
@@ -54,9 +52,8 @@ from .sets import (
     SummandMode,
     classify_ground_set,
     enumerate_canonical_ground_sets,
-    enumerate_nonempty_subsets,
+    subset_algebra,
     subset_to_mask,
-    _subset_value_masks,
     _sum_value_mask,
 )
 
@@ -132,13 +129,14 @@ class _State:
         self.stats = stats
 
         n = x.n
-        self.value = _subset_value_masks(x)
-        self.value_to_mask = {self.value[m]: m for m in range(1, 1 << n)}
+        alg = subset_algebra(x)
+        self.value = alg.value
+        self.value_to_mask = alg.value_to_mask
+        self.subset_elems = alg.elements
+        # Label-mask pairs (a < b) per target mask; every target has one.
+        self.pairs_by_target = alg.pairs
         self.zero_mask = 1  # 0 is the least element of a graceful ground set
         self.targets = frozenset(m for m in range(1, 1 << n) if m != self.zero_mask)
-        self.subset_elems = [()] + [
-            s.elements for s in enumerate_nonempty_subsets(x)
-        ]
 
         cls = classify_ground_set(x, cfg.mode)
         self.min_zero_degree = len(cls.non_sumsets)
@@ -164,18 +162,6 @@ class _State:
         for members in self.twin_classes:
             for prev, v in zip(members, members[1:]):
                 self.twin_prev[v] = prev
-
-        # Decomposition table: label-mask pairs (a < b) per target mask.
-        self.pairs_by_target: dict[int, list[tuple[int, int]]] = {
-            t: [] for t in self.targets
-        }
-        for a in range(1, 1 << n):
-            ea = self.subset_elems[a]
-            for b in range(a + 1, 1 << n):
-                s = _sum_value_mask(ea, self.value[b])
-                t = self.value_to_mask.get(s)
-                if t is not None and t != self.zero_mask:
-                    self.pairs_by_target[t].append((a, b))
 
         nv = len(self.order)
         self.assigned: list[int | None] = [None] * nv
@@ -415,30 +401,15 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     return SearchOutcome(status, witnesses, stats)
 
 
-def worker_count() -> int:
-    """Worker cap from the IASGL_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("IASGL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def sweep_ground_sets(
     g: Graph, n: int, max_element: int, cfg: SearchConfig | None = None
 ) -> dict[GroundSet, SearchOutcome]:
     """Run the search over every canonical ground set of a given size.
 
     Ground sets are enumerated with 0 present, |X| = n and max element
-    bounded, reduced to canonical (gcd 1) representatives. Items are
-    independent and may run on worker threads; results are keyed and
-    ordered by ground set, so parallelism never changes the output.
+    bounded, reduced to canonical (gcd 1) representatives. Items run in
+    order, one after another; results are keyed and ordered by ground set.
     """
     cfg = cfg or SearchConfig()
     family = enumerate_canonical_ground_sets(n, max_element)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda x: search_iasgl(g, x, cfg), family))
-    else:
-        outcomes = [search_iasgl(g, x, cfg) for x in family]
-    return dict(zip(family, outcomes))
+    return {x: search_iasgl(g, x, cfg) for x in family}

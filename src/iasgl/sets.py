@@ -20,13 +20,30 @@ Subsets of a ground set are mirrored as bitmasks in two ways:
 
 Both mappings are part of this module's contract; ``subset_to_mask`` /
 ``mask_to_subset`` expose the subset-mask side.
+
+``subset_algebra(X)`` is the one place that enumerates pairs of subsets.
+It holds every subset of X (elements, ``IntegerSet``, value mask), the
+value-mask -> subset-mask map and the pair table: for each target C,
+the pairs of distinct subsets A, B with A + B = C inside X. The table is
+built output-sensitively: for each A, the partners B that keep A + B
+inside X are exactly the submasks of X ∩ ⋂_{e∈A}(X − e), so only pairs
+that land in X are ever visited. Classification, the structural gate,
+the search and the realisation builder all read it. It is cached per X
+in a fixed-size LRU (32 ground sets), so a sweep over hundreds of ground
+sets holds a bounded amount of memory; the classification is memoised
+on the cached object.
+
+Verification (``sumset`` here, and the checks in ``labeling``) never
+reads the kernel: it recomputes every sum from the elements, so each
+verdict the kernel leads to is checked by an independent route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 #: Soft ceiling on |X| for power-set enumeration (2^20 subsets).
@@ -191,23 +208,6 @@ def enumerate_nonempty_subsets(x: GroundSet, cap: int = SUBSET_ENUMERATION_CAP) 
     return out
 
 
-def _require_subset(c: IntegerSet, x: GroundSet) -> None:
-    if c.is_empty():
-        raise ValueError("empty set-label")
-    if not c.is_subset_of(x.base):
-        raise ValueError("not a subset of ground set")
-
-
-def _subset_value_masks(x: GroundSet) -> list[int]:
-    """Value mask of every subset of X, indexed by subset mask."""
-    elems = x.base.elements
-    masks = [0] * (1 << x.n)
-    for m in range(1, 1 << x.n):
-        low = m & -m
-        masks[m] = masks[m ^ low] | (1 << elems[low.bit_length() - 1])
-    return masks
-
-
 def _sum_value_mask(a_elements: tuple[int, ...], b_value_mask: int) -> int:
     vm = 0
     for e in a_elements:
@@ -215,72 +215,97 @@ def _sum_value_mask(a_elements: tuple[int, ...], b_value_mask: int) -> int:
     return vm
 
 
-def nontrivial_sumset_decompositions(
-    c: IntegerSet, x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
-) -> list[tuple[IntegerSet, IntegerSet]]:
-    """Every unordered pair {A, B} of non-empty subsets of X with A + B = c.
+@dataclass(frozen=True, eq=False)
+class SubsetAlgebra:
+    """Every subset of X and every pair of distinct subsets summing inside X.
 
-    A and B must both differ from {0}; under DISTINCT_LABELS they must
-    also differ from each other. Each pair is reported once, ordered
-    (A, B) with A <= B, pairs sorted.
+    Tuples are indexed by subset mask (entry 0 is the empty set).
+    ``pairs`` maps a target subset mask to the sorted mask pairs (a, b),
+    a < b, with A + B equal to the target; a pair whose sum escapes X is
+    absent. With 0 in X every target other than {0} has an entry, since
+    {0} + C = C. Instances are shared through the cache of
+    ``subset_algebra``: treat every field as read-only.
     """
-    _require_subset(c, x)
-    subsets = enumerate_nonempty_subsets(x)
-    target = c.value_mask()
-    pairs = []
-    for i, a in enumerate(subsets):
-        if a == ZERO_SET:
-            continue
-        start = i if mode is SummandMode.ALLOW_EQUAL else i + 1
-        for b in subsets[start:]:
-            if b == ZERO_SET:
-                continue
-            if _sum_value_mask(a.elements, b.value_mask()) == target:
-                pairs.append((a, b))
-    pairs.sort()
-    return pairs
+
+    ground: GroundSet
+    sets: tuple[IntegerSet, ...]
+    elements: tuple[tuple[int, ...], ...]
+    value: tuple[int, ...]
+    value_to_mask: dict[int, int]
+    pairs: dict[int, tuple[tuple[int, int], ...]]
+    classifications: dict[SummandMode, Classification] = field(default_factory=dict, repr=False)
 
 
-def is_nontrivial_sumset(
-    c: IntegerSet, x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
-) -> bool:
-    """True iff c = A + B for some subsets A, B of X with A, B != {0}."""
-    _require_subset(c, x)
-    subsets = enumerate_nonempty_subsets(x)
-    target = c.value_mask()
-    for i, a in enumerate(subsets):
-        if a == ZERO_SET:
-            continue
-        # min(A)+min(B) and max(A)+max(B) bound the sum; cheap reject.
-        if a.elements[0] > c.elements[0] or a.elements[-1] > c.elements[-1]:
-            continue
-        start = i if mode is SummandMode.ALLOW_EQUAL else i + 1
-        for b in subsets[start:]:
-            if b == ZERO_SET:
-                continue
-            if _sum_value_mask(a.elements, b.value_mask()) == target:
-                return True
-    return False
+@lru_cache(maxsize=32)
+def subset_algebra(x: GroundSet) -> SubsetAlgebra:
+    """Build (or fetch from a small LRU cache) the subset algebra of X.
+
+    For each a, every b with A + B inside X is a submask of
+    allowed(a) = X ∩ ⋂_{e∈A} (X − e). Walking those submasks from the
+    top down and stopping at b <= a visits each pair exactly once, so
+    the build costs O(n · (2^n + pairs)), not O(4^n).
+    """
+    sets = (IntegerSet(()), *enumerate_nonempty_subsets(x))
+    elements = tuple(s.elements for s in sets)
+    value = tuple(s.value_mask() for s in sets)
+    value_to_mask = {v: m for m, v in enumerate(value)}
+    x_vm = value[-1]
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for a in range(1, len(sets)):
+        ea = elements[a]
+        allowed = x_vm
+        for e in ea:
+            allowed &= x_vm >> e
+        s = value_to_mask[allowed]
+        b = s
+        while b > a:
+            t = value_to_mask[_sum_value_mask(ea, value[b])]
+            pairs.setdefault(t, []).append((a, b))
+            b = (b - 1) & s
+    return SubsetAlgebra(
+        ground=x,
+        sets=sets,
+        elements=elements,
+        value=value,
+        value_to_mask=value_to_mask,
+        pairs={t: tuple(sorted(p)) for t, p in pairs.items()},
+    )
 
 
-def is_nontrivial_summand(
-    a: IntegerSet, x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
-) -> bool:
-    """True iff some non-empty B != {0} (B != a when labels must be
-    distinct) keeps a + B inside X."""
-    _require_subset(a, x)
-    x_vm = x.base.value_mask()
-    for b in enumerate_nonempty_subsets(x):
-        if b == ZERO_SET:
-            continue
-        if mode is SummandMode.DISTINCT_LABELS and b == a:
-            continue
-        if _sum_value_mask(a.elements, b.value_mask()) & ~x_vm == 0:
-            return True
-    return False
+def _classify(alg: SubsetAlgebra, mode: SummandMode) -> Classification:
+    """Read the classification off the pair table.
 
+    C is a non-trivial sumset iff some pair for C avoids {0}; A is a
+    non-trivial summand iff it sits in a pair whose partner is not {0}.
+    Under ALLOW_EQUAL the diagonal A + A inside X adds sumsets but no
+    summands: for nonzero b in A, A + {b} (or {b} + {0, b} when A = {b})
+    already lies inside A + A or {b, 2b}, hence inside X.
+    """
+    zero_mask = 1  # 0 is the smallest element, so {0} is subset mask 1
+    sumsets: set[int] = set()
+    summands: set[int] = set()
+    for t, pairs in alg.pairs.items():
+        for a, b in pairs:
+            if a != zero_mask:
+                sumsets.add(t)
+                summands.update((a, b))
+    others = range(zero_mask + 1, len(alg.sets))
+    if mode is SummandMode.ALLOW_EQUAL:
+        for a in others:
+            t = alg.value_to_mask.get(_sum_value_mask(alg.elements[a], alg.value[a]))
+            if t is not None:
+                sumsets.add(t)
 
-_CLASSIFY_CACHE: dict[tuple[tuple[int, ...], SummandMode], Classification] = {}
+    non_sumsets = [alg.sets[m] for m in others if m not in sumsets]
+    non_summands = [alg.sets[m] for m in others if m not in summands]
+    neither = [alg.sets[m] for m in others if m not in sumsets and m not in summands]
+    return Classification(
+        ground=alg.ground,
+        mode=mode,
+        non_sumsets=_family_sorted(non_sumsets),
+        non_summands=_family_sorted(non_summands),
+        neither=_family_sorted(neither),
+    )
 
 
 def classify_ground_set(
@@ -288,67 +313,18 @@ def classify_ground_set(
 ) -> Classification:
     """Classify every non-empty subset of X except {0}.
 
-    Single batch pass: one loop over subset pairs marks every value
-    realizable as a non-trivial sumset, one loop per subset decides
-    summand-hood. Results are cached per (X, mode); racing writers
-    compute identical values, so the cache is idempotent.
+    The result is memoised per mode on the cached subset algebra of X,
+    so repeated calls return the same instance while X stays cached.
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n < 2:
         raise ValueError("classification needs a ground set with at least 2 elements")
-    key = (x.base.elements, mode)
-    cached = _CLASSIFY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    subsets = enumerate_nonempty_subsets(x)
-    value = _subset_value_masks(x)
-    x_vm = value[(1 << x.n) - 1]
-    zero_mask = 1  # 0 is the smallest element, so {0} is subset mask 1
-
-    sum_values: set[int] = set()
-    n_subs = len(subsets)
-    for i in range(n_subs):
-        mi = i + 1
-        if mi == zero_mask:
-            continue
-        elems_i = subsets[i].elements
-        j_from = i if mode is SummandMode.ALLOW_EQUAL else i + 1
-        for j in range(j_from, n_subs):
-            mj = j + 1
-            if mj == zero_mask:
-                continue
-            sum_values.add(_sum_value_mask(elems_i, value[mj]))
-
-    non_sumsets = []
-    non_summands = []
-    for m in range(1, 1 << x.n):
-        if m == zero_mask:
-            continue
-        s = subsets[m - 1]
-        if value[m] not in sum_values:
-            non_sumsets.append(s)
-        summand = False
-        for mb in range(1, 1 << x.n):
-            if mb == zero_mask or (mode is SummandMode.DISTINCT_LABELS and mb == m):
-                continue
-            if _sum_value_mask(s.elements, value[mb]) & ~x_vm == 0:
-                summand = True
-                break
-        if not summand:
-            non_summands.append(s)
-
-    neither = [s for s in non_sumsets if s in set(non_summands)]
-    result = Classification(
-        ground=x,
-        mode=mode,
-        non_sumsets=_family_sorted(non_sumsets),
-        non_summands=_family_sorted(non_summands),
-        neither=_family_sorted(neither),
-    )
-    _CLASSIFY_CACHE[key] = result
-    return result
+    alg = subset_algebra(x)
+    cls = alg.classifications.get(mode)
+    if cls is None:
+        cls = alg.classifications[mode] = _classify(alg, mode)
+    return cls
 
 
 def canonicalize_ground_set(x: GroundSet) -> GroundSet:

@@ -110,8 +110,10 @@ class TestCli:
         assert "duplicate" in capsys.readouterr().err
 
     def test_singleton_ground_set_is_usage_error(self, capsys):
+        big = ",".join(map(str, range(21)))
         for argv in (["classify", "--ground-set", "0"],
-                     ["construct", "--ground-set", "0"]):
+                     ["construct", "--ground-set", "0"],
+                     ["search", "--graph", "star:6", "--ground-set", big]):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2

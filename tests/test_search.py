@@ -13,7 +13,7 @@ from iasgl.search import (
     search_iasgl,
     sweep_ground_sets,
 )
-from iasgl.sets import GroundSet
+from iasgl.sets import GroundSet, subset_algebra
 
 from conftest import labeling_to_frozensets, oracle_search_all
 
@@ -236,7 +236,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty ground-set family"):
             sweep_ground_sets(generate("star", 2), 5, 3)
 
-    def test_worker_determinism(self, monkeypatch, x012):
+    def test_cold_and_warm_kernel_cache_agree(self):
         import json
 
         from iasgl.io import labeling_to_obj
@@ -255,11 +255,10 @@ class TestSweep:
                 sort_keys=True,
             )
 
-        monkeypatch.setenv("IASGL_THREADS", "1")
-        serial = snapshot()
-        monkeypatch.setenv("IASGL_THREADS", "4")
-        threaded = snapshot()
-        assert serial == threaded
+        subset_algebra.cache_clear()
+        cold = snapshot()
+        warm = snapshot()
+        assert cold == warm
 
 
 class TestTreeFamily:

@@ -12,15 +12,13 @@ from iasgl.sets import (
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
     is_canonical_ground_set,
-    is_nontrivial_summand,
-    is_nontrivial_sumset,
     mask_to_subset,
-    nontrivial_sumset_decompositions,
+    subset_algebra,
     subset_to_mask,
     sumset,
 )
 
-from conftest import iset, oracle_classify
+from conftest import iset, naive_sumset, nonempty_subsets, oracle_classify
 
 
 class TestIntegerSet:
@@ -78,37 +76,61 @@ class TestEnumeration:
             subset_to_mask(x012, iset(5))
 
 
+def set_pairs(x: GroundSet, target: IntegerSet) -> list[tuple[IntegerSet, IntegerSet]]:
+    """The kernel's pairs for a target, as sets."""
+    alg = subset_algebra(x)
+    return [(alg.sets[a], alg.sets[b]) for a, b in alg.pairs[subset_to_mask(x, target)]]
+
+
 class TestDecompositions:
     def test_three_in_x0123(self, x0123):
-        assert nontrivial_sumset_decompositions(iset(3), x0123) == [(iset(1), iset(2))]
+        assert set_pairs(x0123, iset(3)) == [(iset(0), iset(3)), (iset(1), iset(2))]
 
     def test_two_needs_equal_operands(self, x012):
-        assert nontrivial_sumset_decompositions(iset(2), x012) == []
-        assert nontrivial_sumset_decompositions(
-            iset(2), x012, SummandMode.ALLOW_EQUAL
-        ) == [(iset(1), iset(1))]
+        # Only {0} + {2}; {1} + {1} is a pair of equal operands.
+        assert set_pairs(x012, iset(2)) == [(iset(0), iset(2))]
+        assert iset(2) in classify_ground_set(x012).non_sumsets
+        assert iset(2) not in classify_ground_set(x012, SummandMode.ALLOW_EQUAL).non_sumsets
 
-    def test_not_subset_rejected(self, x012):
-        with pytest.raises(ValueError, match="not a subset"):
-            nontrivial_sumset_decompositions(iset(5), x012)
+    def test_oracle_pair_table(self):
+        for n in range(2, 6):
+            for x in enumerate_canonical_ground_sets(n, 8):
+                ground = frozenset(x.base.elements)
+                subsets = nonempty_subsets(x.base.elements)
+                expected: dict[frozenset[int], set[frozenset[frozenset[int]]]] = {}
+                for a in subsets:
+                    for b in subsets:
+                        c = naive_sumset(a, b)
+                        if a != b and c <= ground:
+                            expected.setdefault(c, set()).add(frozenset((a, b)))
+
+                alg = subset_algebra(x)
+                got: dict[frozenset[int], set[frozenset[frozenset[int]]]] = {}
+                for t, pairs in alg.pairs.items():
+                    assert list(pairs) == sorted(pairs) and all(a < b for a, b in pairs)
+                    got[frozenset(alg.sets[t])] = {
+                        frozenset((frozenset(alg.sets[a]), frozenset(alg.sets[b])))
+                        for a, b in pairs
+                    }
+                    assert len(got[frozenset(alg.sets[t])]) == len(pairs)
+                assert got == expected, x
 
 
 class TestSumsetSummandPredicates:
     def test_least_nonzero_never_a_sumset(self, x0123):
-        assert not is_nontrivial_sumset(iset(1), x0123)
+        assert iset(1) in classify_ground_set(x0123).non_sumsets
 
     def test_one_two_is_sumset(self, x012):
-        assert is_nontrivial_sumset(iset(1, 2), x012)
+        assert iset(1, 2) not in classify_ground_set(x012).non_sumsets
 
     def test_zero_max_is_neither(self, x0123):
-        assert not is_nontrivial_sumset(iset(0, 3), x0123)
-        assert not is_nontrivial_summand(iset(0, 3), x0123)
+        assert iset(0, 3) in classify_ground_set(x0123).neither
 
     def test_max_element_overflows(self, x0123):
-        assert not is_nontrivial_summand(iset(3), x0123)
+        assert iset(3) in classify_ground_set(x0123).non_summands
 
     def test_one_is_summand(self, x0123):
-        assert is_nontrivial_summand(iset(1), x0123)
+        assert iset(1) not in classify_ground_set(x0123).non_summands
 
 
 class TestClassification:
@@ -142,10 +164,11 @@ class TestClassification:
 
     def test_cached_instance_reused(self, x0123):
         assert classify_ground_set(x0123) is classify_ground_set(x0123)
+        assert subset_algebra.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("mode", list(SummandMode))
     def test_oracle_agreement_small(self, mode):
-        for x in enumerate_canonical_ground_sets(3, 6):
+        for x in (x for n in range(3, 6) for x in enumerate_canonical_ground_sets(n, 6)):
             cls = classify_ground_set(x, mode)
             o_ns, o_nsd, o_nei = oracle_classify(
                 x.base.elements, distinct=mode is SummandMode.DISTINCT_LABELS
