@@ -12,16 +12,23 @@ element) and records the bound, so results are confirmations within a
 bound, never proofs. A check is never Confirmed from a budget-exceeded
 search: only exhausted or gate-rejected outcomes count as nonexistence
 evidence, anything else degrades the check to Unknown-budget.
+
+The canonical ground sets of ``n_range`` are walked once, in the star
+check: each X is classified for the |neither| >= n - 1 bound, searched
+with K(1, 2^n - 2) and realised, one after another, so its subset
+kernel is built once. Every witness (the star's, the tree star's, the
+realisation) is checked against the pendant and edge-count bounds as
+soon as it is made; a ``WitnessTally`` keeps only counts and the first
+violation, which the pendant and edge-count checks then report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .graphs import FREE_TREE_CAP, Graph, enumerate_free_trees, generate, pendant_vertices
-from .labeling import Labeling, structural_gate, verify_iasgl, zero_vertex
+from .labeling import Labeling, structural_gate, zero_vertex
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
@@ -38,7 +45,10 @@ UNKNOWN = "Unknown-budget"
 #: Search outcomes that certify nonexistence.
 _NONEXISTENCE = {SearchStatus.EXHAUSTED_NONE, SearchStatus.GATE_REJECTED}
 
-Witness = tuple[GroundSet, Graph, Labeling]
+#: Fixed bounds and summand mode, recorded in every report's bounds.
+PATH_CYCLE_RANGE = (3, 8)
+COMPLETE_RANGE = (2, 8)
+MODE = SummandMode.DISTINCT_LABELS
 
 
 @dataclass(frozen=True)
@@ -62,16 +72,13 @@ class HarnessConfig:
     n_range: tuple[int, int] = (2, 4)
     max_element: int = 8
     tree_sizes: tuple[int, ...] = (3, 7)
-    path_cycle_range: tuple[int, int] = (3, 8)
-    complete_range: tuple[int, int] = (2, 8)
     diophantine_max: int = 30
-    mode: SummandMode = SummandMode.DISTINCT_LABELS
     node_budget: int = 2_000_000
     time_budget_ms: int = 120_000
 
     def search_config(self, **overrides) -> SearchConfig:
         return SearchConfig(
-            mode=self.mode,
+            mode=MODE,
             node_budget=self.node_budget,
             time_budget_ms=self.time_budget_ms,
             **overrides,
@@ -82,10 +89,10 @@ class HarnessConfig:
             "n_range": list(self.n_range),
             "max_element": self.max_element,
             "tree_sizes": list(self.tree_sizes),
-            "path_cycle_range": list(self.path_cycle_range),
-            "complete_range": list(self.complete_range),
+            "path_cycle_range": list(PATH_CYCLE_RANGE),
+            "complete_range": list(COMPLETE_RANGE),
             "diophantine_max": self.diophantine_max,
-            "mode": self.mode.value,
+            "mode": MODE.value,
         }
 
 
@@ -131,43 +138,100 @@ def _star_order(n: int) -> int:
     return (1 << n) - 2
 
 
+def _pendant_violation(x: GroundSet, graph: Graph, labeling: Labeling) -> str | None:
+    """Why a witness breaks a pendant bound: a {0}-vertex hosting at
+    least |neither| pendants, with every neither-labeled and
+    max-element-labeled vertex pendant on it."""
+    v0 = zero_vertex(graph, labeling)
+    if v0 is None:
+        return f"witness over {x} has no {{0}}-labeled vertex"
+    neither = set(classify_ground_set(x, MODE).neither)
+    pendants = set(pendant_vertices(graph))
+    hosted = sum(1 for w in graph.neighbors(v0) if w in pendants)
+    forced_on_v0 = all(
+        vid in pendants and graph.neighbors(vid) == (v0,)
+        for vid, lab in labeling.assignment
+        if vid != v0 and (lab in neither or x.max_element in lab)
+    )
+    if len(pendants) >= len(neither) and hosted >= len(neither) and forced_on_v0:
+        return None
+    return f"witness over {x} violates a pendant bound"
+
+
+@dataclass
+class WitnessTally:
+    """Bounds evidence gathered while the checks run.
+
+    Only counts and the first violation of each bound are kept: a
+    witness is checked when it is made and then dropped.
+    """
+
+    ground_sets: int = 0
+    witnesses: int = 0
+    neither_violation: str | None = None
+    pendant_violation: str | None = None
+    edge_violation: str | None = None
+
+    def add_ground_set(self, x: GroundSet) -> None:
+        """Check |neither| >= n - 1 on one canonical ground set."""
+        self.ground_sets += 1
+        neither = len(classify_ground_set(x, MODE).neither)
+        if neither < x.n - 1 and self.neither_violation is None:
+            self.neither_violation = f"|neither| = {neither} < {x.n - 1} at X = {x}"
+
+    def add_witness(self, x: GroundSet, graph: Graph, labeling: Labeling) -> None:
+        """Check one witness against the pendant and edge-count bounds.
+
+        |E| = 2^n - 2 and n = log2(|E| + 2) are the same condition, so
+        one comparison decides both.
+        """
+        self.witnesses += 1
+        edges = graph.edge_count()
+        if edges != _star_order(x.n) and self.edge_violation is None:
+            self.edge_violation = (
+                f"witness over {x} has {edges} edges, expected {_star_order(x.n)}"
+            )
+        if self.pendant_violation is None:
+            self.pendant_violation = _pendant_violation(x, graph, labeling)
+
+
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
 
-def check_star_theorem(
-    n_range: tuple[int, int] = (2, 4),
-    max_element: int = 8,
-    config: HarnessConfig | None = None,
-    registry: list[Witness] | None = None,
-) -> list[CheckResult]:
+def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[CheckResult]:
     """Stars admit exactly at size 2^n - 2.
 
     Forward: K(1, 2^n - 2) is Found for every canonical ground set of
     size n. Converse: every other star size is rejected by the edge
     count rule for every ground set cardinality in range.
+
+    The forward loop is the harness's one pass over the canonical
+    ground sets: each X is also classified and realised there, and the
+    star witness and the realisation go to the tally while X's kernel
+    is cached.
     """
-    config = config or HarnessConfig(n_range=n_range, max_element=max_element)
     cfg = config.search_config()
     results = []
     anchor = "star K(1,m) admits a graceful set-indexer iff m = 2^n - 2"
+    n_lo, n_hi = config.n_range
 
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in range(n_lo, n_hi + 1):
         star = generate("star", _star_order(n))
         found = 0
         budget = 0
-        family = enumerate_canonical_ground_sets(n, max_element)
+        family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
+            tally.add_ground_set(x)
             outcome = search_iasgl(star, x, cfg)
             if outcome.found:
-                witness = outcome.witnesses[0]
-                assert verify_iasgl(star, witness)
-                if registry is not None:
-                    registry.append((x, star, witness))
+                tally.add_witness(x, star, outcome.witnesses[0])
                 found += 1
             elif outcome.status is SearchStatus.BUDGET_EXCEEDED:
                 budget += 1
+            built = build_realisation(x, mode=MODE)
+            tally.add_witness(x, built.graph, built.labeling)
         if budget:
             status, evidence = UNKNOWN, (
                 f"{budget}/{len(family)} ground sets hit the search budget"
@@ -180,15 +244,14 @@ def check_star_theorem(
             evidence = f"only {found}/{len(family)} ground sets admit K(1,{_star_order(n)})"
         results.append(CheckResult(f"star-theorem/forward-n={n}", anchor, status, evidence))
 
-    n_max = n_range[1]
     rejected = []
-    for m in range(1, _star_order(n_max) + 1):
+    for m in range(1, _star_order(n_hi) + 1):
         if _power_of_two_exponent(m + 2) is not None:
             continue
         star = generate("star", m)
-        for n in range(n_range[0], n_range[1] + 1):
+        for n in range(n_lo, n_hi + 1):
             x = GroundSet.of(*range(n))
-            gate = structural_gate(star, x, config.mode)
+            gate = structural_gate(star, x, MODE)
             if gate.passed or "R1" not in {v.rule for v in gate.violations}:
                 results.append(
                     CheckResult(
@@ -211,12 +274,7 @@ def check_star_theorem(
     return results
 
 
-def check_tree_theorem(
-    m_values: Iterable[int] = (3, 7),
-    max_element: int = 8,
-    config: HarnessConfig | None = None,
-    registry: list[Witness] | None = None,
-) -> list[CheckResult]:
+def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[CheckResult]:
     """Among trees, only the star K(1, 2^n - 2) admits.
 
     For each m with 1 + m a power of two, every free tree on m vertices
@@ -224,10 +282,11 @@ def check_tree_theorem(
     the star must be Found, everything else must be exhausted to
     nonexistence (the gate-free run certifies full exploration).
     """
-    config = config or HarnessConfig(max_element=max_element)
     anchor = "a tree admits a graceful set-indexer iff it is the star K(1,2^n-2)"
     results = []
-    for m in sorted(set(m_values)):
+    cfg = config.search_config()
+    nogate = config.search_config(disabled_rules=frozenset({"gate"}))
+    for m in sorted(set(config.tree_sizes)):
         check_id = f"tree-theorem/m={m}"
         n = _power_of_two_exponent(m + 1)
         if n is None:
@@ -252,13 +311,11 @@ def check_tree_theorem(
             continue
 
         trees = enumerate_free_trees(m)
-        family = enumerate_canonical_ground_sets(n, max_element)
+        family = enumerate_canonical_ground_sets(n, config.max_element)
         stars = 0
         star_found = 0
         nonstar_exhausted = True
         budget = 0
-        cfg = config.search_config()
-        nogate = config.search_config(disabled_rules=frozenset({"gate"}))
         for tree in trees:
             is_star = max(tree.degree(v) for v in tree.vertex_ids) == m - 1
             for x in family:
@@ -266,8 +323,7 @@ def check_tree_theorem(
                     outcome = search_iasgl(tree, x, cfg)
                     if outcome.found:
                         star_found += 1
-                        if registry is not None:
-                            registry.append((x, tree, outcome.witnesses[0]))
+                        tally.add_witness(x, tree, outcome.witnesses[0])
                     elif outcome.status is SearchStatus.BUDGET_EXCEEDED:
                         budget += 1
                 else:
@@ -308,11 +364,7 @@ def check_tree_theorem(
     return results
 
 
-def check_path_cycle(
-    m_range: tuple[int, int] = (3, 8),
-    max_element: int = 8,
-    config: HarnessConfig | None = None,
-) -> list[CheckResult]:
+def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
     """Paths on four or more vertices and all cycles never admit.
 
     The 3-vertex path is the star K(1,2) and does admit; the check pins
@@ -323,7 +375,6 @@ def check_path_cycle(
     pendant-free bound 2^(n-1) - 1 allows) is confirmed for cycles
     whenever the edge count matches at all.
     """
-    config = config or HarnessConfig(max_element=max_element)
     cfg = config.search_config()
     results = []
 
@@ -338,7 +389,7 @@ def check_path_cycle(
                 CONFIRMED,
                 f"|E| = {edges} never equals 2^n - 2, rejected by arithmetic",
             )
-        outcomes = sweep_ground_sets(graph, n, max_element, cfg)
+        outcomes = sweep_ground_sets(graph, n, config.max_element, cfg)
         found = sum(1 for o in outcomes.values() if o.found)
         budget = sum(1 for o in outcomes.values() if o.status is SearchStatus.BUDGET_EXCEEDED)
         if budget:
@@ -382,7 +433,8 @@ def check_path_cycle(
             + contradiction,
         )
 
-    for m in range(m_range[0], m_range[1] + 1):
+    m_lo, m_hi = PATH_CYCLE_RANGE
+    for m in range(m_lo, m_hi + 1):
         results.append(
             decide(
                 "path",
@@ -391,7 +443,7 @@ def check_path_cycle(
                 "no path on four or more vertices admits; P_3 = K(1,2) is the exception",
             )
         )
-    for m in range(m_range[0], m_range[1] + 1):
+    for m in range(m_lo, m_hi + 1):
         results.append(
             decide("cycle", m, generate("cycle", m), "the cycle C_m never admits")
         )
@@ -426,11 +478,7 @@ def diophantine_solutions(n_max: int) -> list[tuple[int, int, str]]:
     return sorted(set(solutions))
 
 
-def check_complete_graphs(
-    m_range: tuple[int, int] = (2, 8),
-    n_diophantine_max: int = 30,
-    config: HarnessConfig | None = None,
-) -> list[CheckResult]:
+def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
     """Complete graphs never admit a graceful set-indexer.
 
     K_2 and K_3 fall to parity, every other size in range except K_4
@@ -440,18 +488,18 @@ def check_complete_graphs(
     evidence. The counting equation 4k^2 +/- k + 1 = 2^n is then shown
     to have no further odd solutions up to the exponent bound.
     """
-    config = config or HarnessConfig()
     anchor = "no complete graph admits a graceful set-indexer"
     results = []
     gate_cleared = []
-    for m in range(m_range[0], m_range[1] + 1):
+    nogate = config.search_config(disabled_rules=frozenset({"gate"}))
+    m_lo, m_hi = COMPLETE_RANGE
+    for m in range(m_lo, m_hi + 1):
         edges = m * (m - 1) // 2
         n = _power_of_two_exponent(edges + 2)
         if n is None:
             gate_cleared.append(m)
             continue
         check_id = f"complete/exhaustive-K{m}"
-        nogate = config.search_config(disabled_rules=frozenset({"gate"}))
         outcomes = sweep_ground_sets(generate("complete", m), n, config.max_element, nogate)
         exhausted = sum(
             1 for o in outcomes.values() if o.status is SearchStatus.EXHAUSTED_NONE
@@ -486,8 +534,8 @@ def check_complete_graphs(
         ),
     )
 
-    sols = diophantine_solutions(n_diophantine_max)
-    covered = [s for s in sols if 4 * s[1] in range(m_range[0], m_range[1] + 1)]
+    sols = diophantine_solutions(config.diophantine_max)
+    covered = [s for s in sols if m_lo <= 4 * s[1] <= m_hi]
     stray = [s for s in sols if s not in covered]
     if stray:
         results.append(
@@ -500,141 +548,68 @@ def check_complete_graphs(
         )
     else:
         detail = (
-            f"only odd solution up to n = {n_diophantine_max} is {sols}"
+            f"only odd solution up to n = {config.diophantine_max} is {sols}"
             " and the matching K_4 is exhaustively refuted above"
             if sols
-            else f"no odd solution up to n = {n_diophantine_max}"
+            else f"no odd solution up to n = {config.diophantine_max}"
         )
         results.append(CheckResult("complete/diophantine", anchor, CONFIRMED, detail))
     return results
 
 
-def check_pendant_bounds(
-    n_range: tuple[int, int] = (2, 4),
-    max_element: int = 8,
-    config: HarnessConfig | None = None,
-    registry: list[Witness] | None = None,
-) -> list[CheckResult]:
+def check_pendant_bounds(tally: WitnessTally) -> list[CheckResult]:
     """Pendant lower bounds on every classification and every witness.
 
     |neither| >= n - 1 for every canonical ground set, and every
     witness has a {0}-vertex hosting at least |neither| pendant
     neighbors, with the neither-labeled and max-element-labeled
-    vertices pendant on it.
+    vertices pendant on it. Reads the tally the star and tree checks
+    filled.
     """
-    config = config or HarnessConfig(n_range=n_range, max_element=max_element)
     anchor = "at least |X| - 1 pendants hang on the {0}-vertex"
-    results = []
-    families = 0
-    for n in range(n_range[0], n_range[1] + 1):
-        for x in enumerate_canonical_ground_sets(n, max_element):
-            cls = classify_ground_set(x, config.mode)
-            if len(cls.neither) < n - 1:
-                results.append(
-                    CheckResult(
-                        "pendant-bounds/classification",
-                        anchor,
-                        REFUTED,
-                        f"|neither| = {len(cls.neither)} < {n - 1} at X = {x}",
-                    )
-                )
-                return results
-            families += 1
-    results.append(
+    if tally.neither_violation is not None:
+        return [
+            CheckResult(
+                "pendant-bounds/classification", anchor, REFUTED, tally.neither_violation
+            )
+        ]
+    results = [
         CheckResult(
             "pendant-bounds/classification",
             anchor,
             CONFIRMED,
-            f"|neither| >= n - 1 for all {families} canonical ground sets in range",
+            f"|neither| >= n - 1 for all {tally.ground_sets} canonical ground sets in range",
         )
-    )
-
-    witnesses = registry if registry is not None else []
-    if not witnesses:
-        for n in range(n_range[0], n_range[1] + 1):
-            for x in enumerate_canonical_ground_sets(n, max_element):
-                built = build_realisation(x, mode=config.mode)
-                witnesses.append((x, built.graph, built.labeling))
-
-    checked = 0
-    for x, graph, labeling in witnesses:
-        cls = classify_ground_set(x, config.mode)
-        v0 = zero_vertex(graph, labeling)
-        if v0 is None:
-            results.append(
-                CheckResult(
-                    "pendant-bounds/witnesses", anchor, REFUTED,
-                    f"witness over {x} has no {{0}}-labeled vertex",
-                )
-            )
-            return results
-        pendants = set(pendant_vertices(graph))
-        hosted = sum(1 for w in graph.neighbors(v0) if w in pendants)
-        neither = set(cls.neither)
-        max_el = x.max_element
-        ok = len(pendants) >= len(neither) and hosted >= len(neither)
-        for vid in graph.vertex_ids:
-            lab = labeling.label_of(vid)
-            forced = lab in neither or max_el in lab
-            if forced and vid != v0:
-                ok = ok and vid in pendants and graph.neighbors(vid) == (v0,)
-        if not ok:
-            results.append(
-                CheckResult(
-                    "pendant-bounds/witnesses", anchor, REFUTED,
-                    f"witness over {x} violates a pendant bound",
-                )
-            )
-            return results
-        checked += 1
-    results.append(
-        CheckResult(
-            "pendant-bounds/witnesses",
-            anchor,
-            CONFIRMED,
-            f"{checked} witnesses respect pendant count, hosting, and placement bounds",
+    ]
+    if tally.pendant_violation is not None:
+        results.append(
+            CheckResult("pendant-bounds/witnesses", anchor, REFUTED, tally.pendant_violation)
         )
-    )
+    else:
+        results.append(
+            CheckResult(
+                "pendant-bounds/witnesses",
+                anchor,
+                CONFIRMED,
+                f"{tally.witnesses} witnesses respect pendant count, hosting, and "
+                "placement bounds",
+            )
+        )
     return results
 
 
-def check_edge_count(
-    n_range: tuple[int, int] = (2, 4),
-    config: HarnessConfig | None = None,
-    registry: list[Witness] | None = None,
-) -> list[CheckResult]:
-    """|E| = 2^n - 2 and n = log2(|E| + 2), exactly, on every witness."""
-    config = config or HarnessConfig(n_range=n_range)
+def check_edge_count(tally: WitnessTally) -> list[CheckResult]:
+    """|E| = 2^n - 2 and n = log2(|E| + 2), exactly, on every witness
+    in the tally."""
     anchor = "every gracefully labeled graph has exactly 2^n - 2 edges"
-    witnesses = registry if registry is not None else []
-    if not witnesses:
-        cfg = config.search_config()
-        for n in range(n_range[0], n_range[1] + 1):
-            x = GroundSet.of(*range(n))
-            star = generate("star", _star_order(n))
-            outcome = search_iasgl(star, x, cfg)
-            if outcome.found:
-                witnesses.append((x, star, outcome.witnesses[0]))
-            built = build_realisation(x, mode=config.mode)
-            witnesses.append((x, built.graph, built.labeling))
-    for x, graph, _ in witnesses:
-        edges = graph.edge_count()
-        n = _power_of_two_exponent(edges + 2)
-        if edges != (1 << x.n) - 2 or n != x.n:
-            return [
-                CheckResult(
-                    "edge-count",
-                    anchor,
-                    REFUTED,
-                    f"witness over {x} has {edges} edges, expected {(1 << x.n) - 2}",
-                )
-            ]
+    if tally.edge_violation is not None:
+        return [CheckResult("edge-count", anchor, REFUTED, tally.edge_violation)]
     return [
         CheckResult(
             "edge-count",
             anchor,
             CONFIRMED,
-            f"{len(witnesses)} witnesses match both |E| = 2^n - 2 and n = log2(|E| + 2)",
+            f"{tally.witnesses} witnesses match both |E| = 2^n - 2 and n = log2(|E| + 2)",
         )
     ]
 
@@ -642,21 +617,17 @@ def check_edge_count(
 def run_all(config: HarnessConfig | None = None) -> TheoremReport:
     """Run every check at desk-scale bounds and aggregate a report.
 
-    Witnesses produced by the star, tree, and pendant checks feed the
-    edge-count check, so every labeling the harness accepts anywhere is
-    also size-checked. Identical configs give identical reports.
+    Every witness the star and tree checks find, and a realisation of
+    every ground set in range, is checked against the pendant and
+    edge-count bounds, so every labeling the harness accepts anywhere
+    is also size-checked. Identical configs give identical reports.
     """
     config = config or HarnessConfig()
-    registry: list[Witness] = []
-    checks: list[CheckResult] = []
-    checks += check_star_theorem(config.n_range, config.max_element, config, registry)
-    checks += check_tree_theorem(config.tree_sizes, config.max_element, config, registry)
-    checks += check_path_cycle(config.path_cycle_range, config.max_element, config)
-    checks += check_complete_graphs(config.complete_range, config.diophantine_max, config)
-    for n in range(config.n_range[0], config.n_range[1] + 1):
-        for x in enumerate_canonical_ground_sets(n, config.max_element):
-            built = build_realisation(x, mode=config.mode)
-            registry.append((x, built.graph, built.labeling))
-    checks += check_pendant_bounds(config.n_range, config.max_element, config, registry)
-    checks += check_edge_count(config.n_range, config, registry)
+    tally = WitnessTally()
+    checks = check_star_theorem(config, tally)
+    checks += check_tree_theorem(config, tally)
+    checks += check_path_cycle(config)
+    checks += check_complete_graphs(config)
+    checks += check_pendant_bounds(tally)
+    checks += check_edge_count(tally)
     return TheoremReport(checks=checks, bounds=config.bounds_obj())

@@ -133,10 +133,6 @@ def labeling_from_obj(obj: dict) -> Labeling:
     )
 
 
-def graph_to_obj(g: Graph) -> dict:
-    return {"vertices": list(g.vertex_ids), "edges": [[u, v] for u, v in g.sorted_edges()]}
-
-
 def load_document(path: str | Path) -> Document:
     with open(path, encoding="utf-8") as fh:
         return parse_document(json.load(fh))

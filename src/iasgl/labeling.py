@@ -228,26 +228,26 @@ def structural_gate(
     R3: pendant count >= |neither| and >= n - 1.
     R4: some single vertex has >= |neither| pendant neighbors.
 
-    Every violated rule is reported; passing proves nothing.
+    R2-R4 are evaluated only when R1 holds, so a graph with the wrong
+    edge count is rejected without classifying X. Otherwise every
+    violated rule is reported; passing proves nothing.
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
-    violations: list[Violation] = []
     required_edges = (1 << x.n) - 2
     if g.edge_count() != required_edges:
-        violations.append(
+        return _report([
             Violation(
                 rule="R1",
                 detail=f"|E| = {g.edge_count()} but a ground set of size {x.n} "
                 f"needs exactly {required_edges} edges",
             )
-        )
+        ])
     if x.n < 2:
-        # No non-{0} subsets to classify; R1 above already rejects any
-        # real graph (required_edges = 0 and graphs have no isolated
-        # vertices, hence at least one edge).
-        return _report(violations)
+        # No non-{0} subsets to classify; only the empty graph gets here.
+        return _report([])
 
+    violations: list[Violation] = []
     cls = classify_ground_set(x, mode)
     max_degree = max(g.degree(v) for v in g.vertex_ids)
     if max_degree < len(cls.non_sumsets):

@@ -47,6 +47,7 @@ from itertools import permutations
 from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
 from .sets import (
+    SUBSET_ENUMERATION_CAP,
     GroundSet,
     IntegerSet,
     SummandMode,
@@ -367,11 +368,14 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     The structural gate runs first (GATE_REJECTED short-circuits unless
     the "gate" rule is disabled). EXHAUSTED_NONE is only reported when
     the whole pruned tree was explored within budget; BUDGET_EXCEEDED
-    means unknown, with any witnesses found so far still valid.
+    means unknown, with any witnesses found so far still valid. A ground
+    set above the subset enumeration cap is a ValueError, gate or not.
     """
     cfg = cfg or SearchConfig()
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
+    if x.n > SUBSET_ENUMERATION_CAP:
+        raise ValueError("ground set too large")
 
     stats = SearchStats()
     if cfg.enabled("gate"):

@@ -11,6 +11,7 @@ from iasgl.harness import (
     HarnessConfig,
     TheoremReport,
     CheckResult,
+    WitnessTally,
     check_complete_graphs,
     check_edge_count,
     check_path_cycle,
@@ -20,6 +21,11 @@ from iasgl.harness import (
     diophantine_solutions,
     run_all,
 )
+from iasgl.graphs import generate
+from iasgl.labeling import Labeling
+from iasgl.sets import GroundSet, subset_algebra
+
+from conftest import iset
 
 
 class TestDiophantine:
@@ -49,27 +55,33 @@ class TestDiophantine:
 
 class TestChecks:
     def test_star_theorem(self):
-        results = check_star_theorem((2, 3), 6)
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), WitnessTally())
         assert all(r.status == CONFIRMED for r in results)
         ids = [r.check_id for r in results]
         assert "star-theorem/forward-n=2" in ids
         assert "star-theorem/converse" in ids
 
     def test_tree_theorem_m3_m7(self):
-        results = check_tree_theorem((3, 7), 6)
+        results = check_tree_theorem(
+            HarnessConfig(tree_sizes=(3, 7), max_element=6), WitnessTally()
+        )
         assert [r.status for r in results] == [CONFIRMED, CONFIRMED]
 
     def test_tree_theorem_m6_vertex_gate(self):
-        (result,) = check_tree_theorem((6,), 6)
+        (result,) = check_tree_theorem(
+            HarnessConfig(tree_sizes=(6,), max_element=6), WitnessTally()
+        )
         assert result.status == CONFIRMED
         assert "not a power of two" in result.evidence
 
     def test_tree_theorem_m15_budget(self):
-        (result,) = check_tree_theorem((15,), 6)
+        (result,) = check_tree_theorem(
+            HarnessConfig(tree_sizes=(15,), max_element=6), WitnessTally()
+        )
         assert result.status == UNKNOWN
 
     def test_path_cycle(self):
-        results = check_path_cycle((3, 8), 6)
+        results = check_path_cycle(HarnessConfig(max_element=6))
         assert all(r.status == CONFIRMED for r in results)
         p3 = next(r for r in results if r.check_id == "path-nonexistence/m=3")
         assert "K(1,2)" in p3.evidence  # the star-path exception is explicit
@@ -77,18 +89,46 @@ class TestChecks:
         assert "contradiction" in c6.evidence
 
     def test_complete_graphs(self):
-        results = check_complete_graphs((2, 8), 30)
+        results = check_complete_graphs(HarnessConfig(diophantine_max=30))
         assert all(r.status == CONFIRMED for r in results)
         k4 = next(r for r in results if r.check_id == "complete/exhaustive-K4")
         assert "exhaustively refuted" in k4.evidence
 
     def test_pendant_bounds(self):
-        results = check_pendant_bounds((2, 3), 6)
+        # The star check's pass fills the tally: one star witness and
+        # one realisation per ground set.
+        tally = WitnessTally()
+        check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), tally)
+        results = check_pendant_bounds(tally)
         assert all(r.status == CONFIRMED for r in results)
+        assert "all 12 canonical ground sets" in results[0].evidence
+        assert results[1].evidence.startswith("24 witnesses")
 
     def test_edge_count_standalone(self):
-        (result,) = check_edge_count((2, 3))
+        tally = WitnessTally()
+        check_star_theorem(HarnessConfig(n_range=(2, 3)), tally)
+        (result,) = check_edge_count(tally)
         assert result.status == CONFIRMED
+
+    def test_tally_refutes_bad_witnesses(self):
+        # Star K(1,2) over {0,1} with no {0}-labeled vertex (the Labeling
+        # type does not enforce injectivity), then claimed over {0,1,2}.
+        x01 = GroundSet.of(0, 1)
+        star = generate("star", 2)
+        labels = Labeling.from_mapping(
+            x01, {"v0": iset(1), "v1": iset(1), "v2": iset(0, 1)}
+        )
+        tally = WitnessTally()
+        tally.add_witness(x01, star, labels)
+        tally.add_witness(GroundSet.of(0, 1, 2), star, labels)
+        (pendant,) = [
+            r for r in check_pendant_bounds(tally) if r.check_id == "pendant-bounds/witnesses"
+        ]
+        assert pendant.status == REFUTED
+        assert "no {0}-labeled vertex" in pendant.evidence
+        (edges,) = check_edge_count(tally)
+        assert edges.status == REFUTED
+        assert edges.evidence == "witness over {0,1,2} has 2 edges, expected 6"
 
 
 class TestRunAll:
@@ -97,6 +137,18 @@ class TestRunAll:
         assert report.refuted == 0
         assert report.totals[REFUTED] == 0
         assert report.totals[CONFIRMED] == len(report.checks)
+        evidence = {c.check_id: c.evidence for c in report.checks}
+        assert "all 12 canonical ground sets" in evidence["pendant-bounds/classification"]
+        # 12 star witnesses, 1 + 11 tree stars (m = 3, 7), 12 realisations.
+        assert evidence["pendant-bounds/witnesses"].startswith("36 witnesses")
+        assert evidence["edge-count"].startswith("36 witnesses")
+
+    def test_one_kernel_build_per_ground_set(self):
+        # 74 canonical ground sets with n = 2..4, max 8; the tree check
+        # revisits 22 of them after the star pass has moved on.
+        subset_algebra.cache_clear()
+        run_all(HarnessConfig())
+        assert subset_algebra.cache_info().misses <= 2 * 74
 
     def test_report_determinism(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6)
@@ -121,7 +173,7 @@ class TestRunAll:
         assert report.bounds["max_element"] == 6
 
     def test_budget_degrades_to_unknown(self):
-        config = HarnessConfig(n_range=(2, 4), max_element=8, node_budget=5)
-        results = check_star_theorem((4, 4), 8, config)
+        config = HarnessConfig(n_range=(4, 4), max_element=8, node_budget=5)
+        results = check_star_theorem(config, WitnessTally())
         forward = next(r for r in results if "forward" in r.check_id)
         assert forward.status == UNKNOWN

@@ -13,7 +13,7 @@ from iasgl.labeling import (
     verify_iasl,
     zero_vertex,
 )
-from iasgl.sets import GroundSet, SummandMode
+from iasgl.sets import GroundSet, SummandMode, subset_algebra
 
 from conftest import iset
 
@@ -151,6 +151,14 @@ class TestStructuralGate:
     def test_k4_edge_count_at_n4(self, x0123):
         report = structural_gate(generate("complete", 4), x0123)
         assert "R1" in {v.rule for v in report.violations}
+
+    def test_r1_failure_skips_classification(self):
+        # R1 alone rejects: R2-R4 (and the 2^15-subset kernel they read)
+        # are never evaluated.
+        misses = subset_algebra.cache_info().misses
+        report = structural_gate(generate("star", 6), GroundSet.of(*range(15)))
+        assert {v.rule for v in report.violations} == {"R1"}
+        assert subset_algebra.cache_info().misses == misses
 
     def test_k4_passes_r1_at_n3_fails_r3(self, x012):
         report = structural_gate(generate("complete", 4), x012)

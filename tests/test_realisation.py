@@ -11,6 +11,7 @@ from iasgl.realisation import (
     assign_edge_labels,
     build_realisation,
 )
+from iasgl.search import search_iasgl
 from iasgl.sets import (
     GroundSet,
     SummandMode,
@@ -138,6 +139,15 @@ class TestBuildRealisation:
             assert verify_iasgl(r.graph, r.labeling).passed
             assert r.graph.edge_count() == (1 << n) - 2
             assert r.non_bipartite == (not is_bipartite(r.graph))
+
+    @pytest.mark.parametrize("prefer_nonbipartite", [False, True])
+    def test_search_finds_a_labeling_of_every_realisation(self, prefer_nonbipartite):
+        """Metamorphic: a realisation of X is a graph that admits over X,
+        so the search (gate and every pruning rule on) must find one."""
+        for n in range(2, 6):
+            for x in enumerate_canonical_ground_sets(n, 8):
+                r = build_realisation(x, prefer_nonbipartite=prefer_nonbipartite)
+                assert search_iasgl(r.graph, x).found, x
 
     def test_pendant_placement(self, x0123):
         r = build_realisation(x0123, prefer_nonbipartite=True)
