@@ -9,6 +9,8 @@ human-aligned view). Exit codes are a stable contract:
 * construct: 0 on success, 4 when no exact assignment exists
 * theorems: 0 unless some check was refuted
 * usage and input errors exit 2 via the argument parser
+* an unexpected internal error prints its traceback and exits 70
+  (``EXIT_INTERNAL_ERROR``), never 0 or 1
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .realisation import RealisationInfeasible, build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import GroundSet, IntegerSet, SummandMode, classify_ground_set
 from .graphs import generate, is_bipartite, pendant_vertices
+
+#: Exit code of an unexpected internal error (sysexits' EX_SOFTWARE).
+EXIT_INTERNAL_ERROR = 70
 
 _EXIT_BY_STATUS = {
     SearchStatus.FOUND: 0,
@@ -338,9 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    SystemExit (usage errors) and KeyboardInterrupt pass through; any
+    other exception is a defect, reported with its traceback on stderr
+    and EXIT_INTERNAL_ERROR, so it is never read as a verdict.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except Exception:
+        import traceback  # only on this path, to keep CLI start-up lean
+
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -24,11 +24,23 @@ twins
     expanded lazily over the label permutations within each class; each
     extra labeling is verified and ticks the node budget.
 
-P1 and the degree test of P2 depend only on the vertex, so each vertex
-draws its labels from a precomputed candidate list that already omits
-them: ``stats.nodes`` and ``stats.prunes`` do not count those labels.
-Only the dynamic part of P2 (the pendant's neighbor already holds a
-label other than {0}) is counted as a P2 prune.
+P1 and P2 are applied to the candidate lists, never to a node. P1 and
+the degree test of P2 depend only on the vertex, so each vertex draws
+its labels from a precomputed list that already omits them. A pendant
+also has a summand-only list, which it draws from instead once its
+neighbor holds a label other than {0} (the dynamic part of P2). So
+``stats.nodes`` counts only labels that pass P1 and P2, and
+``stats.prunes`` never has a P1 or P2 key.
+
+P4 is incremental: a running count of missing targets makes its count
+test O(1), and after a vertex takes a label only the targets whose
+viable pairs that assignment can have killed are rescanned (see
+``_State.coverage_ok``). The verdict equals a full rescan of every
+unrealized target.
+
+The DFS recurses once per vertex; ``search_iasgl`` lifts the
+interpreter's recursion limit by the depth it needs for the duration of
+the search, so the graph's size, not that limit, bounds the depth.
 
 All rules are sound (they never discard a completable branch, up to
 twin symmetry), so a fully explored tree with no accepted leaf is a
@@ -39,6 +51,7 @@ checker before they are reported; search state is never trusted.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -115,6 +128,10 @@ class _Budget(Exception):
     pass
 
 
+#: Frames kept free above the DFS for the leaf's verification calls.
+_STACK_HEADROOM = 100
+
+
 class _State:
     """Mutable backtracking state over subset masks.
 
@@ -137,11 +154,20 @@ class _State:
         # Label-mask pairs (a < b) per target mask; every target has one.
         self.pairs_by_target = alg.pairs
         self.zero_mask = 1  # 0 is the least element of a graceful ground set
-        self.targets = frozenset(m for m in range(1, 1 << n) if m != self.zero_mask)
+        self.targets = tuple(m for m in range(1, 1 << n) if m != self.zero_mask)
+        # Label mask -> the targets with a pair that uses it (P4 rechecks).
+        targets_of: list[set[int]] = [set() for _ in range(1 << n)]
+        for t, pairs in self.pairs_by_target.items():
+            for a, b in pairs:
+                targets_of[a].add(t)
+                targets_of[b].add(t)
+        self.targets_of = [tuple(sorted(ts)) for ts in targets_of]
 
         cls = classify_ground_set(x, cfg.mode)
         self.min_zero_degree = len(cls.non_sumsets)
         self.non_summand_masks = {subset_to_mask(x, s) for s in cls.non_summands}
+        self.p3 = cfg.enabled("P3")
+        self.p4 = cfg.enabled("P4")
 
         self.order = sorted(g.vertex_ids, key=lambda v: (-g.degree(v), v))
         self.index = {v: i for i, v in enumerate(self.order)}
@@ -156,7 +182,7 @@ class _State:
         candidates = list(range(1, 1 << n))
         if cfg.seed:
             random.Random(cfg.seed).shuffle(candidates)
-        self.candidates = self._candidate_lists(candidates)
+        self.candidates, self.summand_only = self._candidate_lists(candidates)
 
         self.twin_classes = self._twin_classes() if cfg.enabled("twins") else []
         self.twin_prev: list[int | None] = [None] * len(self.order)
@@ -167,25 +193,31 @@ class _State:
         nv = len(self.order)
         self.assigned: list[int | None] = [None] * nv
         self.owner: dict[int, int] = {}
-        self.realized: dict[int, int] = {}
+        self.realized = [0] * (1 << n)  # edges carrying each target mask
+        self.missing = len(self.targets)  # targets with no edge yet
+        self.edge_count = len(g.edges)
         self.assigned_edges = 0
         self.unassigned = nv
         self.free_neighbors = list(self.degree)  # unassigned neighbours per vertex
         self.witnesses: list[Labeling] = []
         self.deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
 
-    def _candidate_lists(self, candidates: list[int]) -> list[list[int]]:
-        """Per-vertex label lists with the static parts of P1 and P2 applied.
+    def _candidate_lists(
+        self, candidates: list[int]
+    ) -> tuple[list[list[int]], list[list[int] | None]]:
+        """Per-vertex label lists with P1 and P2 applied.
 
-        A list depends only on whether {0} and the non-summands are
-        allowed, so vertices share at most three distinct lists.
+        The first list per vertex applies P1 and the degree test of P2.
+        The second is the summand-only list that a pendant draws from
+        once its neighbor holds a label other than {0} (the dynamic part
+        of P2); it is None where P2 never narrows the first list. A list
+        depends only on whether {0} and the non-summands are allowed, so
+        vertices share at most four distinct lists.
         """
         p1, p2 = self.cfg.enabled("P1"), self.cfg.enabled("P2")
         shared: dict[tuple[bool, bool], list[int]] = {}
-        lists = []
-        for degree in self.degree:
-            zero_ok = not p1 or degree >= self.min_zero_degree
-            non_summand_ok = not p2 or degree == 1
+
+        def labels(zero_ok: bool, non_summand_ok: bool) -> list[int]:
             key = (zero_ok, non_summand_ok)
             if key not in shared:
                 shared[key] = [
@@ -194,8 +226,14 @@ class _State:
                     if (zero_ok or m != self.zero_mask)
                     and (non_summand_ok or m not in self.non_summand_masks)
                 ]
-            lists.append(shared[key])
-        return lists
+            return shared[key]
+
+        lists, summand_only = [], []
+        for degree in self.degree:
+            zero_ok = not p1 or degree >= self.min_zero_degree
+            lists.append(labels(zero_ok, not p2 or degree == 1))
+            summand_only.append(labels(zero_ok, False) if p2 and degree == 1 else None)
+        return lists, summand_only
 
     def _twin_classes(self) -> list[list[int]]:
         """Non-trivial twin classes, members in DFS order.
@@ -224,39 +262,49 @@ class _State:
         if self.stats.nodes % 1024 == 0 and time.monotonic() > self.deadline:
             raise _Budget
 
-    def coverage_ok(self) -> bool:
-        remaining_edges = len(self.g.edges) - self.assigned_edges
-        unrealized = [t for t in self.targets if not self.realized.get(t)]
-        if len(unrealized) > remaining_edges:
+    def coverage_ok(self, vi: int, mask: int) -> bool:
+        """P4 after vertex vi took label mask.
+
+        Invariant: the parent state already passed P4. For the root this
+        holds whenever it has >= 2 vertices, since every target t has
+        the viable pair ({0}, t). A pair that was viable in the parent
+        dies only if it uses mask, if it is anchored at an earlier
+        neighbor of vi that has just lost its last unassigned neighbor,
+        or if it needs two unassigned vertices and fewer than two remain.
+        So only the targets of mask, the targets of each such neighbor's
+        label and, once unassigned < 2, every target are rescanned; the
+        verdict is that of a full rescan of all unrealized targets.
+        """
+        if self.missing > self.edge_count - self.assigned_edges:
             return False
-        for t in unrealized:
-            viable = False
-            for a, b in self.pairs_by_target[t]:
-                va = self.owner.get(a)
-                vb = self.owner.get(b)
-                if va is None and vb is None:
-                    if self.unassigned >= 2:
-                        viable = True
-                        break
-                elif va is None or vb is None:
-                    anchored = vb if va is None else va
-                    if self.free_neighbors[anchored]:
-                        viable = True
-                        break
-                # both labels placed on non-adjacent vertices: pair is dead
-            if not viable:
-                return False
+        if self.unassigned < 2:
+            groups = [self.targets]
+        else:
+            groups = [self.targets_of[mask]]
+            for w in self.earlier[vi]:
+                if not self.free_neighbors[w]:
+                    groups.append(self.targets_of[self.assigned[w]])
+        realized = self.realized
+        for group in groups:
+            for t in group:
+                if not realized[t] and not self.viable(t):
+                    return False
         return True
 
-    def label_allowed(self, vi: int, mask: int) -> bool:
-        """Dynamic part of P2; the candidate lists hold the static part."""
-        if mask in self.non_summand_masks and self.cfg.enabled("P2"):
-            neighbor = self.neighbors[vi][0]  # vi is pendant by its candidate list
-            placed = self.assigned[neighbor]
-            if placed is not None and placed != self.zero_mask:
-                self.stats.bump("P2")
-                return False
-        return True
+    def viable(self, t: int) -> bool:
+        """Some pair of target t can still become an edge label."""
+        for a, b in self.pairs_by_target[t]:
+            va = self.owner.get(a)
+            vb = self.owner.get(b)
+            if va is None and vb is None:
+                if self.unassigned >= 2:
+                    return True
+            elif va is None or vb is None:
+                anchored = vb if va is None else va
+                if self.free_neighbors[anchored]:
+                    return True
+            # both labels placed on non-adjacent vertices: pair is dead
+        return False
 
     def record(self) -> bool:
         """Verify the full assignment independently; keep it if it passes."""
@@ -301,14 +349,19 @@ class _State:
             self.expand_twins(0, True)
             return False
 
+        candidates = self.candidates[vi]
+        summand_only = self.summand_only[vi]
+        if summand_only is not None:
+            placed = self.assigned[self.neighbors[vi][0]]
+            if placed is not None and placed != self.zero_mask:
+                candidates = summand_only
         prev = self.twin_prev[vi]
         floor = 0 if prev is None else self.assigned[prev]
-        for mask in self.candidates[vi]:
+        realized = self.realized
+        for mask in candidates:
             if mask <= floor or mask in self.owner:
                 continue
             self.tick()
-            if not self.label_allowed(vi, mask):
-                continue
 
             new_targets: list[int | None] = []
             ok = True
@@ -316,11 +369,11 @@ class _State:
             for w in self.earlier[vi]:
                 s = _sum_value_mask(elems, self.value[self.assigned[w]])
                 t = self.value_to_mask.get(s)
-                if self.cfg.enabled("P3"):
+                if self.p3:
                     bad = (
                         t is None
                         or t == self.zero_mask
-                        or self.realized.get(t, 0) > 0
+                        or realized[t] > 0
                         or t in new_targets
                     )
                     if bad:
@@ -339,10 +392,12 @@ class _State:
                 self.free_neighbors[w] -= 1
             for t in new_targets:
                 if t is not None and t != self.zero_mask:
-                    self.realized[t] = self.realized.get(t, 0) + 1
+                    if not realized[t]:
+                        self.missing -= 1
+                    realized[t] += 1
 
             proceed = True
-            if self.cfg.enabled("P4") and not self.coverage_ok():
+            if self.p4 and not self.coverage_ok(vi, mask):
                 self.stats.bump("P4")
                 proceed = False
 
@@ -350,7 +405,9 @@ class _State:
 
             for t in new_targets:
                 if t is not None and t != self.zero_mask:
-                    self.realized[t] -= 1
+                    realized[t] -= 1
+                    if not realized[t]:
+                        self.missing += 1
             for w in self.neighbors[vi]:
                 self.free_neighbors[w] += 1
             self.assigned_edges -= len(self.earlier[vi])
@@ -370,6 +427,11 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     the whole pruned tree was explored within budget; BUDGET_EXCEEDED
     means unknown, with any witnesses found so far still valid. A ground
     set above the subset enumeration cap is a ValueError, gate or not.
+
+    The DFS takes one frame per vertex, so the interpreter's recursion
+    limit is raised by that depth while it runs and restored afterwards.
+    The limit is process-wide: searches must not run concurrently in
+    threads of one process.
     """
     cfg = cfg or SearchConfig()
     if not x.contains_zero():
@@ -389,11 +451,17 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, [], stats)
 
     state = _State(g, x, cfg, stats)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(
+        limit + len(state.order) + len(state.twin_classes) + _STACK_HEADROOM
+    )
     try:
         state.search(0)
         exhausted = True
     except _Budget:
         exhausted = False
+    finally:
+        sys.setrecursionlimit(limit)
 
     witnesses = sorted(state.witnesses, key=lambda f: f.assignment)
     if witnesses:

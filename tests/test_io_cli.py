@@ -1,10 +1,12 @@
 """Document round-trips, DOT output, and the CLI exit-code contract."""
 
 import json
+import sys
 
 import pytest
 
-from iasgl.cli import main
+from iasgl import cli
+from iasgl.cli import EXIT_INTERNAL_ERROR, main
 from iasgl.io import (
     Document,
     document_from_graph,
@@ -15,7 +17,8 @@ from iasgl.io import (
     parse_document,
     to_dot,
 )
-from iasgl.labeling import Labeling
+from iasgl.graphs import generate
+from iasgl.labeling import Labeling, verify_iasgl
 from iasgl.realisation import build_realisation
 
 from conftest import iset
@@ -185,6 +188,27 @@ class TestCli:
             main(["search", "--graph", "star:2", "--ground-set", "0,1", *flag])
         assert err.value.code == 2
         assert "budgets must be positive" in capsys.readouterr().err
+
+    def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
+        # 1,023 vertices, one DFS frame each: deeper than the default limit.
+        out = tmp_path / "witness.json"
+        limit = sys.getrecursionlimit()
+        code = main(["search", "--graph", "star:1022", "--ground-set",
+                     ",".join(map(str, range(10))), "--out", str(out)])
+        assert code == 0
+        assert sys.getrecursionlimit() == limit
+        assert json.loads(capsys.readouterr().out)["status"] == "found"
+        assert verify_iasgl(generate("star", 1022), load_document(out).to_labeling())
+
+    def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(cli, "search_iasgl", broken)
+        code = main(["search", "--graph", "star:2", "--ground-set", "0,1"])
+        assert code == EXIT_INTERNAL_ERROR == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: injected failure" in err
 
     def test_verify_builder_output(self, tmp_path, capsys):
         out = tmp_path / "doc.json"

@@ -10,6 +10,7 @@ from iasgl.search import (
     PRUNE_RULES,
     SearchConfig,
     SearchStatus,
+    _State,
     search_iasgl,
     sweep_ground_sets,
 )
@@ -37,6 +38,13 @@ CORPUS_N3 = [
         [("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("e", "f"), ("a", "g")],
     ),
 ]
+
+# Hub v0 with leaves v1..v12 and the path v0-v13-v14: a tree with 2^4 - 2
+# edges that is not a star, so no ground set of size 4 labels it.
+BROOM15 = Graph.from_edges(
+    [f"v{i}" for i in range(15)],
+    [("v0", f"v{i}") for i in range(1, 14)] + [("v13", "v14")],
+)
 
 
 class TestBasics:
@@ -146,6 +154,70 @@ class TestTwins:
         assert out.stats.nodes <= 2_000 + 1
         assert out.witnesses
         assert all(verify_iasgl(star, w).passed for w in out.witnesses)
+
+
+def full_coverage_ok(state, vi, mask):
+    """Reference P4: a full rescan of every unrealized target."""
+    unrealized = [t for t in state.targets if not state.realized[t]]
+    if len(unrealized) > len(state.g.edges) - state.assigned_edges:
+        return False
+    for t in unrealized:
+        viable = False
+        for a, b in state.pairs_by_target[t]:
+            va, vb = state.owner.get(a), state.owner.get(b)
+            if va is None and vb is None:
+                viable = state.unassigned >= 2
+            elif va is None or vb is None:
+                viable = state.free_neighbors[vb if va is None else va] > 0
+            if viable:
+                break
+        if not viable:
+            return False
+    return True
+
+
+class TestIncrementalCoverage:
+    """P4's incremental recheck gives the verdicts of a full rescan."""
+
+    @pytest.mark.parametrize("rule", PRUNE_RULES)
+    @pytest.mark.parametrize("find_all", [False, True])
+    def test_matches_full_rescan(self, rule, find_all, monkeypatch, x012, x0123):
+        corpus = [(CORPUS_N3[0], x012), (CORPUS_N3[-1], x012), (BROOM15, x0123)]
+        cfg = SearchConfig(
+            disabled_rules=frozenset({"gate", rule}), find_all=find_all, node_budget=120_000
+        )
+        incremental = [search_iasgl(g, x, cfg) for g, x in corpus]
+        monkeypatch.setattr(_State, "coverage_ok", full_coverage_ok)
+        for (g, x), inc in zip(corpus, incremental):
+            full = search_iasgl(g, x, cfg)
+            assert inc.status is full.status
+            assert inc.witnesses == full.witnesses
+            assert inc.stats.nodes == full.stats.nodes
+            assert inc.stats.prunes == full.stats.prunes
+
+    @pytest.mark.parametrize("rule", sorted(set(PRUNE_RULES) - {"P4"}))
+    def test_every_node_matches_full_rescan(self, rule, monkeypatch, x012):
+        incremental = _State.coverage_ok
+        verdicts = []
+
+        def compare(state, vi, mask):
+            verdict = incremental(state, vi, mask)
+            assert verdict == full_coverage_ok(state, vi, mask)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(_State, "coverage_ok", compare)
+        cfg = SearchConfig(disabled_rules=frozenset({"gate", rule}))
+        for tree in enumerate_free_trees(7):
+            search_iasgl(tree, x012, cfg)
+        assert False in verdicts and True in verdicts
+
+    def test_broom15_counts(self, x0123):
+        out = search_iasgl(BROOM15, x0123, nogate())
+        assert out.status is SearchStatus.EXHAUSTED_NONE
+        # Both parts of P2 live in the candidate lists: no P2 prunes.
+        assert out.stats.nodes == 21_523
+        assert out.stats.prunes == {"P3": 8949, "P4": 5983}
 
 
 class TestRandomizedDifferential:
