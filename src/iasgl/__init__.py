@@ -18,12 +18,7 @@ from .labeling import (
     verify_iasi,
     verify_iasl,
 )
-from .realisation import (
-    RealisationInfeasible,
-    RealisationResult,
-    assign_edge_labels,
-    build_realisation,
-)
+from .realisation import RealisationResult, build_realisation
 from .search import (
     SearchConfig,
     SearchOutcome,

@@ -6,7 +6,7 @@ human-aligned view). Exit codes are a stable contract:
 * search: 0 found, 1 nonexistent, 2 budget exceeded, 3 gate-rejected
   (sweeps: 0 if anything was found, 2 if undecided by budget, else 1)
 * verify: 0 only for a full graceful set-indexer
-* construct: 0 on success, 4 when no exact assignment exists
+* construct: 0 on success
 * theorems: 0 unless some check was refuted
 * usage and input errors exit 2 via the argument parser
 * an unexpected internal error prints its traceback and exits 70
@@ -22,7 +22,7 @@ import sys
 from . import io as iasgl_io
 from .harness import HarnessConfig, run_all
 from .labeling import verify_iasgl, verify_iasi, verify_iasl
-from .realisation import RealisationInfeasible, build_realisation
+from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import GroundSet, IntegerSet, SummandMode, classify_ground_set
 from .graphs import generate, is_bipartite, pendant_vertices
@@ -79,10 +79,6 @@ def _parse_sweep(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         parser.error(f"bad sweep spec: {text!r} (use sweep:n=N,max=M)")
 
 
-def _mode(args) -> SummandMode:
-    return SummandMode.ALLOW_EQUAL if args.allow_equal_summands else SummandMode.DISTINCT_LABELS
-
-
 def _emit(payload: dict, args, table: list[str] | None = None) -> None:
     if args.format == "table" and table is not None:
         print("\n".join(table))
@@ -96,8 +92,9 @@ def _sets_arr(family) -> list[list[int]]:
 
 def cmd_classify(args, parser) -> int:
     ground = _parse_ground_set(args.ground_set, parser)
+    mode = SummandMode.ALLOW_EQUAL if args.allow_equal_summands else SummandMode.DISTINCT_LABELS
     try:
-        cls = classify_ground_set(ground, _mode(args))
+        cls = classify_ground_set(ground, mode)
     except ValueError as exc:
         parser.error(str(exc))
     payload = {
@@ -135,7 +132,6 @@ def cmd_search(args, parser) -> int:
     graph = _parse_graph(args.graph, parser)
     try:
         cfg = SearchConfig(
-            mode=_mode(args),
             node_budget=args.node_budget,
             time_budget_ms=args.time_budget_ms,
             find_all=args.find_all,
@@ -232,14 +228,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_construct(args, parser) -> int:
     ground = _parse_ground_set(args.ground_set, parser)
     try:
-        result = build_realisation(ground, args.prefer_nonbipartite, _mode(args))
-    except RealisationInfeasible as exc:
-        payload = {
-            "error": "infeasible",
-            "unassignable": _sets_arr(exc.unassignable),
-        }
-        _emit(payload, args, [f"infeasible: {exc}"])
-        return 4
+        result = build_realisation(ground, args.prefer_nonbipartite)
     except ValueError as exc:
         parser.error(str(exc))
     graph, labeling = result.graph, result.labeling
@@ -314,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-gate", action="store_true",
                    help="skip the structural gate and explore exhaustively")
-    p.add_argument("--allow-equal-summands", action="store_true")
     p.add_argument("--out", metavar="PATH", help="write the first witness document")
     p.set_defaults(func=cmd_search)
 
@@ -325,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common], help="build a graceful graph-realisation")
     p.add_argument("--ground-set", required=True, metavar="0,1,2")
     p.add_argument("--prefer-nonbipartite", action="store_true")
-    p.add_argument("--allow-equal-summands", action="store_true")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--dot", metavar="PATH")
     p.set_defaults(func=cmd_construct)

@@ -33,7 +33,6 @@ from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     GroundSet,
-    SummandMode,
     classify_ground_set,
     enumerate_canonical_ground_sets,
 )
@@ -45,10 +44,9 @@ UNKNOWN = "Unknown-budget"
 #: Search outcomes that certify nonexistence.
 _NONEXISTENCE = {SearchStatus.EXHAUSTED_NONE, SearchStatus.GATE_REJECTED}
 
-#: Fixed bounds and summand mode, recorded in every report's bounds.
+#: Fixed bounds, recorded in every report's bounds.
 PATH_CYCLE_RANGE = (3, 8)
 COMPLETE_RANGE = (2, 8)
-MODE = SummandMode.DISTINCT_LABELS
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class HarnessConfig:
 
     def search_config(self, **overrides) -> SearchConfig:
         return SearchConfig(
-            mode=MODE,
             node_budget=self.node_budget,
             time_budget_ms=self.time_budget_ms,
             **overrides,
@@ -92,7 +89,6 @@ class HarnessConfig:
             "path_cycle_range": list(PATH_CYCLE_RANGE),
             "complete_range": list(COMPLETE_RANGE),
             "diophantine_max": self.diophantine_max,
-            "mode": MODE.value,
         }
 
 
@@ -145,7 +141,7 @@ def _pendant_violation(x: GroundSet, graph: Graph, labeling: Labeling) -> str | 
     v0 = zero_vertex(graph, labeling)
     if v0 is None:
         return f"witness over {x} has no {{0}}-labeled vertex"
-    neither = set(classify_ground_set(x, MODE).neither)
+    neither = set(classify_ground_set(x).neither)
     pendants = set(pendant_vertices(graph))
     hosted = sum(1 for w in graph.neighbors(v0) if w in pendants)
     forced_on_v0 = all(
@@ -175,7 +171,7 @@ class WitnessTally:
     def add_ground_set(self, x: GroundSet) -> None:
         """Check |neither| >= n - 1 on one canonical ground set."""
         self.ground_sets += 1
-        neither = len(classify_ground_set(x, MODE).neither)
+        neither = len(classify_ground_set(x).neither)
         if neither < x.n - 1 and self.neither_violation is None:
             self.neither_violation = f"|neither| = {neither} < {x.n - 1} at X = {x}"
 
@@ -230,7 +226,7 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
                 found += 1
             elif outcome.status is SearchStatus.BUDGET_EXCEEDED:
                 budget += 1
-            built = build_realisation(x, mode=MODE)
+            built = build_realisation(x)
             tally.add_witness(x, built.graph, built.labeling)
         if budget:
             status, evidence = UNKNOWN, (
@@ -251,7 +247,7 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         star = generate("star", m)
         for n in range(n_lo, n_hi + 1):
             x = GroundSet.of(*range(n))
-            gate = structural_gate(star, x, MODE)
+            gate = structural_gate(star, x)
             if gate.passed or "R1" not in {v.rule for v in gate.violations}:
                 results.append(
                     CheckResult(

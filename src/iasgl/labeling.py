@@ -25,7 +25,6 @@ from .sets import (
     ZERO_SET,
     GroundSet,
     IntegerSet,
-    SummandMode,
     classify_ground_set,
     enumerate_nonempty_subsets,
     sumset,
@@ -218,9 +217,7 @@ def zero_vertex(g: Graph, f: Labeling) -> str | None:
     return None
 
 
-def structural_gate(
-    g: Graph, x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
-) -> GateReport:
+def structural_gate(g: Graph, x: GroundSet) -> GateReport:
     """Necessary conditions for a graceful set-indexer, without search.
 
     R1: |E| = 2^n - 2.
@@ -248,7 +245,7 @@ def structural_gate(
         return _report([])
 
     violations: list[Violation] = []
-    cls = classify_ground_set(x, mode)
+    cls = classify_ground_set(x)
     max_degree = max(g.degree(v) for v in g.vertex_ids)
     if max_degree < len(cls.non_sumsets):
         violations.append(

@@ -63,7 +63,6 @@ from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
     IntegerSet,
-    SummandMode,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     subset_algebra,
@@ -83,7 +82,6 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    mode: SummandMode = SummandMode.DISTINCT_LABELS
     node_budget: int = 10_000_000
     time_budget_ms: int = 60_000
     find_all: bool = False
@@ -140,11 +138,14 @@ class _State:
     sum escaped the ground set).
     """
 
-    def __init__(self, g: Graph, x: GroundSet, cfg: SearchConfig, stats: SearchStats) -> None:
+    def __init__(
+        self, g: Graph, x: GroundSet, cfg: SearchConfig, stats: SearchStats, deadline: float
+    ) -> None:
         self.g = g
         self.x = x
         self.cfg = cfg
         self.stats = stats
+        self.deadline = deadline
 
         n = x.n
         alg = subset_algebra(x)
@@ -163,7 +164,7 @@ class _State:
                 targets_of[b].add(t)
         self.targets_of = [tuple(sorted(ts)) for ts in targets_of]
 
-        cls = classify_ground_set(x, cfg.mode)
+        cls = classify_ground_set(x)
         self.min_zero_degree = len(cls.non_sumsets)
         self.non_summand_masks = {subset_to_mask(x, s) for s in cls.non_summands}
         self.p3 = cfg.enabled("P3")
@@ -200,7 +201,6 @@ class _State:
         self.unassigned = nv
         self.free_neighbors = list(self.degree)  # unassigned neighbours per vertex
         self.witnesses: list[Labeling] = []
-        self.deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
 
     def _candidate_lists(
         self, candidates: list[int]
@@ -427,6 +427,8 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     the whole pruned tree was explored within budget; BUDGET_EXCEEDED
     means unknown, with any witnesses found so far still valid. A ground
     set above the subset enumeration cap is a ValueError, gate or not.
+    The time budget counts from entry, so the gate, the kernel build and
+    the candidate-list set-up spend it too.
 
     The DFS takes one frame per vertex, so the interpreter's recursion
     limit is raised by that depth while it runs and restored afterwards.
@@ -434,6 +436,7 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     threads of one process.
     """
     cfg = cfg or SearchConfig()
+    deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n > SUBSET_ENUMERATION_CAP:
@@ -441,7 +444,7 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
 
     stats = SearchStats()
     if cfg.enabled("gate"):
-        gate = structural_gate(g, x, cfg.mode)
+        gate = structural_gate(g, x)
         if not gate:
             stats.bump("gate")
             return SearchOutcome(SearchStatus.GATE_REJECTED, [], stats)
@@ -450,7 +453,7 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
         # More vertices than available labels: no injective assignment.
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, [], stats)
 
-    state = _State(g, x, cfg, stats)
+    state = _State(g, x, cfg, stats, deadline)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(
         limit + len(state.order) + len(state.twin_classes) + _STACK_HEADROOM

@@ -56,7 +56,8 @@ class SummandMode(Enum):
     DISTINCT_LABELS requires A != B, matching what an edge can realize:
     vertex labels are injective, so the endpoint labels of an edge are
     always different sets. ALLOW_EQUAL keeps the permissive reading of
-    "sum of two subsets" available for study.
+    "sum of two subsets" available for study; only classification takes
+    a mode, and the gate, the search and the builder use DISTINCT_LABELS.
     """
 
     DISTINCT_LABELS = "distinct-labels"

@@ -262,6 +262,23 @@ class TestCli:
         assert payload["edges"] == 14
         assert payload["bipartite"] is False
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_construct_deeper_than_recursion_limit(self, n, tmp_path, capsys):
+        # 1,388 and 2,754 unfixed targets: more than the default recursion limit.
+        out = tmp_path / "doc.json"
+        assert main(["construct", "--ground-set", ",".join(map(str, range(n))),
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["edges"] == (1 << n) - 2
+        assert main(["verify", str(out)]) == 0
+
+    def test_allow_equal_summands_is_classify_only(self, capsys):
+        # classify keeps the flag (test_classify_allow_equal).
+        for argv in (["search", "--graph", "star:6", "--ground-set", "0,1,2"],
+                     ["construct", "--ground-set", "0,1,2"]):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, "--allow-equal-summands"])
+            assert err.value.code == 2
+
     def test_theorems_report_file(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         code = main(["theorems", "--n-max", "3", "--max-element", "6",

@@ -1,20 +1,19 @@
 """Realisation builder: exact label assignment, verified outputs."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 
 import pytest
 
 from iasgl.graphs import is_bipartite, pendant_vertices
 from iasgl.labeling import graceful_targets, verify_iasgl, zero_vertex
-from iasgl.realisation import (
-    RealisationInfeasible,
-    assign_edge_labels,
-    build_realisation,
-)
+from iasgl.cli import main
+from iasgl.realisation import build_realisation
 from iasgl.search import search_iasgl
 from iasgl.sets import (
     GroundSet,
-    SummandMode,
     classify_ground_set,
     enumerate_canonical_ground_sets,
 )
@@ -173,63 +172,19 @@ class TestBuildRealisation:
         assert a.labeling == b.labeling
         assert a.assignment_trace == b.assignment_trace
 
-
-class TestAssignEdgeLabels:
-    def test_unique_decomposition(self, x0123):
-        got = assign_edge_labels(
-            targets=[iset(3)],
-            vertex_pool=[iset(1), iset(2), iset(0)],
-            fixed_edges=set(),
-            x=x0123,
+    def test_construct_output_pinned(self):
+        """The CLI construct JSON for every canonical X with n <= 5 and
+        max <= 8, preference off then on, hashes to a pinned digest, so
+        any change to the vertex order, edge choice or trace shows."""
+        digest = hashlib.sha256()
+        for n in range(2, 6):
+            for x in enumerate_canonical_ground_sets(n, 8):
+                argv = ["construct", "--ground-set", ",".join(map(str, x.base.elements))]
+                for extra in ([], ["--prefer-nonbipartite"]):
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        assert main(argv + extra) == 0
+                    digest.update(buf.getvalue().encode())
+        assert digest.hexdigest() == (
+            "04694305f3cd058c9bbd1ae2156caef0131c149343c8a6c41d0247212a2dc094"
         )
-        assert got == {iset(3): (iset(1), iset(2))}
-
-    def test_pool_missing_zero_pairing(self, x012):
-        got = assign_edge_labels(
-            targets=[iset(1, 2)],
-            vertex_pool=[iset(1), iset(0, 1)],
-            fixed_edges=set(),
-            x=x012,
-        )
-        assert got == {iset(1, 2): (iset(1), iset(0, 1))}
-
-    def test_fixed_edge_precedence(self, x0123):
-        got = assign_edge_labels(
-            targets=[iset(0, 3), iset(3)],
-            vertex_pool=[iset(0), iset(0, 3), iset(1), iset(2)],
-            fixed_edges={(iset(0), iset(0, 3))},
-            x=x0123,
-        )
-        assert iset(0, 3) not in got
-        assert got[iset(3)] == (iset(1), iset(2))
-
-    def test_fixed_label_outside_targets_rejected(self, x0123):
-        with pytest.raises(ValueError, match="not a target"):
-            assign_edge_labels(
-                targets=[iset(3)],
-                vertex_pool=[iset(0), iset(1)],
-                fixed_edges={(iset(0), iset(0, 3))},
-                x=x0123,
-            )
-
-    def test_infeasible_without_new_vertices(self, x012):
-        with pytest.raises(RealisationInfeasible) as err:
-            assign_edge_labels(
-                targets=[iset(0, 1, 2)],
-                vertex_pool=[iset(1), iset(2)],
-                fixed_edges=set(),
-                x=x012,
-                allow_new_vertices=False,
-            )
-        assert err.value.unassignable == [iset(0, 1, 2)]
-        assert "infeasible under mode" in str(err.value)
-
-    def test_mode_allow_equal_accepted(self, x012):
-        got = assign_edge_labels(
-            targets=[iset(1, 2)],
-            vertex_pool=[iset(1), iset(0, 1)],
-            fixed_edges=set(),
-            x=x012,
-            mode=SummandMode.ALLOW_EQUAL,
-        )
-        assert got[iset(1, 2)] == (iset(1), iset(0, 1))

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from iasgl.graphs import Graph, enumerate_free_trees, generate
-from iasgl.labeling import verify_iasgl, zero_vertex
+from iasgl.labeling import Labeling, verify_iasgl, zero_vertex
 from iasgl.search import (
     PRUNE_RULES,
     SearchConfig,
@@ -14,7 +14,7 @@ from iasgl.search import (
     search_iasgl,
     sweep_ground_sets,
 )
-from iasgl.sets import GroundSet, subset_algebra
+from iasgl.sets import GroundSet, IntegerSet, subset_algebra
 
 from conftest import labeling_to_frozensets, oracle_search_all
 
@@ -218,6 +218,76 @@ class TestIncrementalCoverage:
         # Both parts of P2 live in the candidate lists: no P2 prunes.
         assert out.stats.nodes == 21_523
         assert out.stats.prunes == {"P3": 8949, "P4": 5983}
+
+
+class TestDeadline:
+    def test_set_up_counts_against_time_budget(self, monkeypatch, x0123):
+        # The clock starts on entry, so slow set-up leaves the DFS no
+        # time: it stops at its first clock check, node 1,024.
+        import iasgl.search
+
+        classify = iasgl.search.classify_ground_set
+
+        def slow_classify(*args, **kwargs):
+            time.sleep(0.03)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(iasgl.search, "classify_ground_set", slow_classify)
+        out = search_iasgl(BROOM15, x0123, nogate(time_budget_ms=20))
+        assert out.status is SearchStatus.BUDGET_EXCEEDED
+        assert out.stats.nodes == 1024
+
+
+METAMORPHIC_CASES = [(g, (0, 1, 2)) for g in CORPUS_N3] + [
+    (BROOM15, (0, 1, 2, 3)),
+    (generate("star", 14), (0, 1, 2, 3)),
+]
+
+
+def _case_id(case) -> str:
+    g, x = case
+    return f"V{len(g.vertex_ids)}E{g.edge_count()}-n{len(x)}"
+
+
+class TestMetamorphic:
+    """Transformations that cannot change a verdict."""
+
+    @pytest.mark.parametrize("case", METAMORPHIC_CASES, ids=_case_id)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_scaled_ground_set(self, case, k, gate):
+        # k·X has the same subset masks and pair table as X, so the
+        # search runs the same tree and its witnesses scale.
+        g, elements = case
+        x = GroundSet.of(*elements)
+        kx = GroundSet.of(*(k * e for e in elements))
+        cfg = SearchConfig() if gate else nogate()
+        base, scaled = search_iasgl(g, x, cfg), search_iasgl(g, kx, cfg)
+        assert scaled.status is base.status
+        assert scaled.stats.nodes == base.stats.nodes
+        assert scaled.stats.prunes == base.stats.prunes
+        expected = [
+            Labeling.from_mapping(
+                kx, {v: IntegerSet.from_iterable(k * e for e in s) for v, s in w.assignment}
+            )
+            for w in base.witnesses
+        ]
+        for w in expected:
+            assert verify_iasgl(g, w)
+        assert scaled.witnesses == expected
+
+    @pytest.mark.parametrize("case", METAMORPHIC_CASES, ids=_case_id)
+    def test_relabeled_vertices(self, case):
+        # Reversed names reverse the tie-break of the vertex order.
+        g, elements = case
+        x = GroundSet.of(*elements)
+        ids = sorted(g.vertex_ids)
+        rename = dict(zip(ids, (f"r{i:02d}" for i in reversed(range(len(ids))))))
+        h = Graph.from_edges(rename.values(), [(rename[u], rename[v]) for u, v in g.edges])
+        base, relabeled = search_iasgl(g, x, nogate()), search_iasgl(h, x, nogate())
+        assert relabeled.status is base.status
+        for w in relabeled.witnesses:
+            assert verify_iasgl(h, w)
 
 
 class TestRandomizedDifferential:
