@@ -8,7 +8,9 @@ human-aligned view). Exit codes are a stable contract:
 * verify: 0 only for a full graceful set-indexer
 * construct: 0 on success
 * theorems: 0 unless some check was refuted
-* usage and input errors exit 2 via the argument parser
+* usage and input errors exit 2 via the argument parser: bad flags,
+  malformed ground sets, graph specs and documents, ground sets above
+  the subset cap (sweeps too) and bad ``theorems`` bounds
 * an unexpected internal error prints its traceback and exits 70
   (``EXIT_INTERNAL_ERROR``), never 0 or 1
 """
@@ -38,7 +40,7 @@ _EXIT_BY_STATUS = {
 }
 
 
-def _parse_ground_set(text: str, parser: argparse.ArgumentParser, require_zero: bool = True) -> GroundSet:
+def _parse_ground_set(text: str, parser: argparse.ArgumentParser) -> GroundSet:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -50,7 +52,7 @@ def _parse_ground_set(text: str, parser: argparse.ArgumentParser, require_zero: 
     if any(v < 0 for v in values):
         parser.error("ground set elements must be non-negative")
     ground = GroundSet(IntegerSet.from_iterable(values))
-    if require_zero and not ground.contains_zero():
+    if not ground.contains_zero():
         parser.error("graceful ground set must contain 0")
     return ground
 
@@ -79,8 +81,8 @@ def _parse_sweep(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         parser.error(f"bad sweep spec: {text!r} (use sweep:n=N,max=M)")
 
 
-def _emit(payload: dict, args, table: list[str] | None = None) -> None:
-    if args.format == "table" and table is not None:
+def _emit(payload: dict, args, table: list[str]) -> None:
+    if args.format == "table":
         print("\n".join(table))
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -135,7 +137,6 @@ def cmd_search(args, parser) -> int:
             node_budget=args.node_budget,
             time_budget_ms=args.time_budget_ms,
             find_all=args.find_all,
-            seed=args.seed,
             disabled_rules=frozenset({"gate"}) if args.no_gate else frozenset(),
         )
     except ValueError as exc:
@@ -164,7 +165,7 @@ def cmd_search(args, parser) -> int:
         witness = next((o.witnesses[0] for o in outcomes.values() if o.found), None)
         _emit(payload, args, table)
         if args.out and witness is not None:
-            _write_witness(graph, witness, args.out)
+            _write_document(graph, witness, args.out)
         if any(o.found for o in outcomes.values()):
             return 0
         if any(o.status is SearchStatus.BUDGET_EXCEEDED for o in outcomes.values()):
@@ -185,13 +186,12 @@ def cmd_search(args, parser) -> int:
     ]
     _emit(payload, args, table)
     if args.out and outcome.witnesses:
-        _write_witness(graph, outcome.witnesses[0], args.out)
+        _write_document(graph, outcome.witnesses[0], args.out)
     return _EXIT_BY_STATUS[outcome.status]
 
 
-def _write_witness(graph, labeling, path: str) -> None:
-    doc = iasgl_io.document_from_graph(graph, labeling, include_edge_labels=True)
-    iasgl_io.dump_document(doc, path)
+def _write_document(graph, labeling, path: str) -> None:
+    iasgl_io.dump_document(iasgl_io.document_from_graph(graph, labeling), path)
 
 
 def cmd_verify(args, parser) -> int:
@@ -248,8 +248,7 @@ def cmd_construct(args, parser) -> int:
     ]
     _emit(payload, args, table)
     if args.out:
-        doc = iasgl_io.document_from_graph(graph, labeling, include_edge_labels=True)
-        iasgl_io.dump_document(doc, args.out)
+        _write_document(graph, labeling, args.out)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(iasgl_io.to_dot(graph, labeling))
@@ -257,12 +256,15 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_theorems(args, parser) -> int:
-    config = HarnessConfig(
-        n_range=(args.n_min, args.n_max),
-        max_element=args.max_element,
-        tree_sizes=tuple(args.trees),
-        diophantine_max=args.diophantine_max,
-    )
+    try:
+        config = HarnessConfig(
+            n_range=(args.n_min, args.n_max),
+            max_element=args.max_element,
+            tree_sizes=tuple(args.trees),
+            diophantine_max=args.diophantine_max,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_all(config)
     payload = report.to_obj()
     table = [f"{c.status:16s} {c.check_id:34s} {c.evidence}" for c in report.checks] + [
@@ -300,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", type=int, default=10_000_000)
     p.add_argument("--time-budget-ms", type=int, default=60_000)
     p.add_argument("--find-all", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-gate", action="store_true",
                    help="skip the structural gate and explore exhaustively")
     p.add_argument("--out", metavar="PATH", help="write the first witness document")

@@ -32,6 +32,7 @@ from .labeling import Labeling, structural_gate, zero_vertex
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
+    SUBSET_ENUMERATION_CAP,
     GroundSet,
     classify_ground_set,
     enumerate_canonical_ground_sets,
@@ -47,6 +48,19 @@ _NONEXISTENCE = {SearchStatus.EXHAUSTED_NONE, SearchStatus.GATE_REJECTED}
 #: Fixed bounds, recorded in every report's bounds.
 PATH_CYCLE_RANGE = (3, 8)
 COMPLETE_RANGE = (2, 8)
+
+#: Largest |X| swept outside n_range: P_7, C_6 and K_4 have 2^3 - 2 edges,
+#: and the trees on m = 2^n - 1 <= FREE_TREE_CAP vertices have m <= 7.
+FIXED_SWEEP_N = 3
+
+#: Budget of every harness search.
+NODE_BUDGET = 2_000_000
+TIME_BUDGET_MS = 120_000
+
+
+def _search_config(gate: bool) -> SearchConfig:
+    rules = frozenset() if gate else frozenset({"gate"})
+    return SearchConfig(node_budget=NODE_BUDGET, time_budget_ms=TIME_BUDGET_MS, disabled_rules=rules)
 
 
 @dataclass(frozen=True)
@@ -71,15 +85,16 @@ class HarnessConfig:
     max_element: int = 8
     tree_sizes: tuple[int, ...] = (3, 7)
     diophantine_max: int = 30
-    node_budget: int = 2_000_000
-    time_budget_ms: int = 120_000
 
-    def search_config(self, **overrides) -> SearchConfig:
-        return SearchConfig(
-            node_budget=self.node_budget,
-            time_budget_ms=self.time_budget_ms,
-            **overrides,
-        )
+    def __post_init__(self) -> None:
+        n_lo, n_hi = self.n_range
+        if not 2 <= n_lo <= n_hi <= SUBSET_ENUMERATION_CAP:
+            raise ValueError(f"need 2 <= n-min <= n-max <= {SUBSET_ENUMERATION_CAP}")
+        if any(m < 2 for m in self.tree_sizes):
+            raise ValueError("tree sizes must be at least 2")
+        needed = max(n_hi, FIXED_SWEEP_N) - 1  # a sweep over |X| = n needs max >= n - 1
+        if self.max_element < needed:
+            raise ValueError(f"max-element must be at least {needed}, got {self.max_element}")
 
     def bounds_obj(self) -> dict:
         return {
@@ -96,32 +111,27 @@ class HarnessConfig:
 class TheoremReport:
     checks: list[CheckResult]
     bounds: dict
-    totals: dict[str, int] = field(default_factory=dict)
-    generated_at: str | None = None
+    totals: dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
         ids = [c.check_id for c in self.checks]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate check id in report")
-        if not self.totals:
-            self.totals = {
-                status: sum(1 for c in self.checks if c.status == status)
-                for status in (CONFIRMED, REFUTED, UNKNOWN)
-            }
+        self.totals = {
+            status: sum(1 for c in self.checks if c.status == status)
+            for status in (CONFIRMED, REFUTED, UNKNOWN)
+        }
 
     @property
     def refuted(self) -> int:
         return self.totals.get(REFUTED, 0)
 
     def to_obj(self) -> dict:
-        obj = {
+        return {
             "checks": [c.to_obj() for c in self.checks],
             "bounds": self.bounds,
             "totals": self.totals,
         }
-        if self.generated_at is not None:
-            obj["generated_at"] = self.generated_at
-        return obj
 
 
 def _power_of_two_exponent(value: int) -> int | None:
@@ -208,7 +218,7 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     star witness and the realisation go to the tally while X's kernel
     is cached.
     """
-    cfg = config.search_config()
+    cfg = _search_config(gate=True)
     results = []
     anchor = "star K(1,m) admits a graceful set-indexer iff m = 2^n - 2"
     n_lo, n_hi = config.n_range
@@ -280,8 +290,8 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     """
     anchor = "a tree admits a graceful set-indexer iff it is the star K(1,2^n-2)"
     results = []
-    cfg = config.search_config()
-    nogate = config.search_config(disabled_rules=frozenset({"gate"}))
+    cfg = _search_config(gate=True)
+    nogate = _search_config(gate=False)
     for m in sorted(set(config.tree_sizes)):
         check_id = f"tree-theorem/m={m}"
         n = _power_of_two_exponent(m + 1)
@@ -371,7 +381,7 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
     pendant-free bound 2^(n-1) - 1 allows) is confirmed for cycles
     whenever the edge count matches at all.
     """
-    cfg = config.search_config()
+    cfg = _search_config(gate=True)
     results = []
 
     def decide(kind: str, m: int, graph: Graph, anchor: str) -> CheckResult:
@@ -487,7 +497,7 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
     anchor = "no complete graph admits a graceful set-indexer"
     results = []
     gate_cleared = []
-    nogate = config.search_config(disabled_rules=frozenset({"gate"}))
+    nogate = _search_config(gate=False)
     m_lo, m_hi = COMPLETE_RANGE
     for m in range(m_lo, m_hi + 1):
         edges = m * (m - 1) // 2

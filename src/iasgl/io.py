@@ -60,61 +60,67 @@ class Document:
         return obj
 
 
-def document_from_graph(
-    graph: Graph, labeling: Labeling | None = None, include_edge_labels: bool = False
-) -> Document:
-    vertices: list[tuple[str, IntegerSet | None]] = [
-        (vid, labeling.label_of(vid) if labeling else None) for vid in graph.vertex_ids
-    ]
-    edge_labels: dict[Edge, IntegerSet] = {}
-    if labeling and include_edge_labels:
-        edge_labels = {
-            (u, v): induced_edge_label(labeling, u, v) for u, v in graph.sorted_edges()
-        }
+def document_from_graph(graph: Graph, labeling: Labeling) -> Document:
+    """The labeled document of graph, with its derived edge labels."""
+    edges = graph.sorted_edges()
     return Document(
-        vertices=vertices,
-        edges=graph.sorted_edges(),
-        ground_set=labeling.ground.base if labeling else None,
-        edge_labels=edge_labels,
+        vertices=[(vid, labeling.label_of(vid)) for vid in graph.vertex_ids],
+        edges=edges,
+        ground_set=labeling.ground.base,
+        edge_labels={(u, v): induced_edge_label(labeling, u, v) for u, v in edges},
     )
 
 
+def _int_set(value, what: str) -> IntegerSet:
+    if not isinstance(value, list) or not all(type(e) is int and e >= 0 for e in value):
+        raise ValueError(f"{what} must be an array of non-negative integers: {value!r}")
+    return IntegerSet.from_iterable(value)
+
+
+def _json_object(obj: dict, key: str) -> dict:
+    value = {} if obj.get(key) is None else obj[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"'{key}' must be an object: {value!r}")
+    return value
+
+
 def parse_document(obj: dict) -> Document:
-    """Parse either the full document form or the bare graph schema."""
+    """Parse either the full document form or the bare graph schema;
+    any other shape is a ValueError."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("document needs 'vertices' and 'edges'")
+    if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
+        raise ValueError("'vertices' and 'edges' must be arrays")
     vertices: list[tuple[str, IntegerSet | None]] = []
     for entry in obj["vertices"]:
         if isinstance(entry, str):
             vertices.append((entry, None))
         elif isinstance(entry, dict) and "id" in entry:
-            label = entry.get("label")
-            vertices.append(
-                (str(entry["id"]), None if label is None else IntegerSet.from_iterable(label))
-            )
+            vid, label = str(entry["id"]), entry.get("label")
+            vertices.append((vid, None if label is None else _int_set(label, f"label of {vid!r}")))
         else:
             raise ValueError(f"bad vertex entry: {entry!r}")
     edges = []
     for pair in obj["edges"]:
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"bad edge entry: {pair!r}")
         u, v = str(pair[0]), str(pair[1])
         edges.append((u, v) if u <= v else (v, u))
     ground = obj.get("ground_set")
-    labels = obj.get("labels")
+    labels = _json_object(obj, "labels")
     if labels:
         by_id = dict(vertices)
         for vid, arr in labels.items():
-            by_id[str(vid)] = IntegerSet.from_iterable(arr)
+            by_id[str(vid)] = _int_set(arr, f"label of {vid!r}")
         vertices = [(vid, by_id[vid]) for vid, _ in vertices]
     edge_labels: dict[Edge, IntegerSet] = {}
-    for key, arr in (obj.get("edge_labels") or {}).items():
+    for key, arr in _json_object(obj, "edge_labels").items():
         u, _, v = key.partition("--")
-        edge_labels[(u, v) if u <= v else (v, u)] = IntegerSet.from_iterable(arr)
+        edge_labels[(u, v) if u <= v else (v, u)] = _int_set(arr, f"edge label {key!r}")
     return Document(
         vertices=vertices,
         edges=edges,
-        ground_set=None if ground is None else IntegerSet.from_iterable(ground),
+        ground_set=None if ground is None else _int_set(ground, "ground_set"),
         edge_labels=edge_labels,
     )
 
@@ -148,22 +154,14 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: Graph, labeling: Labeling | None = None, name: str = "realisation") -> str:
-    """Deterministic DOT text; vertices carry their set-label, edges the
-    induced sumset label."""
-    lines = [f'graph "{_dot_escape(name)}" {{']
+def to_dot(graph: Graph, labeling: Labeling) -> str:
+    """Deterministic DOT text of the graph "realisation"; vertices carry
+    their set-label, edges the induced sumset label."""
+    lines = ['graph "realisation" {']
     for vid in graph.vertex_ids:
-        if labeling is not None:
-            lines.append(f'  "{_dot_escape(vid)}" [label="{_dot_escape(str(labeling.label_of(vid)))}"];')
-        else:
-            lines.append(f'  "{_dot_escape(vid)}";')
+        lines.append(f'  "{_dot_escape(vid)}" [label="{_dot_escape(str(labeling.label_of(vid)))}"];')
     for u, v in graph.sorted_edges():
-        if labeling is not None:
-            lab = induced_edge_label(labeling, u, v)
-            lines.append(
-                f'  "{_dot_escape(u)}" -- "{_dot_escape(v)}" [label="{_dot_escape(str(lab))}"];'
-            )
-        else:
-            lines.append(f'  "{_dot_escape(u)}" -- "{_dot_escape(v)}";')
+        lab = induced_edge_label(labeling, u, v)
+        lines.append(f'  "{_dot_escape(u)}" -- "{_dot_escape(v)}" [label="{_dot_escape(str(lab))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -105,9 +105,6 @@ class Labeling:
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(vid for vid, _ in self.assignment)
 
-    def as_dict(self) -> dict[str, IntegerSet]:
-        return dict(self.assignment)
-
 
 def induced_edge_label(f: Labeling, u: str, v: str) -> IntegerSet:
     """Sumset of the endpoint labels; not truncated to the ground set."""

@@ -30,12 +30,10 @@ from dataclasses import dataclass
 
 from .graphs import Edge, Graph, is_bipartite
 from .labeling import Labeling, verify_iasgl
-from .sets import GroundSet, IntegerSet, SubsetAlgebra, classify_ground_set, subset_algebra
+from .sets import ZERO_MASK, GroundSet, IntegerSet, SubsetAlgebra, classify_ground_set, subset_algebra
 
 ASSIGNMENT_NODE_BUDGET = 200_000
 NONBIPARTITE_SOLUTION_CAP = 2_000
-
-_ZERO_MASK = 1  # 0 is the least element of a graceful ground set
 
 
 @dataclass(frozen=True)
@@ -45,18 +43,16 @@ class RealisationResult:
     non_bipartite: bool
     assignment_trace: tuple[tuple[IntegerSet, Edge], ...]
 
-    def trace_dict(self) -> dict[IntegerSet, Edge]:
-        return dict(self.assignment_trace)
 
-
-def _solutions(alg: SubsetAlgebra, order: list[int], pool: set[int], node_budget: int):
+def _solutions(alg: SubsetAlgebra, order: list[int], pool: set[int]):
     """Yield exact assignments as tuples of mask pairs, one per target of order.
 
     For each target the candidates are ordered by how many new vertices
     they would add (pool pairs, then one new label, then two), then by
     the operands as ``IntegerSet``s (lexicographic, which is not mask
     order), which keeps vertex growth lazy and the output deterministic.
-    The node budget only ends the scan once a solution has been yielded.
+    ASSIGNMENT_NODE_BUDGET only ends the scan once a solution has been
+    yielded.
     """
     ranked = sorted(range(1, len(alg.sets)), key=alg.sets.__getitem__)
     rank = [0] * len(alg.sets)
@@ -87,7 +83,7 @@ def _solutions(alg: SubsetAlgebra, order: list[int], pool: set[int], node_budget
             stack.pop()
             continue
         nodes += 1
-        if nodes > node_budget and yielded:
+        if nodes > ASSIGNMENT_NODE_BUDGET and yielded:
             return
         frame[1] = cursor + 1
         a, b = cands[cursor]
@@ -121,12 +117,12 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
     forced = [alg.value_to_mask[s.value_mask()] for s in cls.non_sumsets]
     forced_set = set(forced)
     order = sorted(
-        (t for t in range(_ZERO_MASK + 1, len(alg.sets)) if t not in forced_set),
+        (t for t in range(ZERO_MASK + 1, len(alg.sets)) if t not in forced_set),
         key=lambda t: (len(alg.pairs[t]), len(elements[t]), elements[t]),
     )
 
     def materialize(solution: tuple[tuple[int, int], ...]) -> RealisationResult:
-        vertex_of = {_ZERO_MASK: "v0"}
+        vertex_of = {ZERO_MASK: "v0"}
         for i, s in enumerate(forced, start=1):
             vertex_of[s] = f"v{i}"
         trace = [(s, ("v0", vertex_of[s])) for s in forced]
@@ -148,7 +144,7 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
 
     result: RealisationResult | None = None
     scanned = 0
-    for sol in _solutions(alg, order, {_ZERO_MASK, *forced}, ASSIGNMENT_NODE_BUDGET):
+    for sol in _solutions(alg, order, {ZERO_MASK, *forced}):
         built = materialize(sol)
         if result is None or built.non_bipartite:
             result = built

@@ -50,7 +50,6 @@ checker before they are reported; search state is never trusted.
 
 from __future__ import annotations
 
-import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -61,12 +60,11 @@ from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
 from .sets import (
     SUBSET_ENUMERATION_CAP,
+    ZERO_MASK,
     GroundSet,
-    IntegerSet,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     subset_algebra,
-    subset_to_mask,
     _sum_value_mask,
 )
 
@@ -85,7 +83,6 @@ class SearchConfig:
     node_budget: int = 10_000_000
     time_budget_ms: int = 60_000
     find_all: bool = False
-    seed: int = 0
     disabled_rules: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -149,12 +146,13 @@ class _State:
 
         n = x.n
         alg = subset_algebra(x)
+        self.sets = alg.sets
         self.value = alg.value
         self.value_to_mask = alg.value_to_mask
         self.subset_elems = alg.elements
         # Label-mask pairs (a < b) per target mask; every target has one.
         self.pairs_by_target = alg.pairs
-        self.zero_mask = 1  # 0 is the least element of a graceful ground set
+        self.zero_mask = ZERO_MASK
         self.targets = tuple(m for m in range(1, 1 << n) if m != self.zero_mask)
         # Label mask -> the targets with a pair that uses it (P4 rechecks).
         targets_of: list[set[int]] = [set() for _ in range(1 << n)]
@@ -166,7 +164,7 @@ class _State:
 
         cls = classify_ground_set(x)
         self.min_zero_degree = len(cls.non_sumsets)
-        self.non_summand_masks = {subset_to_mask(x, s) for s in cls.non_summands}
+        self.non_summand_masks = {alg.value_to_mask[s.value_mask()] for s in cls.non_summands}
         self.p3 = cfg.enabled("P3")
         self.p4 = cfg.enabled("P4")
 
@@ -180,10 +178,7 @@ class _State:
             tuple(w for w in self.neighbors[i] if w < i) for i in range(len(self.order))
         ]
 
-        candidates = list(range(1, 1 << n))
-        if cfg.seed:
-            random.Random(cfg.seed).shuffle(candidates)
-        self.candidates, self.summand_only = self._candidate_lists(candidates)
+        self.candidates, self.summand_only = self._candidate_lists()
 
         self.twin_classes = self._twin_classes() if cfg.enabled("twins") else []
         self.twin_prev: list[int | None] = [None] * len(self.order)
@@ -202,10 +197,9 @@ class _State:
         self.free_neighbors = list(self.degree)  # unassigned neighbours per vertex
         self.witnesses: list[Labeling] = []
 
-    def _candidate_lists(
-        self, candidates: list[int]
-    ) -> tuple[list[list[int]], list[list[int] | None]]:
-        """Per-vertex label lists with P1 and P2 applied.
+    def _candidate_lists(self) -> tuple[list[list[int]], list[list[int] | None]]:
+        """Per-vertex label lists with P1 and P2 applied, each in
+        ascending subset-mask order.
 
         The first list per vertex applies P1 and the degree test of P2.
         The second is the summand-only list that a pendant draws from
@@ -222,7 +216,7 @@ class _State:
             if key not in shared:
                 shared[key] = [
                     m
-                    for m in candidates
+                    for m in range(1, len(self.sets))
                     if (zero_ok or m != self.zero_mask)
                     and (non_summand_ok or m not in self.non_summand_masks)
                 ]
@@ -308,10 +302,7 @@ class _State:
 
     def record(self) -> bool:
         """Verify the full assignment independently; keep it if it passes."""
-        mapping = {
-            self.order[i]: IntegerSet.from_iterable(self.subset_elems[m])
-            for i, m in enumerate(self.assigned)
-        }
+        mapping = {self.order[i]: self.sets[m] for i, m in enumerate(self.assigned)}
         labeling = Labeling.from_mapping(self.x, mapping)
         if verify_iasgl(self.g, labeling):
             self.witnesses.append(labeling)

@@ -49,6 +49,9 @@ from typing import Iterable, Iterator
 #: Soft ceiling on |X| for power-set enumeration (2^20 subsets).
 SUBSET_ENUMERATION_CAP = 20
 
+#: Subset mask of {0}: 0 is the least element of a graceful ground set.
+ZERO_MASK = 1
+
 
 class SummandMode(Enum):
     """Whether a decomposition C = A + B may use equal operands.
@@ -198,9 +201,9 @@ def mask_to_subset(x: GroundSet, mask: int) -> IntegerSet:
     return IntegerSet.from_iterable(elems[i] for i in range(x.n) if mask >> i & 1)
 
 
-def enumerate_nonempty_subsets(x: GroundSet, cap: int = SUBSET_ENUMERATION_CAP) -> list[IntegerSet]:
+def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
     """All 2^n - 1 non-empty subsets of X, ascending by subset mask."""
-    if x.n > cap:
+    if x.n > SUBSET_ENUMERATION_CAP:
         raise ValueError("ground set too large")
     elems = x.base.elements
     out = []
@@ -282,15 +285,14 @@ def _classify(alg: SubsetAlgebra, mode: SummandMode) -> Classification:
     summands: for nonzero b in A, A + {b} (or {b} + {0, b} when A = {b})
     already lies inside A + A or {b, 2b}, hence inside X.
     """
-    zero_mask = 1  # 0 is the smallest element, so {0} is subset mask 1
     sumsets: set[int] = set()
     summands: set[int] = set()
     for t, pairs in alg.pairs.items():
         for a, b in pairs:
-            if a != zero_mask:
+            if a != ZERO_MASK:
                 sumsets.add(t)
                 summands.update((a, b))
-    others = range(zero_mask + 1, len(alg.sets))
+    others = range(ZERO_MASK + 1, len(alg.sets))
     if mode is SummandMode.ALLOW_EQUAL:
         for a in others:
             t = alg.value_to_mask.get(_sum_value_mask(alg.elements[a], alg.value[a]))
@@ -353,6 +355,8 @@ def is_canonical_ground_set(x: GroundSet) -> bool:
 
 def enumerate_canonical_ground_sets(n: int, max_element: int) -> list[GroundSet]:
     """All canonical ground sets with |X| = n, 0 in X, max element bounded."""
+    if n > SUBSET_ENUMERATION_CAP:
+        raise ValueError("ground set too large")
     if n < 2:
         raise ValueError("ground set cardinality must be at least 2")
     if max_element < n - 1:

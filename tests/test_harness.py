@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from iasgl import harness
 from iasgl.harness import (
+    COMPLETE_RANGE,
     CONFIRMED,
+    FIXED_SWEEP_N,
+    PATH_CYCLE_RANGE,
     REFUTED,
     UNKNOWN,
     HarnessConfig,
@@ -21,7 +25,7 @@ from iasgl.harness import (
     diophantine_solutions,
     run_all,
 )
-from iasgl.graphs import generate
+from iasgl.graphs import FREE_TREE_CAP, generate
 from iasgl.labeling import Labeling
 from iasgl.sets import GroundSet, subset_algebra
 
@@ -166,14 +170,24 @@ class TestRunAll:
         with pytest.raises(ValueError, match="duplicate check id"):
             TheoremReport(checks=[dup, dup], bounds={})
 
+    def test_fixed_sweep_n_is_largest_fixed_sweep(self):
+        # Edge counts of P_m and C_m, K_m, and the trees on m vertices.
+        lo, hi = PATH_CYCLE_RANGE
+        edges = [m - 1 for m in range(lo, hi + 1)] + list(range(lo, hi + 1))
+        edges += [m * (m - 1) // 2 for m in range(COMPLETE_RANGE[0], COMPLETE_RANGE[1] + 1)]
+        edges += [m - 1 for m in range(2, FREE_TREE_CAP + 1)]
+        swept = [(e + 2).bit_length() - 1 for e in edges if (e + 2) & (e + 1) == 0]
+        assert max(swept) == FIXED_SWEEP_N
+
     def test_bounds_recorded(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6, tree_sizes=(3,))
         report = run_all(config)
         assert report.bounds["n_range"] == [2, 3]
         assert report.bounds["max_element"] == 6
 
-    def test_budget_degrades_to_unknown(self):
-        config = HarnessConfig(n_range=(4, 4), max_element=8, node_budget=5)
+    def test_budget_degrades_to_unknown(self, monkeypatch):
+        monkeypatch.setattr(harness, "NODE_BUDGET", 5)
+        config = HarnessConfig(n_range=(4, 4), max_element=8)
         results = check_star_theorem(config, WitnessTally())
         forward = next(r for r in results if "forward" in r.check_id)
         assert forward.status == UNKNOWN

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -27,7 +28,7 @@ from conftest import iset
 class TestDocument:
     def test_round_trip(self, x012, tmp_path):
         r = build_realisation(x012)
-        doc = document_from_graph(r.graph, r.labeling, include_edge_labels=True)
+        doc = document_from_graph(r.graph, r.labeling)
         path = tmp_path / "doc.json"
         dump_document(doc, path)
         back = load_document(path)
@@ -189,6 +190,20 @@ class TestCli:
         assert err.value.code == 2
         assert "budgets must be positive" in capsys.readouterr().err
 
+    def test_search_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", "star:6", "--ground-set", "0,1,2", "--seed", "3"])
+        assert err.value.code == 2
+
+    def test_sweep_above_subset_cap_is_usage_error(self, capsys):
+        # C(40, 20) ground sets of size 21: rejected before enumerating any.
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", "star:6", "--ground-set", "sweep:n=21,max=40"])
+        assert err.value.code == 2
+        assert time.monotonic() - start < 1.0
+        assert "ground set too large" in capsys.readouterr().err
+
     def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
         # 1,023 vertices, one DFS frame each: deeper than the default limit.
         out = tmp_path / "witness.json"
@@ -231,6 +246,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert not payload["iasl"]
         assert any(v["rule"] == "injectivity" for v in payload["violations"])
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 5, "edges": []},
+        {"vertices": ["a", "b"], "edges": [1]},
+        {"vertices": [{"id": "a", "label": 5}], "edges": [], "ground_set": [0, 1]},
+        {"vertices": ["a"], "edges": [], "ground_set": [0, 1], "labels": [1]},
+        {"vertices": ["a"], "edges": [], "ground_set": [0, 1], "labels": {"a": ["x"]}},
+    ], ids=["vertices-int", "edge-int", "label-int", "labels-array", "labels-str"])
+    def test_malformed_document_is_usage_error(self, command, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        argv = (["verify", str(path)] if command == "verify"
+                else ["search", "--graph", f"file:{path}", "--ground-set", "0,1"])
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_verify_edge_escape_named(self, tmp_path, capsys):
         doc = {
@@ -295,6 +328,20 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         tree15 = [c for c in payload["checks"] if c["id"] == "tree-theorem/m=15"]
         assert tree15 and tree15[0]["status"] == "Unknown-budget"
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-min", "1"],
+        ["--n-max", "10"],
+        ["--max-element", "2", "--n-max", "4"],
+        ["--trees", "1"],
+        ["--n-min", "4", "--n-max", "3"],
+        ["--n-max", "2", "--max-element", "1"],  # the fixed checks sweep |X| = 3
+    ])
+    def test_theorems_bad_bounds_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["theorems", *flags])
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_table_format(self, capsys):
         assert main(["classify", "--ground-set", "0,1,2", "--format", "table"]) == 0
