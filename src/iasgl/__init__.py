@@ -17,6 +17,7 @@ from .labeling import (
     verify_iasgl,
     verify_iasi,
     verify_iasl,
+    verify_ladder,
 )
 from .realisation import RealisationResult, build_realisation
 from .search import (
@@ -33,12 +34,9 @@ from .sets import (
     IntegerSet,
     SummandMode,
     ZERO_SET,
-    canonicalize_ground_set,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
-    mask_to_subset,
-    subset_to_mask,
     sumset,
 )
 

@@ -5,12 +5,15 @@ human-aligned view). Exit codes are a stable contract:
 
 * search: 0 found, 1 nonexistent, 2 budget exceeded, 3 gate-rejected
   (sweeps: 0 if anything was found, 2 if undecided by budget, else 1)
-* verify: 0 only for a full graceful set-indexer
+* verify: 0 only for a full graceful set-indexer; the three rungs are
+  read off one ``verify_ladder`` pass
 * construct: 0 on success
 * theorems: 0 unless some check was refuted
 * usage and input errors exit 2 via the argument parser: bad flags,
   malformed ground sets, graph specs and documents, ground sets above
-  the subset cap (sweeps too) and bad ``theorems`` bounds
+  the subset cap (sweeps too), ground-set families above
+  ``GROUND_SET_FAMILY_CAP`` (sweeps and ``theorems``) and bad
+  ``theorems`` bounds
 * an unexpected internal error prints its traceback and exits 70
   (``EXIT_INTERNAL_ERROR``), never 0 or 1
 """
@@ -23,7 +26,7 @@ import sys
 
 from . import io as iasgl_io
 from .harness import HarnessConfig, run_all
-from .labeling import verify_iasgl, verify_iasi, verify_iasl
+from .labeling import verify_ladder
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import GroundSet, IntegerSet, SummandMode, classify_ground_set
@@ -201,20 +204,14 @@ def cmd_verify(args, parser) -> int:
         labeling = doc.to_labeling()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         parser.error(f"cannot verify {args.document!r}: {exc}")
-    reports = {
-        "IASL": verify_iasl(graph, labeling),
-        "IASI": verify_iasi(graph, labeling),
-        "IASGL": verify_iasgl(graph, labeling),
-    }
-    highest = "none"
-    for rung in ("IASL", "IASI", "IASGL"):
-        if reports[rung].passed:
-            highest = rung
-    violations = [v.to_obj() for v in reports["IASGL"].violations]
+    reports = verify_ladder(graph, labeling)
+    climbed = sum(1 for r in reports if r.passed)
+    highest = ("none", "IASL", "IASI", "IASGL")[climbed]
+    violations = [v.to_obj() for v in reports[-1].violations]
     payload = {
-        "iasl": reports["IASL"].passed,
-        "iasi": reports["IASI"].passed,
-        "iasgl": reports["IASGL"].passed,
+        "iasl": climbed >= 1,
+        "iasi": climbed >= 2,
+        "iasgl": climbed >= 3,
         "highest": highest,
         "violations": violations,
     }
@@ -222,7 +219,7 @@ def cmd_verify(args, parser) -> int:
         f"violation     [{v['rule']}] {v['detail']}" for v in violations
     ]
     _emit(payload, args, table)
-    return 0 if reports["IASGL"].passed else 1
+    return 0 if highest == "IASGL" else 1
 
 
 def cmd_construct(args, parser) -> int:
@@ -261,7 +258,6 @@ def cmd_theorems(args, parser) -> int:
             n_range=(args.n_min, args.n_max),
             max_element=args.max_element,
             tree_sizes=tuple(args.trees),
-            diophantine_max=args.diophantine_max,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -323,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--max-element", type=int, default=8)
     p.add_argument("--trees", type=int, nargs="+", default=[3, 7])
-    p.add_argument("--diophantine-max", type=int, default=30)
     p.add_argument("--report", metavar="PATH")
     p.set_defaults(func=cmd_theorems)
 

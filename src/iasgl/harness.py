@@ -34,6 +34,7 @@ from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
+    check_ground_set_family,
     classify_ground_set,
     enumerate_canonical_ground_sets,
 )
@@ -56,6 +57,9 @@ FIXED_SWEEP_N = 3
 #: Budget of every harness search.
 NODE_BUDGET = 2_000_000
 TIME_BUDGET_MS = 120_000
+
+#: Largest exponent n the counting equation 4k^2 +/- k + 1 = 2^n is solved to.
+DIOPHANTINE_MAX = 30
 
 
 def _search_config(gate: bool) -> SearchConfig:
@@ -84,7 +88,6 @@ class HarnessConfig:
     n_range: tuple[int, int] = (2, 4)
     max_element: int = 8
     tree_sizes: tuple[int, ...] = (3, 7)
-    diophantine_max: int = 30
 
     def __post_init__(self) -> None:
         n_lo, n_hi = self.n_range
@@ -92,9 +95,9 @@ class HarnessConfig:
             raise ValueError(f"need 2 <= n-min <= n-max <= {SUBSET_ENUMERATION_CAP}")
         if any(m < 2 for m in self.tree_sizes):
             raise ValueError("tree sizes must be at least 2")
-        needed = max(n_hi, FIXED_SWEEP_N) - 1  # a sweep over |X| = n needs max >= n - 1
-        if self.max_element < needed:
-            raise ValueError(f"max-element must be at least {needed}, got {self.max_element}")
+        # n = 2, also swept outside n_range, passes whenever n = 3 does.
+        for n in (*range(n_lo, n_hi + 1), FIXED_SWEEP_N):
+            check_ground_set_family(n, self.max_element)
 
     def bounds_obj(self) -> dict:
         return {
@@ -103,7 +106,7 @@ class HarnessConfig:
             "tree_sizes": list(self.tree_sizes),
             "path_cycle_range": list(PATH_CYCLE_RANGE),
             "complete_range": list(COMPLETE_RANGE),
-            "diophantine_max": self.diophantine_max,
+            "diophantine_max": DIOPHANTINE_MAX,
         }
 
 
@@ -540,7 +543,7 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
         ),
     )
 
-    sols = diophantine_solutions(config.diophantine_max)
+    sols = diophantine_solutions(DIOPHANTINE_MAX)
     covered = [s for s in sols if m_lo <= 4 * s[1] <= m_hi]
     stray = [s for s in sols if s not in covered]
     if stray:
@@ -554,10 +557,10 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
         )
     else:
         detail = (
-            f"only odd solution up to n = {config.diophantine_max} is {sols}"
+            f"only odd solution up to n = {DIOPHANTINE_MAX} is {sols}"
             " and the matching K_4 is exhaustively refuted above"
             if sols
-            else f"no odd solution up to n = {config.diophantine_max}"
+            else f"no odd solution up to n = {DIOPHANTINE_MAX}"
         )
         results.append(CheckResult("complete/diophantine", anchor, CONFIRMED, detail))
     return results

@@ -132,13 +132,6 @@ def labeling_to_obj(f: Labeling) -> dict:
     }
 
 
-def labeling_from_obj(obj: dict) -> Labeling:
-    ground = GroundSet(IntegerSet.from_iterable(obj["ground_set"]))
-    return Labeling.from_mapping(
-        ground, {vid: IntegerSet.from_iterable(arr) for vid, arr in obj["labels"].items()}
-    )
-
-
 def load_document(path: str | Path) -> Document:
     with open(path, encoding="utf-8") as fh:
         return parse_document(json.load(fh))

@@ -9,6 +9,10 @@ Three nested properties are checked, each implying the previous:
 * graceful set-indexer: the induced edge labels are exactly the
   non-empty subsets of the ground set other than {0}, each once.
 
+All three are conditions on one induced map f+(uv) = f(u) + f(v), so
+``verify_ladder`` computes each edge label once and checks the rungs in
+order; the three ``verify_*`` functions read their report off it.
+
 ``structural_gate`` bundles the necessary conditions that can be read
 off the graph shape alone (edge count, a high-degree host for {0},
 pendant supply). Passing the gate never asserts existence; failing it
@@ -51,19 +55,16 @@ class Violation:
 
 @dataclass(frozen=True)
 class GateReport:
-    passed: bool
+    """The violations of one check; it passes when there are none."""
+
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.passed != (not self.violations):
-            raise ValueError("passed flag inconsistent with violations")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _report(violations: list[Violation]) -> GateReport:
-    return GateReport(passed=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -121,26 +122,29 @@ def graceful_targets(x: GroundSet) -> list[IntegerSet]:
     return [s for s in enumerate_nonempty_subsets(x) if s != ZERO_SET]
 
 
-def verify_iasl(g: Graph, f: Labeling) -> GateReport:
-    """Injective vertex labels, every edge sumset inside the ground set."""
+def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
+    """Check the IASL, IASI and IASGL rungs in order, computing each edge
+    label once; the reports end at the first rung that fails."""
     _require_coverage(g, f)
+    edges = [(u, v, induced_edge_label(f, u, v)) for u, v in g.sorted_edges()]
+
+    # IASL: injective vertex labels, every edge label inside X.
     violations: list[Violation] = []
-    seen: dict[IntegerSet, str] = {}
+    owner: dict[IntegerSet, str] = {}
     for vid in g.vertex_ids:
         s = f.label_of(vid)
-        if s in seen:
+        if s in owner:
             violations.append(
                 Violation(
                     rule="injectivity",
-                    detail=f"vertices {seen[s]!r} and {vid!r} share the label {s}",
-                    vertex_ids=(seen[s], vid),
+                    detail=f"vertices {owner[s]!r} and {vid!r} share the label {s}",
+                    vertex_ids=(owner[s], vid),
                     sets=(s,),
                 )
             )
         else:
-            seen[s] = vid
-    for u, v in g.sorted_edges():
-        lab = induced_edge_label(f, u, v)
+            owner[s] = vid
+    for u, v, lab in edges:
         if not lab.is_subset_of(f.ground.base):
             violations.append(
                 Violation(
@@ -150,20 +154,16 @@ def verify_iasl(g: Graph, f: Labeling) -> GateReport:
                     sets=(lab,),
                 )
             )
-    return _report(violations)
+    iasl = GateReport(tuple(violations))
+    if not iasl:
+        return (iasl,)
 
-
-def verify_iasi(g: Graph, f: Labeling) -> GateReport:
-    """On top of verify_iasl: distinct edges carry distinct labels."""
-    base = verify_iasl(g, f)
-    if not base:
-        return base
-    violations: list[Violation] = []
-    seen: dict[IntegerSet, tuple[str, str]] = {}
-    for u, v in g.sorted_edges():
-        lab = induced_edge_label(f, u, v)
-        if lab in seen:
-            pu, pv = seen[lab]
+    # IASI: distinct edges carry distinct labels.
+    violations = []
+    carrier: dict[IntegerSet, tuple[str, str]] = {}
+    for u, v, lab in edges:
+        if lab in carrier:
+            pu, pv = carrier[lab]
             violations.append(
                 Violation(
                     rule="edge-collision",
@@ -173,20 +173,17 @@ def verify_iasi(g: Graph, f: Labeling) -> GateReport:
                 )
             )
         else:
-            seen[lab] = (u, v)
-    return _report(violations)
+            carrier[lab] = (u, v)
+    iasi = GateReport(tuple(violations))
+    if not iasi:
+        return (iasl, iasi)
 
-
-def verify_iasgl(g: Graph, f: Labeling) -> GateReport:
-    """On top of verify_iasi: edge labels are exactly the target family."""
-    base = verify_iasi(g, f)
-    if not base:
-        return base
-    violations: list[Violation] = []
-    targets = set(graceful_targets(f.ground))
-    realized = {induced_edge_label(f, u, v) for u, v in g.edges}
-    missing = sorted(targets - realized, key=lambda s: (len(s), s.elements))
-    extra = sorted(realized - targets, key=lambda s: (len(s), s.elements))
+    # IASGL: the edge labels are exactly the target family. Only a target
+    # can be missing: after IASL every label lies in X, and A + B = {0}
+    # needs A = B = {0}, which injectivity rules out.
+    violations = []
+    unrealized = set(graceful_targets(f.ground)) - set(carrier)
+    missing = sorted(unrealized, key=lambda s: (len(s), s.elements))
     if missing:
         violations.append(
             Violation(
@@ -195,15 +192,22 @@ def verify_iasgl(g: Graph, f: Labeling) -> GateReport:
                 sets=tuple(missing),
             )
         )
-    if extra:
-        violations.append(
-            Violation(
-                rule="target-extra",
-                detail=f"{len(extra)} edge labels outside the required family",
-                sets=tuple(extra),
-            )
-        )
-    return _report(violations)
+    return (iasl, iasi, GateReport(tuple(violations)))
+
+
+def verify_iasl(g: Graph, f: Labeling) -> GateReport:
+    """Injective vertex labels, every edge sumset inside the ground set."""
+    return verify_ladder(g, f)[0]
+
+
+def verify_iasi(g: Graph, f: Labeling) -> GateReport:
+    """On top of verify_iasl: distinct edges carry distinct labels."""
+    return verify_ladder(g, f)[:2][-1]
+
+
+def verify_iasgl(g: Graph, f: Labeling) -> GateReport:
+    """On top of verify_iasi: edge labels are exactly the target family."""
+    return verify_ladder(g, f)[-1]
 
 
 def zero_vertex(g: Graph, f: Labeling) -> str | None:
@@ -230,16 +234,16 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
         raise ValueError("graceful ground set must contain 0")
     required_edges = (1 << x.n) - 2
     if g.edge_count() != required_edges:
-        return _report([
+        return GateReport((
             Violation(
                 rule="R1",
                 detail=f"|E| = {g.edge_count()} but a ground set of size {x.n} "
                 f"needs exactly {required_edges} edges",
-            )
-        ])
+            ),
+        ))
     if x.n < 2:
         # No non-{0} subsets to classify; only the empty graph gets here.
-        return _report([])
+        return GateReport()
 
     violations: list[Violation] = []
     cls = classify_ground_set(x)
@@ -275,4 +279,4 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
                 f"(best is {best_host})",
             )
         )
-    return _report(violations)
+    return GateReport(tuple(violations))

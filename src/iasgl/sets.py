@@ -18,9 +18,6 @@ Subsets of a ground set are mirrored as bitmasks in two ways:
 * value mask: bit v set means the integer v is present, so a sumset is
   an OR of shifted value masks and containment is a bit test.
 
-Both mappings are part of this module's contract; ``subset_to_mask`` /
-``mask_to_subset`` expose the subset-mask side.
-
 ``subset_algebra(X)`` is the one place that enumerates pairs of subsets.
 It holds every subset of X (elements, ``IntegerSet``, value mask), the
 value-mask -> subset-mask map and the pair table: for each target C,
@@ -51,6 +48,9 @@ SUBSET_ENUMERATION_CAP = 20
 
 #: Subset mask of {0}: 0 is the least element of a graceful ground set.
 ZERO_MASK = 1
+
+#: Most combinations, C(max, n - 1), a ground-set family may walk.
+GROUND_SET_FAMILY_CAP = 100_000
 
 
 class SummandMode(Enum):
@@ -182,25 +182,6 @@ def _family_sorted(sets: Iterable[IntegerSet]) -> tuple[IntegerSet, ...]:
     return tuple(sorted(sets, key=lambda s: (len(s), s.elements)))
 
 
-def subset_to_mask(x: GroundSet, s: IntegerSet) -> int:
-    """Subset mask of s relative to X (bit i = i-th smallest element)."""
-    index = {e: i for i, e in enumerate(x.base.elements)}
-    mask = 0
-    for e in s.elements:
-        if e not in index:
-            raise ValueError("not a subset of ground set")
-        mask |= 1 << index[e]
-    return mask
-
-
-def mask_to_subset(x: GroundSet, mask: int) -> IntegerSet:
-    """Inverse of subset_to_mask."""
-    if mask < 0 or mask >= 1 << x.n:
-        raise ValueError(f"subset mask out of range: {mask}")
-    elems = x.base.elements
-    return IntegerSet.from_iterable(elems[i] for i in range(x.n) if mask >> i & 1)
-
-
 def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
     """All 2^n - 1 non-empty subsets of X, ascending by subset mask."""
     if x.n > SUBSET_ENUMERATION_CAP:
@@ -330,37 +311,23 @@ def classify_ground_set(
     return cls
 
 
-def canonicalize_ground_set(x: GroundSet) -> GroundSet:
-    """Scale X down by the gcd of its nonzero elements.
-
-    Two ground sets that differ by an integer scale factor label exactly
-    the same graphs, so enumeration only needs the canonical (gcd 1)
-    representative.
-    """
-    if not x.contains_zero():
-        raise ValueError("graceful ground set must contain 0")
-    if x.n < 2:
-        raise ValueError("canonical form needs a ground set with at least 2 elements")
-    g = 0
-    for e in x.base.elements:
-        g = math.gcd(g, e)
-    if g <= 1:
-        return x
-    return GroundSet(IntegerSet.from_iterable(e // g for e in x.base.elements))
-
-
-def is_canonical_ground_set(x: GroundSet) -> bool:
-    return canonicalize_ground_set(x) == x
-
-
-def enumerate_canonical_ground_sets(n: int, max_element: int) -> list[GroundSet]:
-    """All canonical ground sets with |X| = n, 0 in X, max element bounded."""
+def check_ground_set_family(n: int, max_element: int) -> None:
+    """Reject a ground-set family (|X| = n, 0 in X, max element bounded)
+    that is empty or walks more than GROUND_SET_FAMILY_CAP combinations."""
     if n > SUBSET_ENUMERATION_CAP:
         raise ValueError("ground set too large")
     if n < 2:
         raise ValueError("ground set cardinality must be at least 2")
     if max_element < n - 1:
-        raise ValueError("empty ground-set family")
+        raise ValueError(f"empty ground-set family: |X| = {n} needs max element >= {n - 1}")
+    if math.comb(max_element, n - 1) > GROUND_SET_FAMILY_CAP:
+        raise ValueError(f"ground-set family too large: C({max_element}, {n - 1}) combinations")
+
+
+def enumerate_canonical_ground_sets(n: int, max_element: int) -> list[GroundSet]:
+    """All canonical (gcd-1) ground sets with |X| = n, 0 in X and max
+    element bounded; a scaled copy of X labels the same graphs."""
+    check_ground_set_family(n, max_element)
     from itertools import combinations
 
     out = []
@@ -370,7 +337,5 @@ def enumerate_canonical_ground_sets(n: int, max_element: int) -> list[GroundSet]
             g = math.gcd(g, e)
         if g == 1:
             out.append(GroundSet(IntegerSet.from_iterable((0, *rest))))
-    if not out:
-        raise ValueError("empty ground-set family")
     out.sort()
     return out

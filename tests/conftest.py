@@ -11,8 +11,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from iasgl.graphs import Graph
-from iasgl.sets import GroundSet, IntegerSet
+import iasgl.labeling
+from iasgl.graphs import Graph, generate
+from iasgl.labeling import Labeling
+from iasgl.sets import GroundSet, IntegerSet, sumset
 
 
 def nonempty_subsets(elements) -> list[frozenset[int]]:
@@ -141,3 +143,26 @@ def x0123() -> GroundSet:
 
 def iset(*elements: int) -> IntegerSet:
     return IntegerSet.of(*elements)
+
+
+def star_witness(n: int) -> tuple[Graph, Labeling]:
+    """K(1, 2^n - 2) over {0..n-1}: {0} at the centre and one non-{0}
+    subset on each leaf, the star theorem's labeling."""
+    x = GroundSet.of(*range(n))
+    leaves = [s for s in nonempty_subsets(range(n)) if s != frozenset({0})]
+    mapping = {"v0": iset(0)}
+    mapping.update((f"v{i}", IntegerSet.from_iterable(s)) for i, s in enumerate(leaves, 1))
+    return generate("star", len(leaves)), Labeling.from_mapping(x, mapping)
+
+
+@pytest.fixture
+def sumset_calls(monkeypatch) -> list[tuple[IntegerSet, IntegerSet]]:
+    """Record every sumset the verification ladder computes."""
+    calls: list[tuple[IntegerSet, IntegerSet]] = []
+
+    def counted(a: IntegerSet, b: IntegerSet) -> IntegerSet:
+        calls.append((a, b))
+        return sumset(a, b)
+
+    monkeypatch.setattr(iasgl.labeling, "sumset", counted)
+    return calls

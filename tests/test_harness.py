@@ -93,7 +93,7 @@ class TestChecks:
         assert "contradiction" in c6.evidence
 
     def test_complete_graphs(self):
-        results = check_complete_graphs(HarnessConfig(diophantine_max=30))
+        results = check_complete_graphs(HarnessConfig())
         assert all(r.status == CONFIRMED for r in results)
         k4 = next(r for r in results if r.check_id == "complete/exhaustive-K4")
         assert "exhaustively refuted" in k4.evidence

@@ -12,17 +12,15 @@ from iasgl.io import (
     Document,
     document_from_graph,
     dump_document,
-    labeling_from_obj,
-    labeling_to_obj,
     load_document,
     parse_document,
     to_dot,
 )
 from iasgl.graphs import generate
-from iasgl.labeling import Labeling, verify_iasgl
+from iasgl.labeling import verify_iasgl
 from iasgl.realisation import build_realisation
 
-from conftest import iset
+from conftest import iset, star_witness
 
 
 class TestDocument:
@@ -54,10 +52,6 @@ class TestDocument:
         )
         f = doc.to_labeling()
         assert f.label_of("v1") == iset(1)
-
-    def test_labeling_obj_round_trip(self, x0123):
-        f = Labeling.from_mapping(x0123, {"a": iset(0), "b": iset(1, 3)})
-        assert labeling_from_obj(labeling_to_obj(f)) == f
 
     def test_missing_labels_rejected(self):
         doc = Document(vertices=[("v0", iset(0)), ("v1", None)],
@@ -195,6 +189,20 @@ class TestCli:
             main(["search", "--graph", "star:6", "--ground-set", "0,1,2", "--seed", "3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        # C(60, 9) ≈ 1.5e10 ground sets of size 10.
+        ["search", "--graph", "star:6", "--ground-set", "sweep:n=10,max=60"],
+        # C(1000, 2) ≈ 5e5 ground sets of size 3, the first n over the cap.
+        ["theorems", "--max-element", "1000"],
+    ], ids=["search-sweep", "theorems"])
+    def test_ground_set_family_above_cap_is_usage_error(self, argv, capsys):
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert time.monotonic() - start < 1.0
+        assert "ground-set family too large" in capsys.readouterr().err
+
     def test_sweep_above_subset_cap_is_usage_error(self, capsys):
         # C(40, 20) ground sets of size 21: rejected before enumerating any.
         start = time.monotonic()
@@ -246,6 +254,40 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert not payload["iasl"]
         assert any(v["rule"] == "injectivity" for v in payload["violations"])
+
+    @pytest.mark.parametrize("labels,edges,highest,rules", [
+        ({"a": [1], "b": [1]}, [["a", "b"]], "none", ["injectivity"]),
+        # {0} + {1,2} = {1} + {0,1}: distinct vertex labels, one edge label.
+        ({"a": [0], "b": [1, 2], "c": [1], "d": [0, 1]}, [["a", "b"], ["c", "d"]],
+         "IASL", ["edge-collision"]),
+        ({"a": [0], "b": [1]}, [["a", "b"]], "IASI", ["target-missing"]),
+        ({"a": [0], "b": [1], "c": [2], "d": [0, 1], "e": [0, 2], "f": [1, 2], "g": [0, 1, 2]},
+         [["a", leaf] for leaf in "bcdefg"], "IASGL", []),
+    ], ids=["none", "IASL", "IASI", "IASGL"])
+    def test_verify_reports_highest_rung(self, labels, edges, highest, rules, tmp_path, capsys):
+        doc = {
+            "vertices": [{"id": vid, "label": lab} for vid, lab in labels.items()],
+            "edges": edges,
+            "ground_set": [0, 1, 2],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == (0 if highest == "IASGL" else 1)
+        payload = json.loads(capsys.readouterr().out)
+        climbed = ("none", "IASL", "IASI", "IASGL").index(highest)
+        assert payload["highest"] == highest
+        assert [payload["iasl"], payload["iasi"], payload["iasgl"]] == [
+            rung < climbed for rung in range(3)
+        ]
+        assert [v["rule"] for v in payload["violations"]] == rules
+
+    def test_verify_computes_each_edge_label_once(self, tmp_path, capsys, sumset_calls):
+        graph, labeling = star_witness(9)
+        path = tmp_path / "star510.json"
+        dump_document(document_from_graph(graph, labeling), path)
+        sumset_calls.clear()
+        assert main(["verify", str(path)]) == 0
+        assert len(sumset_calls) == graph.edge_count() == 510
 
     @pytest.mark.parametrize("command", ["verify", "search"])
     @pytest.mark.parametrize("doc", [
@@ -342,6 +384,11 @@ class TestCli:
             main(["theorems", *flags])
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_theorems_diophantine_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["theorems", "--diophantine-max", "30"])
+        assert err.value.code == 2
 
     def test_table_format(self, capsys):
         assert main(["classify", "--ground-set", "0,1,2", "--format", "table"]) == 0

@@ -11,11 +11,12 @@ from iasgl.labeling import (
     verify_iasgl,
     verify_iasi,
     verify_iasl,
+    verify_ladder,
     zero_vertex,
 )
 from iasgl.sets import GroundSet, subset_algebra
 
-from conftest import iset
+from conftest import iset, star_witness
 
 
 def star2_labeling(x01):
@@ -104,6 +105,24 @@ class TestLadder:
         report = verify_iasi(g, f)
         assert not report.passed
         assert {v.rule for v in report.violations} == {"edge-collision"}
+
+    def test_one_pass_computes_each_edge_label_once(self, sumset_calls):
+        g, f = star_witness(9)
+        assert verify_iasgl(g, f).passed
+        assert len(sumset_calls) == g.edge_count() == 510
+        sumset_calls.clear()
+        assert [r.passed for r in verify_ladder(g, f)] == [True, True, True]
+        assert len(sumset_calls) == 510
+
+    def test_ladder_stops_at_first_failed_rung(self, x0123):
+        g = generate("path", 4)
+        f = Labeling.from_mapping(
+            x0123,
+            {"v0": iset(1), "v1": iset(0, 1), "v2": iset(0), "v3": iset(1, 2)},
+        )
+        reports = verify_ladder(g, f)
+        assert [r.passed for r in reports] == [True, False]
+        assert verify_iasi(g, f) == verify_iasgl(g, f) == reports[-1]
 
     def test_coverage_mismatch_is_error(self, x01):
         g = generate("star", 2)
