@@ -11,9 +11,10 @@ human-aligned view). Exit codes are a stable contract:
 * theorems: 0 unless some check was refuted
 * usage and input errors exit 2 via the argument parser: bad flags,
   malformed ground sets, graph specs and documents, ground sets above
-  the subset cap (sweeps too), ground-set families above
-  ``GROUND_SET_FAMILY_CAP`` (sweeps and ``theorems``) and bad
-  ``theorems`` bounds
+  the subset cap (sweeps too), family graph specs with more than
+  2^SUBSET_ENUMERATION_CAP - 2 edges (rejected before the graph is
+  built), ground-set families above ``GROUND_SET_FAMILY_CAP`` (sweeps
+  and ``theorems``) and bad ``theorems`` bounds
 * an unexpected internal error prints its traceback and exits 70
   (``EXIT_INTERNAL_ERROR``), never 0 or 1
 """
@@ -29,8 +30,8 @@ from .harness import HarnessConfig, run_all
 from .labeling import verify_ladder
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
-from .sets import GroundSet, IntegerSet, SummandMode, classify_ground_set
-from .graphs import generate, is_bipartite, pendant_vertices
+from .sets import SUBSET_ENUMERATION_CAP, GroundSet, IntegerSet, SummandMode, classify_ground_set
+from .graphs import family_edge_count, generate, is_bipartite, pendant_vertices
 
 #: Exit code of an unexpected internal error (sysexits' EX_SOFTWARE).
 EXIT_INTERNAL_ERROR = 70
@@ -69,7 +70,20 @@ def _parse_graph(spec: str, parser: argparse.ArgumentParser):
             parser.error(f"cannot read graph file {arg!r}: {exc}")
     if kind in {"star", "path", "cycle", "complete"}:
         try:
-            return generate(kind, int(arg))
+            size = int(arg)
+        except ValueError as exc:
+            parser.error(str(exc))
+        # An IASGL over X has 2^|X| - 2 edges, so a family member with
+        # more edges than the subset cap allows is rejected unbuilt.
+        edges = family_edge_count(kind, size)
+        if edges > (1 << SUBSET_ENUMERATION_CAP) - 2:
+            parser.error(
+                f"graph spec {spec!r} has {edges} edges, but a ground set of at most "
+                f"{SUBSET_ENUMERATION_CAP} elements labels at most "
+                f"2^{SUBSET_ENUMERATION_CAP} - 2 edges"
+            )
+        try:
+            return generate(kind, size)
         except ValueError as exc:
             parser.error(str(exc))
     parser.error(f"bad graph spec: {spec!r} (use star:m|path:m|cycle:m|complete:m|file:PATH)")

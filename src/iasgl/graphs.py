@@ -103,6 +103,20 @@ def generate(kind: str, size: int) -> Graph:
     return Graph.from_edges(vertices, edges)
 
 
+def family_edge_count(kind: str, size: int) -> int:
+    """|E| of ``generate(kind, size)``, read off the spec without
+    building the graph (sizes are not validated here)."""
+    if kind == "star":
+        return size
+    if kind == "path":
+        return size - 1
+    if kind == "cycle":
+        return size
+    if kind == "complete":
+        return size * (size - 1) // 2
+    raise ValueError(f"unknown graph kind: {kind!r}")
+
+
 def pendant_vertices(g: Graph) -> list[str]:
     """Vertices of degree exactly 1, in id order."""
     return [v for v in g.vertex_ids if g.degree(v) == 1]

@@ -38,6 +38,12 @@ viable pairs that assignment can have killed are rescanned (see
 ``_State.coverage_ok``). The verdict equals a full rescan of every
 unrealized target.
 
+Set-up that depends only on X (the subset algebra, its label ->
+targets index and the classification) or only on the graph (vertex
+order, adjacency by DFS index, twin classes: ``_graph_layout``) sits in
+small LRU caches and is shared read-only, so a sweep of one graph over
+many ground sets, or of many graphs over one X, pays each part once.
+
 The DFS recurses once per vertex; ``search_iasgl`` lifts the
 interpreter's recursion limit by the depth it needs for the duration of
 the search, so the graph's size, not that limit, bounds the depth.
@@ -54,6 +60,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import permutations
 
 from .graphs import Graph
@@ -127,6 +134,61 @@ class _Budget(Exception):
 _STACK_HEADROOM = 100
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """The graph-only part of the DFS set-up, shared by every search of
+    one graph: vertices in DFS order (descending degree, then id), and
+    per DFS index the degree, the neighbours, the earlier neighbours,
+    plus the non-trivial twin classes (members in DFS order) and each
+    member's predecessor in its class."""
+
+    order: tuple[str, ...]
+    degree: tuple[int, ...]
+    neighbors: tuple[tuple[int, ...], ...]
+    earlier: tuple[tuple[int, ...], ...]
+    twin_classes: tuple[tuple[int, ...], ...]
+    twin_prev: tuple[int | None, ...]
+
+
+@lru_cache(maxsize=32)
+def _graph_layout(g: Graph) -> _Layout:
+    """Compute (or fetch from a small LRU cache) the DFS layout of g.
+
+    False twins share N(v), true twins share N[v]. A vertex is never in
+    non-trivial classes of both kinds: if u, v are false twins and u, w
+    true twins, then w is adjacent to v, so v lies in N[w] = N[u].
+    """
+    order = tuple(sorted(g.vertex_ids, key=lambda v: (-g.degree(v), v)))
+    index = {v: i for i, v in enumerate(order)}
+    neighbors = tuple(tuple(index[w] for w in g.neighbors(v)) for v in order)
+    earlier = tuple(tuple(w for w in nbrs if w < i) for i, nbrs in enumerate(neighbors))
+
+    false_twins: dict[frozenset[int], list[int]] = {}
+    true_twins: dict[frozenset[int], list[int]] = {}
+    for v, nbrs in enumerate(neighbors):
+        key = frozenset(nbrs)
+        false_twins.setdefault(key, []).append(v)
+        true_twins.setdefault(key | {v}, []).append(v)
+    twin_classes = tuple(
+        tuple(members)
+        for classes in (false_twins, true_twins)
+        for members in classes.values()
+        if len(members) > 1
+    )
+    twin_prev: list[int | None] = [None] * len(order)
+    for members in twin_classes:
+        for prev, v in zip(members, members[1:]):
+            twin_prev[v] = prev
+    return _Layout(
+        order=order,
+        degree=tuple(len(nbrs) for nbrs in neighbors),
+        neighbors=neighbors,
+        earlier=earlier,
+        twin_classes=twin_classes,
+        twin_prev=tuple(twin_prev),
+    )
+
+
 class _State:
     """Mutable backtracking state over subset masks.
 
@@ -152,15 +214,10 @@ class _State:
         self.subset_elems = alg.elements
         # Label-mask pairs (a < b) per target mask; every target has one.
         self.pairs_by_target = alg.pairs
-        self.zero_mask = ZERO_MASK
-        self.targets = tuple(m for m in range(1, 1 << n) if m != self.zero_mask)
         # Label mask -> the targets with a pair that uses it (P4 rechecks).
-        targets_of: list[set[int]] = [set() for _ in range(1 << n)]
-        for t, pairs in self.pairs_by_target.items():
-            for a, b in pairs:
-                targets_of[a].add(t)
-                targets_of[b].add(t)
-        self.targets_of = [tuple(sorted(ts)) for ts in targets_of]
+        self.targets_of = alg.targets_of
+        self.zero_mask = ZERO_MASK
+        self.targets = range(ZERO_MASK + 1, 1 << n)
 
         cls = classify_ground_set(x)
         self.min_zero_degree = len(cls.non_sumsets)
@@ -168,23 +225,18 @@ class _State:
         self.p3 = cfg.enabled("P3")
         self.p4 = cfg.enabled("P4")
 
-        self.order = sorted(g.vertex_ids, key=lambda v: (-g.degree(v), v))
-        self.index = {v: i for i, v in enumerate(self.order)}
-        self.degree = [g.degree(v) for v in self.order]
-        self.neighbors = [
-            tuple(self.index[w] for w in g.neighbors(v)) for v in self.order
-        ]
-        self.earlier = [
-            tuple(w for w in self.neighbors[i] if w < i) for i in range(len(self.order))
-        ]
+        layout = _graph_layout(g)
+        self.order = layout.order
+        self.degree = layout.degree
+        self.neighbors = layout.neighbors
+        self.earlier = layout.earlier
 
         self.candidates, self.summand_only = self._candidate_lists()
 
-        self.twin_classes = self._twin_classes() if cfg.enabled("twins") else []
-        self.twin_prev: list[int | None] = [None] * len(self.order)
-        for members in self.twin_classes:
-            for prev, v in zip(members, members[1:]):
-                self.twin_prev[v] = prev
+        if cfg.enabled("twins"):
+            self.twin_classes, self.twin_prev = layout.twin_classes, layout.twin_prev
+        else:
+            self.twin_classes, self.twin_prev = (), (None,) * len(self.order)
 
         nv = len(self.order)
         self.assigned: list[int | None] = [None] * nv
@@ -228,26 +280,6 @@ class _State:
             lists.append(labels(zero_ok, not p2 or degree == 1))
             summand_only.append(labels(zero_ok, False) if p2 and degree == 1 else None)
         return lists, summand_only
-
-    def _twin_classes(self) -> list[list[int]]:
-        """Non-trivial twin classes, members in DFS order.
-
-        False twins share N(v), true twins share N[v]. A vertex is never
-        in non-trivial classes of both kinds: if u, v are false twins and
-        u, w true twins, then w is adjacent to v, so v lies in N[w] = N[u].
-        """
-        false_twins: dict[frozenset[int], list[int]] = {}
-        true_twins: dict[frozenset[int], list[int]] = {}
-        for v, nbrs in enumerate(self.neighbors):
-            key = frozenset(nbrs)
-            false_twins.setdefault(key, []).append(v)
-            true_twins.setdefault(key | {v}, []).append(v)
-        return [
-            members
-            for classes in (false_twins, true_twins)
-            for members in classes.values()
-            if len(members) > 1
-        ]
 
     def tick(self) -> None:
         self.stats.nodes += 1

@@ -27,11 +27,13 @@ inside X are exactly the submasks of X ∩ ⋂_{e∈A}(X − e), so only pairs
 that land in X are ever visited. Classification, the structural gate,
 the search and the realisation builder all read it. It is cached per X
 in a fixed-size LRU (32 ground sets), so a sweep over hundreds of ground
-sets holds a bounded amount of memory; the classification is memoised
-on the cached object.
+sets holds a bounded amount of memory; the classification and the
+label -> targets index are memoised on the cached object.
 
 Verification (``sumset`` here, and the checks in ``labeling``) never
-reads the kernel: it recomputes every sum from the elements, so each
+reads the kernel: it recomputes every sum from the elements as a plain
+set, builds ``IntegerSet``s only for the labels a report names, and
+decides the graceful rung by counting distinct edge labels, so each
 verdict the kernel leads to is checked by an independent route.
 """
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 #: Soft ceiling on |X| for power-set enumeration (2^20 subsets).
@@ -219,6 +221,20 @@ class SubsetAlgebra:
     value_to_mask: dict[int, int]
     pairs: dict[int, tuple[tuple[int, int], ...]]
     classifications: dict[SummandMode, Classification] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def targets_of(self) -> tuple[tuple[int, ...], ...]:
+        """Label mask -> the ascending target masks with a pair using it.
+
+        Built on first use and then shared by every reader of this
+        cached X (the search's coverage rechecks).
+        """
+        targets: list[set[int]] = [set() for _ in self.sets]
+        for t, pairs in self.pairs.items():
+            for a, b in pairs:
+                targets[a].add(t)
+                targets[b].add(t)
+        return tuple(tuple(sorted(ts)) for ts in targets)
 
 
 @lru_cache(maxsize=32)

@@ -14,7 +14,7 @@ import pytest
 import iasgl.labeling
 from iasgl.graphs import Graph, generate
 from iasgl.labeling import Labeling
-from iasgl.sets import GroundSet, IntegerSet, sumset
+from iasgl.sets import GroundSet, IntegerSet
 
 
 def nonempty_subsets(elements) -> list[frozenset[int]]:
@@ -157,12 +157,14 @@ def star_witness(n: int) -> tuple[Graph, Labeling]:
 
 @pytest.fixture
 def sumset_calls(monkeypatch) -> list[tuple[IntegerSet, IntegerSet]]:
-    """Record every sumset the verification ladder computes."""
+    """Record every edge label the verification ladder computes (its
+    ``edge_sums`` calls)."""
     calls: list[tuple[IntegerSet, IntegerSet]] = []
+    edge_sums = iasgl.labeling.edge_sums
 
-    def counted(a: IntegerSet, b: IntegerSet) -> IntegerSet:
+    def counted(a: IntegerSet, b: IntegerSet) -> frozenset[int]:
         calls.append((a, b))
-        return sumset(a, b)
+        return edge_sums(a, b)
 
-    monkeypatch.setattr(iasgl.labeling, "sumset", counted)
+    monkeypatch.setattr(iasgl.labeling, "edge_sums", counted)
     return calls

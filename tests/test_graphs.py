@@ -5,6 +5,7 @@ import pytest
 from iasgl.graphs import (
     Graph,
     enumerate_free_trees,
+    family_edge_count,
     generate,
     is_bipartite,
     is_isomorphic,
@@ -68,6 +69,13 @@ class TestGenerate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown graph kind"):
             generate("wheel", 5)
+        with pytest.raises(ValueError, match="unknown graph kind"):
+            family_edge_count("wheel", 5)
+
+    @pytest.mark.parametrize("kind,low", [("star", 1), ("path", 2), ("cycle", 3), ("complete", 2)])
+    def test_edge_count_from_spec(self, kind, low):
+        for size in range(low, low + 12):
+            assert family_edge_count(kind, size) == generate(kind, size).edge_count()
 
 
 class TestPendantsAndBipartite:

@@ -212,6 +212,18 @@ class TestCli:
         assert time.monotonic() - start < 1.0
         assert "ground set too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["star:100000000", "complete:5000", "star:1048575"])
+    def test_family_spec_above_subset_cap_is_usage_error(self, spec, capsys):
+        # 10^8, 12,497,500 and 2^20 - 1 edges: more than the 2^20 - 2 any
+        # ground set within the subset cap labels, so the spec is
+        # rejected before the graph is built.
+        start = time.monotonic()
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", spec, "--ground-set", "0,1,2"])
+        assert err.value.code == 2
+        assert time.monotonic() - start < 1.0
+        assert f"graph spec {spec!r} has" in capsys.readouterr().err
+
     def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
         # 1,023 vertices, one DFS frame each: deeper than the default limit.
         out = tmp_path / "witness.json"

@@ -139,6 +139,16 @@ class TestLadder:
         assert verify_iasgl(g, f).passed
         assert zero_vertex(g, f) == "v0"
 
+    def test_ground_set_without_zero_misses_its_minimum(self):
+        # Without 0 the family is all 2^n - 1 non-empty subsets, and
+        # {min X} is never a sum of two labels.
+        x = GroundSet.of(1, 2, 3)
+        f = Labeling.from_mapping(x, {"v0": iset(1), "v1": iset(2)})
+        (violation,) = verify_iasgl(generate("path", 2), f).violations
+        assert violation.rule == "target-missing"
+        assert violation.sets[0] == iset(1)
+        assert len(violation.sets) == 6
+
     def test_any_c4_labeling_fails(self, x012):
         # C_4 has 4 edges, never 2^n - 2: every injective assignment of
         # the 7 subsets fails. Exhaustive at n = 3 (7P4 = 840 labelings).

@@ -18,6 +18,7 @@ from iasgl.labeling import (
 from iasgl.realisation import build_realisation
 from iasgl.search import SearchConfig, search_iasgl
 from iasgl.sets import (
+    ZERO_SET,
     GroundSet,
     IntegerSet,
     SummandMode,
@@ -26,7 +27,13 @@ from iasgl.sets import (
     sumset,
 )
 
-from conftest import naive_sumset, oracle_classify
+from conftest import (
+    labeling_to_frozensets,
+    naive_sumset,
+    nonempty_subsets,
+    oracle_classify,
+    oracle_is_iasgl,
+)
 
 integer_sets = st.builds(
     IntegerSet.from_iterable, st.sets(st.integers(0, 30), min_size=1, max_size=6)
@@ -132,6 +139,20 @@ def graph_and_labeling(draw):
     return graph, x, random_labeling(draw, graph, x)
 
 
+@st.composite
+def star_labeling(draw):
+    """Distinct targets on the leaves of a star, often with {0} at the
+    centre: IASI then holds, and IASGL iff every target is a leaf."""
+    x = draw(st.sampled_from([GroundSet.of(0, 1), GroundSet.of(0, 1, 2), GroundSet.of(0, 1, 2, 3)]))
+    targets = [s for s in enumerate_nonempty_subsets(x) if s != ZERO_SET]
+    leaves = draw(st.just(len(targets)) | st.integers(1, len(targets) - 1))
+    chosen = draw(st.permutations(targets))[:leaves]
+    centre = draw(st.just(ZERO_SET) | st.sampled_from(targets))
+    graph = generate("star", leaves)
+    mapping = {"v0": centre, **{f"v{i}": s for i, s in enumerate(chosen, 1)}}
+    return graph, x, Labeling.from_mapping(x, mapping)
+
+
 class TestVerificationLadder:
     @given(data=graph_and_labeling())
     @settings(max_examples=300, deadline=None)
@@ -159,6 +180,29 @@ class TestVerificationLadder:
             for j in range(i + 1, len(edge_labels))
         )
         assert verify_iasi(graph, labeling).passed == (not collision)
+
+    @given(data=st.one_of(graph_and_labeling(), star_labeling()))
+    @settings(max_examples=300, deadline=None)
+    def test_iasgl_matches_oracle(self, data):
+        graph, x, labeling = data
+        labels = labeling_to_frozensets(labeling)
+        report = verify_iasgl(graph, labeling)
+        assert report.passed == oracle_is_iasgl(graph, frozenset(x.base.elements), labels)
+        if report.passed or not verify_iasi(graph, labeling).passed:
+            return
+        # IASI holds and IASGL fails: exactly the unrealised targets are named.
+        realised = {naive_sumset(labels[u], labels[v]) for u, v in graph.sorted_edges()}
+        unrealised = sorted(
+            (
+                s
+                for s in nonempty_subsets(x.base.elements)
+                if s != frozenset({0}) and s not in realised
+            ),
+            key=lambda s: (len(s), sorted(s)),
+        )
+        (violation,) = report.violations
+        assert violation.rule == "target-missing"
+        assert [frozenset(s.elements) for s in violation.sets] == unrealised
 
     @given(data=graph_and_labeling(), c=scales)
     @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from iasgl.search import (
     SearchConfig,
     SearchStatus,
     _State,
+    _graph_layout,
     search_iasgl,
     sweep_ground_sets,
 )
@@ -395,6 +396,47 @@ class TestSweep:
         cold = snapshot()
         warm = snapshot()
         assert cold == warm
+
+
+class TestSharedSetUp:
+    """X-only and graph-only set-up is built once and shared read-only."""
+
+    def test_searches_share_cached_tables(self, monkeypatch, x0123):
+        states = []
+        init = _State.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            states.append(self)
+
+        monkeypatch.setattr(_State, "__init__", recording_init)
+        x0124 = GroundSet.of(0, 1, 2, 4)
+        search_iasgl(BROOM15, x0123, nogate())
+        search_iasgl(generate("star", 14), x0123, nogate())
+        search_iasgl(BROOM15, x0124, nogate())
+        broom, star, broom_again = states
+        assert broom.targets_of is star.targets_of is subset_algebra(x0123).targets_of
+        assert broom_again.targets_of is subset_algebra(x0124).targets_of
+        assert broom.earlier is broom_again.earlier
+        assert broom.twin_classes is broom_again.twin_classes
+
+    def test_warm_sweeps_match_fresh_searches(self):
+        star6 = generate("star", 6)
+        cases = [
+            (BROOM15, 4, 5, nogate()),
+            (star6, 3, 6, SearchConfig(find_all=True)),
+            (star6, 3, 6, SearchConfig(find_all=True, disabled_rules=frozenset({"twins"}))),
+        ]
+        warm = [sweep_ground_sets(g, n, m, cfg) for g, n, m, cfg in cases]
+        for (g, _, _, cfg), outcomes in zip(cases, warm):
+            for x, out in outcomes.items():
+                _graph_layout.cache_clear()
+                subset_algebra.cache_clear()
+                fresh = search_iasgl(g, x, cfg)
+                assert out.status is fresh.status
+                assert out.witnesses == fresh.witnesses
+                assert out.stats.to_obj() == fresh.stats.to_obj()
+        assert sum(o.stats.nodes for o in warm[0].values()) == 72_438
 
 
 class TestTreeFamily:

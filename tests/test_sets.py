@@ -106,6 +106,17 @@ class TestDecompositions:
                     assert len(got[frozenset(alg.sets[t])]) == len(pairs)
                 assert got == expected, x
 
+    def test_label_targets_index(self):
+        for n in range(2, 6):
+            for x in enumerate_canonical_ground_sets(n, 8):
+                alg = subset_algebra(x)
+                expected = tuple(
+                    tuple(t for t in sorted(alg.pairs) if any(m in p for p in alg.pairs[t]))
+                    for m in range(len(alg.sets))
+                )
+                assert alg.targets_of == expected, x
+                assert alg.targets_of is subset_algebra(x).targets_of
+
 
 class TestSumsetSummandPredicates:
     def test_least_nonzero_never_a_sumset(self, x0123):
