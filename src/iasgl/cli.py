@@ -11,10 +11,11 @@ human-aligned view). Exit codes are a stable contract:
 * theorems: 0 unless some check was refuted
 * usage and input errors exit 2 via the argument parser: bad flags,
   malformed ground sets, graph specs and documents, ground sets above
-  the subset cap (sweeps too), family graph specs with more than
-  2^SUBSET_ENUMERATION_CAP - 2 edges (rejected before the graph is
-  built), ground-set families above ``GROUND_SET_FAMILY_CAP`` (sweeps
-  and ``theorems``) and bad ``theorems`` bounds
+  the subset cap (sweeps and ``verify`` documents too), family graph
+  specs with more than 2^SUBSET_ENUMERATION_CAP - 2 edges (rejected
+  before the graph is built), ground-set families above
+  ``GROUND_SET_FAMILY_CAP`` (sweeps and ``theorems``) and bad
+  ``theorems`` bounds
 * an unexpected internal error prints its traceback and exits 70
   (``EXIT_INTERNAL_ERROR``), never 0 or 1
 """
@@ -218,6 +219,9 @@ def cmd_verify(args, parser) -> int:
         labeling = doc.to_labeling()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         parser.error(f"cannot verify {args.document!r}: {exc}")
+    # Naming missing targets enumerates every subset of X.
+    if labeling.ground.n > SUBSET_ENUMERATION_CAP:
+        parser.error(f"cannot verify {args.document!r}: ground set too large")
     reports = verify_ladder(graph, labeling)
     climbed = sum(1 for r in reports if r.passed)
     highest = ("none", "IASL", "IASI", "IASGL")[climbed]

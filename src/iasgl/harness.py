@@ -9,9 +9,13 @@ and every witness respects the edge-count and pendant lower bounds.
 Nonexistence claims are universally quantified over ground sets; the
 harness bounds the quantifier (canonical ground sets, bounded max
 element) and records the bound, so results are confirmations within a
-bound, never proofs. A check is never Confirmed from a budget-exceeded
-search: only exhausted or gate-rejected outcomes count as nonexistence
-evidence, anything else degrades the check to Unknown-budget.
+bound, never proofs. Every search-backed check is decided by one
+precedence rule over its searches, each with whether its graph must
+admit: Refuted if any search answers definitely against that (a
+witness where none may exist, or exhausted or gate-rejected where one
+must), otherwise Unknown-budget if any search hit its budget, otherwise
+Confirmed. So a budget stop never hides a counterexample, and a check
+is never Confirmed from a budget-exceeded search.
 
 The canonical ground sets of ``n_range`` are walked once, in the star
 check: each X is classified for the |neither| >= n - 1 bound, searched
@@ -26,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graphs import FREE_TREE_CAP, Graph, enumerate_free_trees, generate, pendant_vertices
 from .labeling import Labeling, structural_gate, zero_vertex
 from .realisation import build_realisation
-from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
+from .search import SearchConfig, SearchOutcome, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
@@ -42,9 +47,6 @@ from .sets import (
 CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
 UNKNOWN = "Unknown-budget"
-
-#: Search outcomes that certify nonexistence.
-_NONEXISTENCE = {SearchStatus.EXHAUSTED_NONE, SearchStatus.GATE_REJECTED}
 
 #: Fixed bounds, recorded in every report's bounds.
 PATH_CYCLE_RANGE = (3, 8)
@@ -65,6 +67,26 @@ DIOPHANTINE_MAX = 30
 def _search_config(gate: bool) -> SearchConfig:
     rules = frozenset() if gate else frozenset({"gate"})
     return SearchConfig(node_budget=NODE_BUDGET, time_budget_ms=TIME_BUDGET_MS, disabled_rules=rules)
+
+
+def _verdict(searches: Iterable[tuple[SearchOutcome, bool]]) -> tuple[str, int, int]:
+    """Decide one claim from its (outcome, should_admit) searches.
+
+    Returns (status, found, budget): Refuted if any search answers
+    definitely against its expectation (every status but
+    budget-exceeded is definite), else Unknown-budget if any hit its
+    budget, else Confirmed. ``found`` and ``budget`` count the searches
+    that found a witness and that hit the budget.
+    """
+    searches = list(searches)
+    found = sum(o.found for o, _ in searches)
+    budget = sum(o.status is SearchStatus.BUDGET_EXCEEDED for o, _ in searches)
+    refuted = any(
+        o.found != should_admit and o.status is not SearchStatus.BUDGET_EXCEEDED
+        for o, should_admit in searches
+    )
+    status = REFUTED if refuted else UNKNOWN if budget else CONFIRMED
+    return status, found, budget
 
 
 @dataclass(frozen=True)
@@ -228,29 +250,22 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
 
     for n in range(n_lo, n_hi + 1):
         star = generate("star", _star_order(n))
-        found = 0
-        budget = 0
+        outcomes = []
         family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
             tally.add_ground_set(x)
             outcome = search_iasgl(star, x, cfg)
             if outcome.found:
                 tally.add_witness(x, star, outcome.witnesses[0])
-                found += 1
-            elif outcome.status is SearchStatus.BUDGET_EXCEEDED:
-                budget += 1
+            outcomes.append((outcome, True))
             built = build_realisation(x)
             tally.add_witness(x, built.graph, built.labeling)
-        if budget:
-            status, evidence = UNKNOWN, (
-                f"{budget}/{len(family)} ground sets hit the search budget"
-            )
-        elif found == len(family):
-            status = CONFIRMED
-            evidence = f"K(1,{_star_order(n)}) found for all {len(family)} canonical ground sets"
-        else:
-            status = REFUTED
-            evidence = f"only {found}/{len(family)} ground sets admit K(1,{_star_order(n)})"
+        status, found, budget = _verdict(outcomes)
+        evidence = {
+            CONFIRMED: f"K(1,{_star_order(n)}) found for all {len(family)} canonical ground sets",
+            REFUTED: f"only {found}/{len(family)} ground sets admit K(1,{_star_order(n)})",
+            UNKNOWN: f"{budget}/{len(family)} ground sets hit the search budget",
+        }[status]
         results.append(CheckResult(f"star-theorem/forward-n={n}", anchor, status, evidence))
 
     rejected = []
@@ -322,54 +337,28 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         trees = enumerate_free_trees(m)
         family = enumerate_canonical_ground_sets(n, config.max_element)
         stars = 0
-        star_found = 0
-        nonstar_exhausted = True
-        budget = 0
+        outcomes = []
         for tree in trees:
             is_star = max(tree.degree(v) for v in tree.vertex_ids) == m - 1
+            stars += is_star
             for x in family:
-                if is_star:
-                    outcome = search_iasgl(tree, x, cfg)
-                    if outcome.found:
-                        star_found += 1
-                        tally.add_witness(x, tree, outcome.witnesses[0])
-                    elif outcome.status is SearchStatus.BUDGET_EXCEEDED:
-                        budget += 1
-                else:
-                    outcome = search_iasgl(tree, x, nogate)
-                    if outcome.status is SearchStatus.BUDGET_EXCEEDED:
-                        budget += 1
-                    elif outcome.status not in _NONEXISTENCE:
-                        nonstar_exhausted = False
-            if is_star:
-                stars += 1
+                outcome = search_iasgl(tree, x, cfg if is_star else nogate)
+                if outcome.found and is_star:
+                    tally.add_witness(x, tree, outcome.witnesses[0])
+                outcomes.append((outcome, is_star))
 
-        if budget:
-            results.append(
-                CheckResult(check_id, anchor, UNKNOWN, f"{budget} searches hit the budget")
-            )
-        elif stars == 1 and star_found == len(family) and nonstar_exhausted:
-            results.append(
-                CheckResult(
-                    check_id,
-                    anchor,
-                    CONFIRMED,
-                    f"{len(trees)} trees on {m} vertices: the star admits for all "
-                    f"{len(family)} canonical ground sets, the other {len(trees) - 1} "
-                    f"trees are exhausted to nonexistence everywhere",
-                )
-            )
-        else:
-            results.append(
-                CheckResult(
-                    check_id,
-                    anchor,
-                    REFUTED,
-                    f"tree family on {m} vertices violated the star characterization "
-                    f"(stars={stars}, star_found={star_found}/{len(family)}, "
-                    f"nonstar_clear={nonstar_exhausted})",
-                )
-            )
+        status, found, budget = _verdict(outcomes)
+        if stars != 1:
+            status = REFUTED
+        evidence = {
+            CONFIRMED: f"{len(trees)} trees on {m} vertices: the star admits for all "
+            f"{len(family)} canonical ground sets, the other {len(trees) - 1} "
+            f"trees are exhausted to nonexistence everywhere",
+            REFUTED: f"tree family on {m} vertices violated the star characterization "
+            f"(stars={stars}, found={found}/{len(outcomes)} searches)",
+            UNKNOWN: f"{budget} searches hit the budget",
+        }[status]
+        results.append(CheckResult(check_id, anchor, status, evidence))
     return results
 
 
@@ -398,49 +387,34 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
                 CONFIRMED,
                 f"|E| = {edges} never equals 2^n - 2, rejected by arithmetic",
             )
+        # P_3 is the star K(1,2): the only path that admits.
+        p3 = kind == "path" and m == 3
         outcomes = sweep_ground_sets(graph, n, config.max_element, cfg)
-        found = sum(1 for o in outcomes.values() if o.found)
-        budget = sum(1 for o in outcomes.values() if o.status is SearchStatus.BUDGET_EXCEEDED)
-        if budget:
-            return CheckResult(check_id, anchor, UNKNOWN, f"{budget} sweep items hit the budget")
-        if kind == "path" and m == 3:
-            # P_3 is the star K(1,2): the only path that admits. A sweep
-            # reporting otherwise would contradict the star theorem.
-            if found:
-                return CheckResult(
-                    check_id,
-                    anchor,
-                    CONFIRMED,
-                    "P_3 is the star K(1,2) and admits (the one path exception); "
-                    "nonexistence starts at 4 vertices",
-                )
-            return CheckResult(
-                check_id, anchor, REFUTED, "the star path P_3 = K(1,2) failed to admit"
+        status, found, budget = _verdict((o, p3) for o in outcomes.values())
+        confirmed = f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence"
+        refuted = f"{found} ground sets admitted {kind} {m}"
+        if p3:
+            confirmed = (
+                "P_3 is the star K(1,2) and admits (the one path exception); "
+                "nonexistence starts at 4 vertices"
             )
-        if found:
-            return CheckResult(check_id, anchor, REFUTED, f"{found} ground sets admitted {kind} {m}")
-        contradiction = ""
+            refuted = "the star path P_3 = K(1,2) failed to admit"
         if kind == "cycle":
             # Pendant-free graphs cannot label with the maximal element,
             # leaving 2^(n-1) - 1 usable labels for m vertices.
-            if not (m == (1 << n) - 2 and m > (1 << (n - 1)) - 1):
-                return CheckResult(
-                    check_id,
-                    anchor,
-                    REFUTED,
-                    f"counting contradiction failed at m={m}, n={n}",
+            if m == (1 << n) - 2 and m > (1 << (n - 1)) - 1:
+                confirmed += (
+                    f"; counting contradiction confirmed: m = 2^{n} - 2 = {m} > "
+                    f"2^{n - 1} - 1 = {(1 << (n - 1)) - 1}"
                 )
-            contradiction = (
-                f"; counting contradiction confirmed: m = 2^{n} - 2 = {m} > "
-                f"2^{n - 1} - 1 = {(1 << (n - 1)) - 1}"
-            )
-        return CheckResult(
-            check_id,
-            anchor,
-            CONFIRMED,
-            f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence"
-            + contradiction,
-        )
+            else:
+                status, refuted = REFUTED, f"counting contradiction failed at m={m}, n={n}"
+        evidence = {
+            CONFIRMED: confirmed,
+            REFUTED: refuted,
+            UNKNOWN: f"{budget} sweep items hit the budget",
+        }[status]
+        return CheckResult(check_id, anchor, status, evidence)
 
     m_lo, m_hi = PATH_CYCLE_RANGE
     for m in range(m_lo, m_hi + 1):
@@ -510,28 +484,14 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
             continue
         check_id = f"complete/exhaustive-K{m}"
         outcomes = sweep_ground_sets(generate("complete", m), n, config.max_element, nogate)
-        exhausted = sum(
-            1 for o in outcomes.values() if o.status is SearchStatus.EXHAUSTED_NONE
-        )
-        found = sum(1 for o in outcomes.values() if o.found)
-        if found:
-            results.append(
-                CheckResult(check_id, anchor, REFUTED, f"{found} ground sets admitted K_{m}")
-            )
-        elif exhausted == len(outcomes):
-            results.append(
-                CheckResult(
-                    check_id,
-                    anchor,
-                    CONFIRMED,
-                    f"K_{m} exhaustively refuted over all {len(outcomes)} canonical "
-                    f"ground sets of size {n} (max element {config.max_element})",
-                )
-            )
-        else:
-            results.append(
-                CheckResult(check_id, anchor, UNKNOWN, "sweep items hit the budget")
-            )
+        status, found, budget = _verdict((o, False) for o in outcomes.values())
+        evidence = {
+            CONFIRMED: f"K_{m} exhaustively refuted over all {len(outcomes)} canonical "
+            f"ground sets of size {n} (max element {config.max_element})",
+            REFUTED: f"{found} ground sets admitted K_{m}",
+            UNKNOWN: f"{budget} sweep items hit the budget",
+        }[status]
+        results.append(CheckResult(check_id, anchor, status, evidence))
     results.insert(
         0,
         CheckResult(

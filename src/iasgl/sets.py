@@ -45,7 +45,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-#: Soft ceiling on |X| for power-set enumeration (2^20 subsets).
+#: Hard cap on |X| for power-set enumeration (2^20 subsets): every
+#: enumeration and CLI path rejects a larger ground set.
 SUBSET_ENUMERATION_CAP = 20
 
 #: Subset mask of {0}: 0 is the least element of a graceful ground set.
@@ -108,9 +109,6 @@ class IntegerSet:
 
     def is_empty(self) -> bool:
         return not self.elements
-
-    def is_subset_of(self, other: "IntegerSet") -> bool:
-        return set(self.elements) <= set(other.elements)
 
     def value_mask(self) -> int:
         """Bitmask with bit v set for every element v."""

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import iasgl.search
 from iasgl import harness
 from iasgl.harness import (
     COMPLETE_RANGE,
@@ -27,6 +28,7 @@ from iasgl.harness import (
 )
 from iasgl.graphs import FREE_TREE_CAP, generate
 from iasgl.labeling import Labeling
+from iasgl.search import SearchOutcome, SearchStats, SearchStatus
 from iasgl.sets import GroundSet, subset_algebra
 
 from conftest import iset
@@ -191,3 +193,39 @@ class TestRunAll:
         results = check_star_theorem(config, WitnessTally())
         forward = next(r for r in results if "forward" in r.check_id)
         assert forward.status == UNKNOWN
+        # At one node per search, the searches that pass the gate stop at
+        # their first node; the gate still rejects P_7 and C_6 outright.
+        monkeypatch.setattr(harness, "NODE_BUDGET", 1)
+        results = check_tree_theorem(config, WitnessTally())
+        results += check_path_cycle(config) + check_complete_graphs(config)
+        status = {r.check_id: r.status for r in results}
+        for check_id in ("tree-theorem/m=7", "path-nonexistence/m=3", "complete/exhaustive-K4"):
+            assert status[check_id] == UNKNOWN
+        assert REFUTED not in status.values()
+
+    @pytest.mark.parametrize("check,check_id,contradiction", [
+        (lambda c: check_star_theorem(c, WitnessTally()), "star-theorem/forward-n=3",
+         SearchStatus.EXHAUSTED_NONE),
+        (lambda c: check_tree_theorem(c, WitnessTally()), "tree-theorem/m=7",
+         SearchStatus.EXHAUSTED_NONE),
+        (check_path_cycle, "path-nonexistence/m=7", SearchStatus.FOUND),
+        (check_path_cycle, "cycle-nonexistence/m=6", SearchStatus.FOUND),
+        (check_complete_graphs, "complete/exhaustive-K4", SearchStatus.FOUND),
+    ], ids=["star", "tree", "path", "cycle", "complete"])
+    def test_budget_stop_cannot_hide_a_counterexample(
+        self, check, check_id, contradiction, monkeypatch
+    ):
+        # The interval ground set {0..n-1} hits the budget; every other
+        # ground set answers definitely against the claim.
+        def search(g, x, cfg):
+            interval = x == GroundSet.of(*range(x.n))
+            status = SearchStatus.BUDGET_EXCEEDED if interval else contradiction
+            return SearchOutcome(status, [], SearchStats())
+
+        monkeypatch.setattr(harness, "search_iasgl", search)
+        # check_path_cycle and check_complete_graphs search through
+        # sweep_ground_sets, which calls the search module's own name.
+        monkeypatch.setattr(iasgl.search, "search_iasgl", search)
+        config = HarnessConfig(n_range=(3, 3), max_element=6, tree_sizes=(7,))
+        (result,) = [r for r in check(config) if r.check_id == check_id]
+        assert result.status == REFUTED

@@ -319,6 +319,23 @@ class TestCli:
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [[[0], [1]], [[0], [0]]], ids=["IASI", "none"])
+    def test_verify_above_subset_cap_is_usage_error(self, labels, tmp_path, capsys):
+        # 21 elements: naming the missing targets would enumerate 2^21
+        # subsets, so the document is rejected whichever rung it fails.
+        doc = {
+            "vertices": [{"id": vid, "label": lab} for vid, lab in zip("ab", labels)],
+            "edges": [["a", "b"]],
+            "ground_set": list(range(21)),
+        }
+        path = tmp_path / "over.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as err:
+            main(["verify", str(path)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "ground set too large" in err_text and "Traceback" not in err_text
+
     def test_verify_edge_escape_named(self, tmp_path, capsys):
         doc = {
             "vertices": [{"id": "a", "label": [1]}, {"id": "b", "label": [3]}],
