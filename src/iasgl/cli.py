@@ -91,11 +91,14 @@ def _parse_graph(spec: str, parser: argparse.ArgumentParser):
 
 
 def _parse_sweep(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
-    body = text.removeprefix("sweep:")
-    params = dict(part.split("=", 1) for part in body.split(",") if "=" in part)
+    """(n, max) of ``sweep:n=N,max=M``: both keys exactly once, nothing else."""
+    parts = text.removeprefix("sweep:").split(",")
+    params = dict(part.split("=", 1) for part in parts if "=" in part)
     try:
+        if len(parts) != 2 or sorted(params) != ["max", "n"]:
+            raise ValueError(text)
         return int(params["n"]), int(params["max"])
-    except (KeyError, ValueError):
+    except ValueError:
         parser.error(f"bad sweep spec: {text!r} (use sweep:n=N,max=M)")
 
 

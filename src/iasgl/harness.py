@@ -6,6 +6,10 @@ star, paths and cycles never admit, complete graphs never admit (parity
 plus an exhaustive K_4 sweep plus the power-of-two counting equation),
 and every witness respects the edge-count and pendant lower bounds.
 
+Whatever the edge count alone decides (|E| = 2^n - 2, rule R1) is
+settled by arithmetic, without building the graph; the star converse
+adds one ``structural_gate`` spot-check per n in range.
+
 Nonexistence claims are universally quantified over ground sets; the
 harness bounds the quantifier (canonical ground sets, bounded max
 element) and records the bound, so results are confirmations within a
@@ -32,7 +36,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import FREE_TREE_CAP, Graph, enumerate_free_trees, generate, pendant_vertices
+from .graphs import (
+    FREE_TREE_CAP,
+    Graph,
+    enumerate_free_trees,
+    family_edge_count,
+    generate,
+    pendant_vertices,
+)
 from .labeling import Labeling, structural_gate, zero_vertex
 from .realisation import build_realisation
 from .search import SearchConfig, SearchOutcome, SearchStatus, search_iasgl, sweep_ground_sets
@@ -159,8 +170,10 @@ class TheoremReport:
         }
 
 
-def _power_of_two_exponent(value: int) -> int | None:
-    if value >= 2 and value & (value - 1) == 0:
+def _exponent_of_edges(edges: int) -> int | None:
+    """The n with ``edges`` = 2^n - 2 (rule R1), or None if there is none."""
+    value = edges + 2
+    if value & (value - 1) == 0:
         return value.bit_length() - 1
     return None
 
@@ -235,8 +248,11 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     """Stars admit exactly at size 2^n - 2.
 
     Forward: K(1, 2^n - 2) is Found for every canonical ground set of
-    size n. Converse: every other star size is rejected by the edge
-    count rule for every ground set cardinality in range.
+    size n. Converse: every other star size up to 2^n_max - 2 is
+    rejected by the edge-count rule R1 for every ground set cardinality,
+    which is arithmetic on m + 2; one gate spot-check per n in range
+    (K(1, 2^n - 3) over {0..n-1}, one edge short) confirms that
+    ``structural_gate`` applies R1. No other star is built.
 
     The forward loop is the harness's one pass over the canonical
     ground sets: each X is also classified and realised there, and the
@@ -268,25 +284,15 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         }[status]
         results.append(CheckResult(f"star-theorem/forward-n={n}", anchor, status, evidence))
 
-    rejected = []
-    for m in range(1, _star_order(n_hi) + 1):
-        if _power_of_two_exponent(m + 2) is not None:
-            continue
-        star = generate("star", m)
-        for n in range(n_lo, n_hi + 1):
-            x = GroundSet.of(*range(n))
-            gate = structural_gate(star, x)
-            if gate.passed or "R1" not in {v.rule for v in gate.violations}:
-                results.append(
-                    CheckResult(
-                        "star-theorem/converse",
-                        anchor,
-                        REFUTED,
-                        f"edge-count rule failed to reject K(1,{m}) at n={n}",
-                    )
-                )
-                return results
-        rejected.append(m)
+    sizes = range(1, _star_order(n_hi) + 1)
+    rejected = [m for m in sizes if _exponent_of_edges(family_edge_count("star", m)) is None]
+    # Spot-check that the gate applies R1: K(1, 2^n - 3) is one edge short.
+    for n in range(n_lo, n_hi + 1):
+        m = _star_order(n) - 1
+        gate = structural_gate(generate("star", m), GroundSet.of(*range(n)))
+        if gate.passed or "R1" not in {v.rule for v in gate.violations}:
+            evidence = f"edge-count rule failed to reject K(1,{m}) at n={n}"
+            return results + [CheckResult("star-theorem/converse", anchor, REFUTED, evidence)]
     results.append(
         CheckResult(
             "star-theorem/converse",
@@ -312,7 +318,7 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     nogate = _search_config(gate=False)
     for m in sorted(set(config.tree_sizes)):
         check_id = f"tree-theorem/m={m}"
-        n = _power_of_two_exponent(m + 1)
+        n = _exponent_of_edges(m - 1)
         if n is None:
             results.append(
                 CheckResult(
@@ -368,18 +374,17 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
     The 3-vertex path is the star K(1,2) and does admit; the check pins
     that exception explicitly instead of misreporting it. For the unique
     cardinality matching the edge count the whole canonical family is
-    swept; other cardinalities are rejected by arithmetic. The counting
-    contradiction (m = 2^n - 2 forces more vertex labels than the
-    pendant-free bound 2^(n-1) - 1 allows) is confirmed for cycles
-    whenever the edge count matches at all.
+    swept; other cardinalities are rejected by arithmetic, without
+    building the graph. The counting contradiction (m = 2^n - 2 forces
+    more vertex labels than the pendant-free bound 2^(n-1) - 1 allows)
+    holds by arithmetic for every cycle whose edge count matches.
     """
     cfg = _search_config(gate=True)
-    results = []
 
-    def decide(kind: str, m: int, graph: Graph, anchor: str) -> CheckResult:
+    def decide(kind: str, m: int, anchor: str) -> CheckResult:
         check_id = f"{kind}-nonexistence/m={m}"
-        edges = graph.edge_count()
-        n = _power_of_two_exponent(edges + 2)
+        edges = family_edge_count(kind, m)
+        n = _exponent_of_edges(edges)
         if n is None:
             return CheckResult(
                 check_id,
@@ -389,7 +394,7 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
             )
         # P_3 is the star K(1,2): the only path that admits.
         p3 = kind == "path" and m == 3
-        outcomes = sweep_ground_sets(graph, n, config.max_element, cfg)
+        outcomes = sweep_ground_sets(generate(kind, m), n, config.max_element, cfg)
         status, found, budget = _verdict((o, p3) for o in outcomes.values())
         confirmed = f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence"
         refuted = f"{found} ground sets admitted {kind} {m}"
@@ -401,14 +406,12 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
             refuted = "the star path P_3 = K(1,2) failed to admit"
         if kind == "cycle":
             # Pendant-free graphs cannot label with the maximal element,
-            # leaving 2^(n-1) - 1 usable labels for m vertices.
-            if m == (1 << n) - 2 and m > (1 << (n - 1)) - 1:
-                confirmed += (
-                    f"; counting contradiction confirmed: m = 2^{n} - 2 = {m} > "
-                    f"2^{n - 1} - 1 = {(1 << (n - 1)) - 1}"
-                )
-            else:
-                status, refuted = REFUTED, f"counting contradiction failed at m={m}, n={n}"
+            # leaving 2^(n-1) - 1 usable labels for m vertices. A cycle
+            # has |E| = m, so m = 2^n - 2 > 2^(n-1) - 1 for every n >= 2.
+            confirmed += (
+                f"; counting contradiction confirmed: m = 2^{n} - 2 = {m} > "
+                f"2^{n - 1} - 1 = {(1 << (n - 1)) - 1}"
+            )
         evidence = {
             CONFIRMED: confirmed,
             REFUTED: refuted,
@@ -417,20 +420,10 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
         return CheckResult(check_id, anchor, status, evidence)
 
     m_lo, m_hi = PATH_CYCLE_RANGE
-    for m in range(m_lo, m_hi + 1):
-        results.append(
-            decide(
-                "path",
-                m,
-                generate("path", m),
-                "no path on four or more vertices admits; P_3 = K(1,2) is the exception",
-            )
-        )
-    for m in range(m_lo, m_hi + 1):
-        results.append(
-            decide("cycle", m, generate("cycle", m), "the cycle C_m never admits")
-        )
-    return results
+    path_anchor = "no path on four or more vertices admits; P_3 = K(1,2) is the exception"
+    return [decide("path", m, path_anchor) for m in range(m_lo, m_hi + 1)] + [
+        decide("cycle", m, "the cycle C_m never admits") for m in range(m_lo, m_hi + 1)
+    ]
 
 
 def diophantine_solutions(n_max: int) -> list[tuple[int, int, str]]:
@@ -477,8 +470,7 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
     nogate = _search_config(gate=False)
     m_lo, m_hi = COMPLETE_RANGE
     for m in range(m_lo, m_hi + 1):
-        edges = m * (m - 1) // 2
-        n = _power_of_two_exponent(edges + 2)
+        n = _exponent_of_edges(family_edge_count("complete", m))
         if n is None:
             gate_cleared.append(m)
             continue

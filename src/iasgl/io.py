@@ -86,7 +86,8 @@ def _json_object(obj: dict, key: str) -> dict:
 
 def parse_document(obj: dict) -> Document:
     """Parse either the full document form or the bare graph schema;
-    any other shape is a ValueError."""
+    any other shape, or a label or edge label naming no vertex or edge
+    of the document, is a ValueError."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("document needs 'vertices' and 'edges'")
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
@@ -111,12 +112,16 @@ def parse_document(obj: dict) -> Document:
     if labels:
         by_id = dict(vertices)
         for vid, arr in labels.items():
+            if str(vid) not in by_id:
+                raise ValueError(f"label for unknown vertex {vid!r}")
             by_id[str(vid)] = _int_set(arr, f"label of {vid!r}")
         vertices = [(vid, by_id[vid]) for vid, _ in vertices]
+    edge_keys = {f"{a}--{b}": (u, v) for u, v in edges for a, b in ((u, v), (v, u))}
     edge_labels: dict[Edge, IntegerSet] = {}
     for key, arr in _json_object(obj, "edge_labels").items():
-        u, _, v = key.partition("--")
-        edge_labels[(u, v) if u <= v else (v, u)] = _int_set(arr, f"edge label {key!r}")
+        if key not in edge_keys:
+            raise ValueError(f"edge label {key!r} is not 'u--v' for an edge of the document")
+        edge_labels[edge_keys[key]] = _int_set(arr, f"edge label {key!r}")
     return Document(
         vertices=vertices,
         edges=edges,

@@ -27,7 +27,7 @@ from iasgl.harness import (
     run_all,
 )
 from iasgl.graphs import FREE_TREE_CAP, generate
-from iasgl.labeling import Labeling
+from iasgl.labeling import GateReport, Labeling
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
 from iasgl.sets import GroundSet, subset_algebra
 
@@ -66,6 +66,32 @@ class TestChecks:
         ids = [r.check_id for r in results]
         assert "star-theorem/forward-n=2" in ids
         assert "star-theorem/converse" in ids
+
+    def test_star_converse_gates_once_per_n(self, monkeypatch):
+        # Sizes that match no n are rejected by arithmetic; only the
+        # spot-check K(1, 2^n - 3) over {0..n-1} reaches the gate.
+        calls = []
+        gate = harness.structural_gate
+
+        def counted(g, x):
+            calls.append((g.edge_count(), x.n))
+            return gate(g, x)
+
+        monkeypatch.setattr(harness, "structural_gate", counted)
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), WitnessTally())
+        assert calls == [(1, 2), (5, 3)]
+        converse = next(r for r in results if r.check_id == "star-theorem/converse")
+        assert converse.status == CONFIRMED
+        assert converse.evidence == (
+            "edge-count rule rejects K(1,m) for m in [1, 3, 4, 5] at every n in range"
+        )
+
+    def test_star_converse_refuted_when_gate_passes(self, monkeypatch):
+        monkeypatch.setattr(harness, "structural_gate", lambda g, x: GateReport())
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), WitnessTally())
+        converse = next(r for r in results if r.check_id == "star-theorem/converse")
+        assert converse.status == REFUTED
+        assert converse.evidence == "edge-count rule failed to reject K(1,1) at n=2"
 
     def test_tree_theorem_m3_m7(self):
         results = check_tree_theorem(

@@ -1,5 +1,6 @@
 """Document round-trips, DOT output, and the CLI exit-code contract."""
 
+import argparse
 import json
 import sys
 import time
@@ -21,6 +22,14 @@ from iasgl.labeling import verify_iasgl
 from iasgl.realisation import build_realisation
 
 from conftest import iset, star_witness
+
+
+#: K(1,2) over {0,1}, a valid IASGL document.
+STAR_DOC = {
+    "vertices": [{"id": "c", "label": [0]}, {"id": "a", "label": [1]}, {"id": "b", "label": [0, 1]}],
+    "edges": [["c", "a"], ["c", "b"]],
+    "ground_set": [0, 1],
+}
 
 
 class TestDocument:
@@ -129,6 +138,10 @@ class TestCli:
         code = main(["search", "--graph", "cycle:6", "--ground-set", "sweep:n=3,max=6"])
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["sweep:n=4,max=5", "sweep:max=5,n=4"])
+    def test_sweep_spec_parses(self, spec):
+        assert cli._parse_sweep(spec, argparse.ArgumentParser()) == (4, 5)
+
     def test_search_gate_rejected_exit_three(self, capsys):
         assert main(["search", "--graph", "cycle:6", "--ground-set", "0,1,2"]) == 3
 
@@ -171,6 +184,9 @@ class TestCli:
             ["search", "--graph", "star:x", "--ground-set", "0,1"],
             ["search", "--graph", "star:2", "--ground-set", "0,x"],
             ["search", "--graph", "star:2", "--ground-set", "sweep:n=3"],
+            ["search", "--graph", "star:2", "--ground-set", "sweep:n=3,max=6,n=4"],
+            ["search", "--graph", "star:2", "--ground-set", "sweep:n=3,max=6,foo=1"],
+            ["search", "--graph", "star:2", "--ground-set", "sweep:n=3,max=6,bogus"],
             ["search", "--graph", "file:/nonexistent.json", "--ground-set", "0,1"],
         ):
             with pytest.raises(SystemExit) as err:
@@ -254,6 +270,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["highest"] == "IASGL"
 
+    def test_verify_star_document_with_edge_labels(self, tmp_path, capsys):
+        # Edge label keys may name an edge in either orientation.
+        doc = {**STAR_DOC, "edge_labels": {"c--a": [1], "b--c": [0, 1]}}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["highest"] == "IASGL"
+
     def test_verify_collision_reported(self, tmp_path, capsys):
         out = tmp_path / "doc.json"
         main(["construct", "--ground-set", "0,1,2", "--out", str(out)])
@@ -308,7 +332,10 @@ class TestCli:
         {"vertices": [{"id": "a", "label": 5}], "edges": [], "ground_set": [0, 1]},
         {"vertices": ["a"], "edges": [], "ground_set": [0, 1], "labels": [1]},
         {"vertices": ["a"], "edges": [], "ground_set": [0, 1], "labels": {"a": ["x"]}},
-    ], ids=["vertices-int", "edge-int", "label-int", "labels-array", "labels-str"])
+        {**STAR_DOC, "labels": {"zz": [1]}},
+        {**STAR_DOC, "edge_labels": {"x--y": [1]}},
+    ], ids=["vertices-int", "edge-int", "label-int", "labels-array", "labels-str",
+            "labels-unknown-vertex", "edge-labels-unknown-edge"])
     def test_malformed_document_is_usage_error(self, command, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
