@@ -27,7 +27,6 @@ import json
 import sys
 
 from . import io as iasgl_io
-from .harness import HarnessConfig, run_all
 from .labeling import verify_ladder
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
@@ -274,6 +273,9 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_theorems(args, parser) -> int:
+    # Only this command needs the harness; other commands skip compiling it.
+    from .harness import HarnessConfig, run_all
+
     try:
         config = HarnessConfig(
             n_range=(args.n_min, args.n_max),

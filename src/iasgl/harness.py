@@ -23,11 +23,18 @@ is never Confirmed from a budget-exceeded search.
 
 The canonical ground sets of ``n_range`` are walked once, in the star
 check: each X is classified for the |neither| >= n - 1 bound, searched
-with K(1, 2^n - 2) and realised, one after another, so its subset
-kernel is built once. Every witness (the star's, the tree star's, the
-realisation) is checked against the pendant and edge-count bounds as
-soon as it is made; a ``WitnessTally`` keeps only counts and the first
-violation, which the pendant and edge-count checks then report.
+with K(1, 2^n - 2) and realised, one after another. Every witness (the
+star's, the tree star's, the realisation) is checked against the
+pendant and edge-count bounds as soon as it is made; a ``WitnessTally``
+keeps only counts and the first violation, which the pendant and
+edge-count checks then report.
+
+Every per-X classification, search and realisation goes through a
+``TypeMemo``: the tally's for the star and tree checks, a sweep's own
+for the path, cycle and complete checks. Each is computed once per
+additive type and mapped onto every other X of the type, with each
+mapped witness and realisation verified again, so every X still gets
+its own evidence and the report is the one per-X calls would give.
 """
 
 from __future__ import annotations
@@ -45,13 +52,12 @@ from .graphs import (
     pendant_vertices,
 )
 from .labeling import Labeling, structural_gate, zero_vertex
-from .realisation import build_realisation
-from .search import SearchConfig, SearchOutcome, SearchStatus, search_iasgl, sweep_ground_sets
+from .search import SearchConfig, SearchStatus, TypeMemo, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
+    IntegerSet,
     check_ground_set_family,
-    classify_ground_set,
     enumerate_canonical_ground_sets,
 )
 
@@ -80,21 +86,22 @@ def _search_config(gate: bool) -> SearchConfig:
     return SearchConfig(node_budget=NODE_BUDGET, time_budget_ms=TIME_BUDGET_MS, disabled_rules=rules)
 
 
-def _verdict(searches: Iterable[tuple[SearchOutcome, bool]]) -> tuple[str, int, int]:
-    """Decide one claim from its (outcome, should_admit) searches.
+def _verdict(searches: Iterable[tuple[SearchStatus, bool]]) -> tuple[str, int, int]:
+    """Decide one claim from its (status, should_admit) searches.
 
     Returns (status, found, budget): Refuted if any search answers
     definitely against its expectation (every status but
     budget-exceeded is definite), else Unknown-budget if any hit its
     budget, else Confirmed. ``found`` and ``budget`` count the searches
-    that found a witness and that hit the budget.
+    that found a witness and that hit the budget. Only statuses are
+    kept, so a check's witnesses are dropped once the tally has them.
     """
     searches = list(searches)
-    found = sum(o.found for o, _ in searches)
-    budget = sum(o.status is SearchStatus.BUDGET_EXCEEDED for o, _ in searches)
+    found = sum(s is SearchStatus.FOUND for s, _ in searches)
+    budget = sum(s is SearchStatus.BUDGET_EXCEEDED for s, _ in searches)
     refuted = any(
-        o.found != should_admit and o.status is not SearchStatus.BUDGET_EXCEEDED
-        for o, should_admit in searches
+        (s is SearchStatus.FOUND) != should_admit and s is not SearchStatus.BUDGET_EXCEEDED
+        for s, should_admit in searches
     )
     status = REFUTED if refuted else UNKNOWN if budget else CONFIRMED
     return status, found, budget
@@ -182,14 +189,16 @@ def _star_order(n: int) -> int:
     return (1 << n) - 2
 
 
-def _pendant_violation(x: GroundSet, graph: Graph, labeling: Labeling) -> str | None:
+def _pendant_violation(
+    x: GroundSet, neither: tuple[IntegerSet, ...], graph: Graph, labeling: Labeling
+) -> str | None:
     """Why a witness breaks a pendant bound: a {0}-vertex hosting at
     least |neither| pendants, with every neither-labeled and
     max-element-labeled vertex pendant on it."""
     v0 = zero_vertex(graph, labeling)
     if v0 is None:
         return f"witness over {x} has no {{0}}-labeled vertex"
-    neither = set(classify_ground_set(x).neither)
+    neither = set(neither)
     pendants = set(pendant_vertices(graph))
     hosted = sum(1 for w in graph.neighbors(v0) if w in pendants)
     forced_on_v0 = all(
@@ -207,7 +216,9 @@ class WitnessTally:
     """Bounds evidence gathered while the checks run.
 
     Only counts and the first violation of each bound are kept: a
-    witness is checked when it is made and then dropped.
+    witness is checked when it is made and then dropped. ``memo`` is
+    the run's type memo; the classifications here and the star and tree
+    checks' searches go through it.
     """
 
     ground_sets: int = 0
@@ -215,11 +226,12 @@ class WitnessTally:
     neither_violation: str | None = None
     pendant_violation: str | None = None
     edge_violation: str | None = None
+    memo: TypeMemo = field(default_factory=TypeMemo, repr=False)
 
     def add_ground_set(self, x: GroundSet) -> None:
         """Check |neither| >= n - 1 on one canonical ground set."""
         self.ground_sets += 1
-        neither = len(classify_ground_set(x).neither)
+        neither = len(self.memo.classify(x).neither)
         if neither < x.n - 1 and self.neither_violation is None:
             self.neither_violation = f"|neither| = {neither} < {x.n - 1} at X = {x}"
 
@@ -236,7 +248,8 @@ class WitnessTally:
                 f"witness over {x} has {edges} edges, expected {_star_order(x.n)}"
             )
         if self.pendant_violation is None:
-            self.pendant_violation = _pendant_violation(x, graph, labeling)
+            neither = self.memo.classify(x).neither
+            self.pendant_violation = _pendant_violation(x, neither, graph, labeling)
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +269,27 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
 
     The forward loop is the harness's one pass over the canonical
     ground sets: each X is also classified and realised there, and the
-    star witness and the realisation go to the tally while X's kernel
-    is cached.
+    star witness and the realisation go to the tally.
     """
     cfg = _search_config(gate=True)
+    memo = tally.memo
     results = []
     anchor = "star K(1,m) admits a graceful set-indexer iff m = 2^n - 2"
     n_lo, n_hi = config.n_range
 
     for n in range(n_lo, n_hi + 1):
         star = generate("star", _star_order(n))
-        outcomes = []
+        statuses = []
         family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
             tally.add_ground_set(x)
-            outcome = search_iasgl(star, x, cfg)
+            outcome = search_iasgl(star, x, cfg, memo)
             if outcome.found:
                 tally.add_witness(x, star, outcome.witnesses[0])
-            outcomes.append((outcome, True))
-            built = build_realisation(x)
+            statuses.append((outcome.status, True))
+            built = memo.realise(x)
             tally.add_witness(x, built.graph, built.labeling)
-        status, found, budget = _verdict(outcomes)
+        status, found, budget = _verdict(statuses)
         evidence = {
             CONFIRMED: f"K(1,{_star_order(n)}) found for all {len(family)} canonical ground sets",
             REFUTED: f"only {found}/{len(family)} ground sets admit K(1,{_star_order(n)})",
@@ -343,17 +356,17 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         trees = enumerate_free_trees(m)
         family = enumerate_canonical_ground_sets(n, config.max_element)
         stars = 0
-        outcomes = []
+        statuses = []
         for tree in trees:
             is_star = max(tree.degree(v) for v in tree.vertex_ids) == m - 1
             stars += is_star
             for x in family:
-                outcome = search_iasgl(tree, x, cfg if is_star else nogate)
+                outcome = search_iasgl(tree, x, cfg if is_star else nogate, tally.memo)
                 if outcome.found and is_star:
                     tally.add_witness(x, tree, outcome.witnesses[0])
-                outcomes.append((outcome, is_star))
+                statuses.append((outcome.status, is_star))
 
-        status, found, budget = _verdict(outcomes)
+        status, found, budget = _verdict(statuses)
         if stars != 1:
             status = REFUTED
         evidence = {
@@ -361,7 +374,7 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             f"{len(family)} canonical ground sets, the other {len(trees) - 1} "
             f"trees are exhausted to nonexistence everywhere",
             REFUTED: f"tree family on {m} vertices violated the star characterization "
-            f"(stars={stars}, found={found}/{len(outcomes)} searches)",
+            f"(stars={stars}, found={found}/{len(statuses)} searches)",
             UNKNOWN: f"{budget} searches hit the budget",
         }[status]
         results.append(CheckResult(check_id, anchor, status, evidence))
@@ -395,7 +408,7 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
         # P_3 is the star K(1,2): the only path that admits.
         p3 = kind == "path" and m == 3
         outcomes = sweep_ground_sets(generate(kind, m), n, config.max_element, cfg)
-        status, found, budget = _verdict((o, p3) for o in outcomes.values())
+        status, found, budget = _verdict((o.status, p3) for o in outcomes.values())
         confirmed = f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence"
         refuted = f"{found} ground sets admitted {kind} {m}"
         if p3:
@@ -476,7 +489,7 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
             continue
         check_id = f"complete/exhaustive-K{m}"
         outcomes = sweep_ground_sets(generate("complete", m), n, config.max_element, nogate)
-        status, found, budget = _verdict((o, False) for o in outcomes.values())
+        status, found, budget = _verdict((o.status, False) for o in outcomes.values())
         evidence = {
             CONFIRMED: f"K_{m} exhaustively refuted over all {len(outcomes)} canonical "
             f"ground sets of size {n} (max element {config.max_element})",
@@ -582,6 +595,8 @@ def run_all(config: HarnessConfig | None = None) -> TheoremReport:
     every ground set in range, is checked against the pendant and
     edge-count bounds, so every labeling the harness accepts anywhere
     is also size-checked. Identical configs give identical reports.
+    The tally's type memo serves the star and tree checks; each sweep
+    of the path, cycle and complete checks has its own.
     """
     config = config or HarnessConfig()
     tally = WitnessTally()

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .graphs import Edge, Graph
 from .labeling import Labeling, induced_edge_label
-from .sets import GroundSet, IntegerSet
+from .sets import GroundSet, IntegerSet, sumset
 
 
 @dataclass
@@ -85,9 +85,12 @@ def _json_object(obj: dict, key: str) -> dict:
 
 
 def parse_document(obj: dict) -> Document:
-    """Parse either the full document form or the bare graph schema;
-    any other shape, or a label or edge label naming no vertex or edge
-    of the document, is a ValueError."""
+    """Parse either the full document form or the bare graph schema.
+
+    Any other shape is a ValueError, and so are a repeated edge (in
+    either orientation), a label or edge label naming no vertex or edge
+    of the document, and an edge label that differs from f(u) + f(v)
+    when both endpoints are labeled."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("document needs 'vertices' and 'edges'")
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
@@ -101,12 +104,17 @@ def parse_document(obj: dict) -> Document:
             vertices.append((vid, None if label is None else _int_set(label, f"label of {vid!r}")))
         else:
             raise ValueError(f"bad vertex entry: {entry!r}")
-    edges = []
+    edges: list[Edge] = []
+    seen: set[Edge] = set()
     for pair in obj["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"bad edge entry: {pair!r}")
         u, v = str(pair[0]), str(pair[1])
-        edges.append((u, v) if u <= v else (v, u))
+        edge = (u, v) if u <= v else (v, u)
+        if edge in seen:
+            raise ValueError(f"repeated edge {pair!r}")
+        seen.add(edge)
+        edges.append(edge)
     ground = obj.get("ground_set")
     labels = _json_object(obj, "labels")
     if labels:
@@ -117,11 +125,20 @@ def parse_document(obj: dict) -> Document:
             by_id[str(vid)] = _int_set(arr, f"label of {vid!r}")
         vertices = [(vid, by_id[vid]) for vid, _ in vertices]
     edge_keys = {f"{a}--{b}": (u, v) for u, v in edges for a, b in ((u, v), (v, u))}
+    label_of = dict(vertices)
     edge_labels: dict[Edge, IntegerSet] = {}
     for key, arr in _json_object(obj, "edge_labels").items():
         if key not in edge_keys:
             raise ValueError(f"edge label {key!r} is not 'u--v' for an edge of the document")
-        edge_labels[edge_keys[key]] = _int_set(arr, f"edge label {key!r}")
+        u, v = edge = edge_keys[key]
+        declared = edge_labels[edge] = _int_set(arr, f"edge label {key!r}")
+        fu, fv = label_of.get(u), label_of.get(v)
+        if fu is not None and fv is not None:
+            derived = sumset(fu, fv)
+            if declared != derived:
+                raise ValueError(
+                    f"edge label {key!r} is {declared}, but f({u}) + f({v}) = {derived}"
+                )
     return Document(
         vertices=vertices,
         edges=edges,

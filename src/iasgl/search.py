@@ -42,7 +42,8 @@ Set-up that depends only on X (the subset algebra, its label ->
 targets index and the classification) or only on the graph (vertex
 order, adjacency by DFS index, twin classes: ``_graph_layout``) sits in
 small LRU caches and is shared read-only, so a sweep of one graph over
-many ground sets, or of many graphs over one X, pays each part once.
+many ground sets, or of many graphs over one X, pays each part once. A
+sweep also searches each additive type of X only once (``TypeMemo``).
 
 The DFS recurses once per vertex; ``search_iasgl`` lifts the
 interpreter's recursion limit by the depth it needs for the duration of
@@ -65,12 +66,18 @@ from itertools import permutations
 
 from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
+from .realisation import RealisationResult, build_realisation
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     ZERO_MASK,
+    Classification,
     GroundSet,
+    IntegerSet,
+    SummandMode,
+    additive_type,
     classify_ground_set,
     enumerate_canonical_ground_sets,
+    enumerate_nonempty_subsets,
     subset_algebra,
     _sum_value_mask,
 )
@@ -117,9 +124,17 @@ class SearchStats:
 
 @dataclass
 class SearchOutcome:
+    """Status, verified witnesses and counters of one search.
+
+    ``budget_stop`` names the budget that ended the search ("node" or
+    "time"), or is None when it ran to its end; a FOUND search under
+    find_all can carry one too.
+    """
+
     status: SearchStatus
     witnesses: list[Labeling]
     stats: SearchStats
+    budget_stop: str | None = None
 
     @property
     def found(self) -> bool:
@@ -127,7 +142,7 @@ class SearchOutcome:
 
 
 class _Budget(Exception):
-    pass
+    """A budget ran out; the argument names it ("node" or "time")."""
 
 
 #: Frames kept free above the DFS for the leaf's verification calls.
@@ -284,9 +299,9 @@ class _State:
     def tick(self) -> None:
         self.stats.nodes += 1
         if self.stats.nodes > self.cfg.node_budget:
-            raise _Budget
+            raise _Budget("node")
         if self.stats.nodes % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _Budget
+            raise _Budget("time")
 
     def coverage_ok(self, vi: int, mask: int) -> bool:
         """P4 after vertex vi took label mask.
@@ -442,7 +457,9 @@ class _State:
         return False
 
 
-def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> SearchOutcome:
+def search_iasgl(
+    g: Graph, x: GroundSet, cfg: SearchConfig | None = None, memo: TypeMemo | None = None
+) -> SearchOutcome:
     """Decide whether g admits a graceful set-indexer over X.
 
     The structural gate runs first (GATE_REJECTED short-circuits unless
@@ -451,14 +468,27 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     means unknown, with any witnesses found so far still valid. A ground
     set above the subset enumeration cap is a ValueError, gate or not.
     The time budget counts from entry, so the gate, the kernel build and
-    the candidate-list set-up spend it too.
+    the candidate-list set-up spend it too: the clock is read after the
+    gate and again once set-up ends, and a budget spent by then stops
+    the search at 0 nodes. The kernel build itself is not interrupted.
 
     The DFS takes one frame per vertex, so the interpreter's recursion
     limit is raised by that depth while it runs and restored afterwards.
     The limit is process-wide: searches must not run concurrently in
     threads of one process.
+
+    With a ``TypeMemo``, g is searched once per additive type of X under
+    cfg, and every other X of that type gets the outcome with its
+    witnesses mapped onto X and verified again (see ``TypeMemo``).
     """
     cfg = cfg or SearchConfig()
+    if memo is not None:
+        return memo._search(g, x, cfg)
+    return _decide(g, x, cfg)
+
+
+def _decide(g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
+    """``search_iasgl`` without a memo."""
     deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
@@ -476,27 +506,173 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
         # More vertices than available labels: no injective assignment.
         return SearchOutcome(SearchStatus.EXHAUSTED_NONE, [], stats)
 
+    out_of_time = SearchOutcome(SearchStatus.BUDGET_EXCEEDED, [], stats, "time")
+    if time.monotonic() > deadline:
+        return out_of_time
     state = _State(g, x, cfg, stats, deadline)
+    if time.monotonic() > deadline:
+        return out_of_time
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(
         limit + len(state.order) + len(state.twin_classes) + _STACK_HEADROOM
     )
+    budget_stop = None
     try:
         state.search(0)
-        exhausted = True
-    except _Budget:
-        exhausted = False
+    except _Budget as stop:
+        budget_stop = stop.args[0]
     finally:
         sys.setrecursionlimit(limit)
 
     witnesses = sorted(state.witnesses, key=lambda f: f.assignment)
     if witnesses:
         status = SearchStatus.FOUND
-    elif exhausted:
+    elif budget_stop is None:
         status = SearchStatus.EXHAUSTED_NONE
     else:
         status = SearchStatus.BUDGET_EXCEEDED
-    return SearchOutcome(status, witnesses, stats)
+    return SearchOutcome(status, witnesses, stats, budget_stop)
+
+
+class TypeMemo:
+    """Results decided once per additive type, mapped onto each X.
+
+    A search, a realisation and a classification are functions of X's
+    additive type in subset-mask coordinates (see ``sets``). The memo
+    keeps search outcomes per (graph, config, type), realisations per
+    (type, prefer_nonbipartite) and classifications per (type, mode).
+    It stores them in subset-mask coordinates as tuples of small ints:
+    label masks per vertex, the realisation's vertex numbers and trace
+    masks, and the counters (beside the status and prune-rule names),
+    never ``Graph``, ``Labeling`` or ``IntegerSet`` objects. A hit turns
+    the masks into X's own subsets by index and re-verifies every mapped
+    witness and realisation with ``verify_iasgl``; one that fails is a
+    RuntimeError, never a fallback. A search that a budget stopped is
+    never kept, so every X spends its own budget on it.
+
+    Searches go through ``search_iasgl(g, x, cfg, memo)``, so every X is
+    still one call of the search's public entry point; ``realise`` and
+    ``classify`` stand for ``build_realisation`` and
+    ``classify_ground_set``. One memo serves one sweep or one harness
+    run: create it there and let it go with the results. ``hits`` and
+    ``misses`` count lookups.
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._searches: dict = {}
+        self._realisations: dict = {}
+        self._classifications: dict = {}
+        # The last X looked up, its type and (once a hit needs them) its
+        # subsets by subset mask: the calls for one X usually come together.
+        self._x: GroundSet | None = None
+        self._type: tuple = ()
+        self._sets: tuple[IntegerSet | None, ...] = ()
+
+    def _type_of(self, x: GroundSet) -> tuple:
+        if x != self._x:
+            self._x, self._type, self._sets = x, additive_type(x), ()
+        return self._type
+
+    def _sets_of(self, x: GroundSet) -> tuple[IntegerSet | None, ...]:
+        """X's subsets by subset mask, for the X just looked up."""
+        if not self._sets:
+            self._sets = (None, *enumerate_nonempty_subsets(x))
+        return self._sets
+
+    @staticmethod
+    def _masks(x: GroundSet, sets) -> tuple[int, ...]:
+        bit = {e: 1 << i for i, e in enumerate(x.base.elements)}
+        return tuple(sum(bit[e] for e in s.elements) for s in sets)
+
+    @staticmethod
+    def _verified(g: Graph, f: Labeling, what: str) -> Labeling:
+        check = verify_iasgl(g, f)
+        if not check:
+            details = "; ".join(v.detail for v in check.violations)
+            raise RuntimeError(f"mapped {what} failed re-verification: {details}")
+        return f
+
+    def _search(self, g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
+        """``search_iasgl(g, x, cfg, self)``."""
+        key = (g, cfg, self._type_of(x))
+        stored = self._searches.get(key)
+        if stored is None:
+            self.misses += 1
+            outcome = _decide(g, x, cfg)
+            if outcome.budget_stop is None and outcome.status is not SearchStatus.BUDGET_EXCEEDED:
+                witnesses = tuple(
+                    self._masks(x, (s for _, s in w.assignment)) for w in outcome.witnesses
+                )
+                stats = (outcome.stats.nodes, tuple(outcome.stats.prunes.items()))
+                self._searches[key] = (outcome.status, witnesses, stats)
+            return outcome
+        self.hits += 1
+        status, witnesses, (nodes, prunes) = stored
+        sets = self._sets_of(x) if witnesses else ()
+        mapped = [
+            self._verified(
+                g, Labeling(x, tuple(zip(g.vertex_ids, map(sets.__getitem__, masks)))),
+                f"witness over {x}",
+            )
+            for masks in witnesses
+        ]
+        return SearchOutcome(status, mapped, SearchStats(nodes, dict(prunes)))
+
+    def realise(self, x: GroundSet, prefer_nonbipartite: bool = False) -> RealisationResult:
+        """``build_realisation(x, prefer_nonbipartite)``, built once per
+        additive type."""
+        key = (self._type_of(x), prefer_nonbipartite)
+        stored = self._realisations.get(key)
+        if stored is None:
+            self.misses += 1
+            built = build_realisation(x, prefer_nonbipartite)
+            # The builder names its vertices v0, v1, ...
+            assignment = built.labeling.assignment
+            labels = [0] * len(assignment)
+            for (vid, _), mask in zip(assignment, self._masks(x, (s for _, s in assignment))):
+                labels[int(vid[1:])] = mask
+            # The trace, flat: target mask, then its edge's vertex numbers.
+            targets = self._masks(x, (t for t, _ in built.assignment_trace))
+            trace = tuple(
+                v
+                for t, (_, (u, w)) in zip(targets, built.assignment_trace)
+                for v in (t, int(u[1:]), int(w[1:]))
+            )
+            self._realisations[key] = (tuple(labels), trace, built.non_bipartite)
+            return built
+        self.hits += 1
+        labels, trace, non_bipartite = stored
+        sets = self._sets_of(x)
+        names = [f"v{i}" for i in range(len(labels))]
+        steps = list(zip(*[iter(trace)] * 3))
+        graph = Graph.from_edges(names, [(names[u], names[w]) for _, u, w in steps])
+        labeling = Labeling(x, tuple(zip(names, map(sets.__getitem__, labels))))
+        return RealisationResult(
+            graph=graph,
+            labeling=self._verified(graph, labeling, f"realisation of {x}"),
+            non_bipartite=non_bipartite,
+            assignment_trace=tuple((sets[t], (names[u], names[w])) for t, u, w in steps),
+        )
+
+    def classify(
+        self, x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
+    ) -> Classification:
+        """``classify_ground_set(x, mode)``, classified once per additive
+        type."""
+        key = (self._type_of(x), mode)
+        stored = self._classifications.get(key)
+        if stored is None:
+            self.misses += 1
+            cls = classify_ground_set(x, mode)
+            families = (cls.non_sumsets, cls.non_summands, cls.neither)
+            self._classifications[key] = tuple(self._masks(x, f) for f in families)
+            return cls
+        self.hits += 1
+        sets = self._sets_of(x)
+        non_sumsets, non_summands, neither = (tuple(map(sets.__getitem__, f)) for f in stored)
+        return Classification(x, mode, non_sumsets, non_summands, neither)
 
 
 def sweep_ground_sets(
@@ -507,7 +683,11 @@ def sweep_ground_sets(
     Ground sets are enumerated with 0 present, |X| = n and max element
     bounded, reduced to canonical (gcd 1) representatives. Items run in
     order, one after another; results are keyed and ordered by ground set.
+    Each additive type is searched once, through a ``TypeMemo`` of the
+    sweep's own, and every other X of the type gets that outcome with
+    its witnesses mapped and re-verified.
     """
     cfg = cfg or SearchConfig()
     family = enumerate_canonical_ground_sets(n, max_element)
-    return {x: search_iasgl(g, x, cfg) for x in family}
+    memo = TypeMemo()
+    return {x: search_iasgl(g, x, cfg, memo) for x in family}

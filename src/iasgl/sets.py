@@ -30,6 +30,25 @@ in a fixed-size LRU (32 ground sets), so a sweep over hundreds of ground
 sets holds a bounded amount of memory; the classification and the
 label -> targets index are memoised on the cached object.
 
+Additive type. Write X = {x_0 < ... < x_{n-1}} and
+T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k}, the sum-triple set.
+``additive_type(X)`` = (n, sorted T(X)) is an O(n^2) key. Everything
+the kernel holds is a function of it in subset-mask coordinates: A + B
+lands in X iff every index pair i in A, j in B has a triple
+(min(i, j), max(i, j), k) in T(X), and then it is the subset whose
+indices are those k. So the pair table, the value -> subset
+translation of each sum (or its miss), and with them the
+classification, the gate, the search's candidate lists, prunes and
+node counts, the realisation builder and whether a labeling given in
+masks is graceful are equal for two ground sets of one type. So are
+their input checks: n is in the key, and (0, 0, 0) is in T(X) iff 0 is
+in X. Every order they use is shared too:
+index -> element is increasing, so subset masks and the lexicographic
+order of element tuples rank subsets the same way for both. A result
+computed over one X therefore maps onto another X of its type through
+that X's own index -> element map (``search.TypeMemo``), where it is
+verified again.
+
 Verification (``sumset`` here, and the checks in ``labeling``) never
 reads the kernel: it recomputes every sum from the elements as a plain
 set, builds ``IntegerSet``s only for the labels a report names, and
@@ -191,6 +210,20 @@ def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
     for mask in range(1, 1 << x.n):
         out.append(IntegerSet.from_iterable(elems[i] for i in range(x.n) if mask >> i & 1))
     return out
+
+
+def additive_type(x: GroundSet) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(n, T(X)): X's size and its sum triples (i, j, k), i <= j, with
+    x_i + x_j = x_k, in ascending order."""
+    elems = x.base.elements
+    index = {e: k for k, e in enumerate(elems)}
+    triples = []
+    for i, a in enumerate(elems):
+        for j in range(i, len(elems)):
+            k = index.get(a + elems[j])
+            if k is not None:
+                triples.append((i, j, k))
+    return len(elems), tuple(triples)
 
 
 def _sum_value_mask(a_elements: tuple[int, ...], b_value_mask: int) -> int:

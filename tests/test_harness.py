@@ -243,7 +243,7 @@ class TestRunAll:
     ):
         # The interval ground set {0..n-1} hits the budget; every other
         # ground set answers definitely against the claim.
-        def search(g, x, cfg):
+        def search(g, x, cfg, memo=None):
             interval = x == GroundSet.of(*range(x.n))
             status = SearchStatus.BUDGET_EXCEEDED if interval else contradiction
             return SearchOutcome(status, [], SearchStats())

@@ -4,6 +4,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -283,8 +284,10 @@ class TestCli:
         main(["construct", "--ground-set", "0,1,2", "--out", str(out)])
         capsys.readouterr()
         doc = json.loads(out.read_text())
-        # Swap two vertex labels to collide and break injectivity.
+        # Swap two vertex labels to collide and break injectivity; the
+        # derived edge labels no longer hold, so drop them.
         doc["vertices"][0]["label"] = doc["vertices"][1]["label"]
+        del doc["edge_labels"]
         out.write_text(json.dumps(doc))
         assert main(["verify", str(out)]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -334,8 +337,12 @@ class TestCli:
         {"vertices": ["a"], "edges": [], "ground_set": [0, 1], "labels": {"a": ["x"]}},
         {**STAR_DOC, "labels": {"zz": [1]}},
         {**STAR_DOC, "edge_labels": {"x--y": [1]}},
+        {**STAR_DOC, "edge_labels": {"c--a": [5]}},
+        {**STAR_DOC, "edges": [["c", "a"], ["c", "b"], ["c", "a"]]},
+        {**STAR_DOC, "edges": [["c", "a"], ["c", "b"], ["a", "c"]]},
     ], ids=["vertices-int", "edge-int", "label-int", "labels-array", "labels-str",
-            "labels-unknown-vertex", "edge-labels-unknown-edge"])
+            "labels-unknown-vertex", "edge-labels-unknown-edge", "edge-label-not-derived",
+            "edge-repeated", "edge-repeated-reversed"])
     def test_malformed_document_is_usage_error(self, command, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -345,6 +352,26 @@ class TestCli:
             main(argv)
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_wrong_edge_label_names_the_edge(self, command, tmp_path, capsys):
+        # The derived label of c--a is {0} + {1} = {1}.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**STAR_DOC, "edge_labels": {"c--a": [5]}}))
+        argv = (["verify", str(path)] if command == "verify"
+                else ["search", "--graph", f"file:{path}", "--ground-set", "0,1"])
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "edge label 'c--a' is {5}, but f(a) + f(c) = {1}" in capsys.readouterr().err
+
+    def test_search_out_document_round_trips(self, tmp_path, capsys):
+        out = tmp_path / "witness.json"
+        assert main(["search", "--graph", "star:6", "--ground-set", "0,1,2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["edge_labels"]
+        assert main(["verify", str(out)]) == 0
+        assert main(["search", "--graph", f"file:{out}", "--ground-set", "0,1,2"]) == 0
 
     @pytest.mark.parametrize("labels", [[[0], [1]], [[0], [0]]], ids=["IASI", "none"])
     def test_verify_above_subset_cap_is_usage_error(self, labels, tmp_path, capsys):
@@ -418,6 +445,13 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["totals"]["Refuted"] == 0
         assert payload["bounds"]["n_range"] == [2, 3]
+
+    def test_theorems_output_is_pinned(self, capsys):
+        # Generated before sweeps and the harness decided each additive
+        # type once; per-X calls give these bytes.
+        golden = Path(__file__).parent / "data" / "theorems_n5_max10.json"
+        assert main(["theorems", "--n-max", "5", "--max-element", "10"]) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_theorems_trees_budget_flag(self, capsys):
         code = main(["theorems", "--n-max", "3", "--max-element", "6",

@@ -6,16 +6,27 @@ import pytest
 
 from iasgl.graphs import Graph, enumerate_free_trees, generate
 from iasgl.labeling import Labeling, verify_iasgl, zero_vertex
+from iasgl.realisation import build_realisation
 from iasgl.search import (
     PRUNE_RULES,
     SearchConfig,
+    SearchOutcome,
     SearchStatus,
+    TypeMemo,
     _State,
     _graph_layout,
     search_iasgl,
     sweep_ground_sets,
 )
-from iasgl.sets import GroundSet, IntegerSet, subset_algebra
+from iasgl.sets import (
+    GroundSet,
+    IntegerSet,
+    SummandMode,
+    additive_type,
+    classify_ground_set,
+    enumerate_canonical_ground_sets,
+    subset_algebra,
+)
 
 from conftest import labeling_to_frozensets, oracle_search_all
 
@@ -223,8 +234,8 @@ class TestIncrementalCoverage:
 
 class TestDeadline:
     def test_set_up_counts_against_time_budget(self, monkeypatch, x0123):
-        # The clock starts on entry, so slow set-up leaves the DFS no
-        # time: it stops at its first clock check, node 1,024.
+        # The clock starts on entry and is read once set-up ends, so slow
+        # set-up stops the search before its first node.
         import iasgl.search
 
         classify = iasgl.search.classify_ground_set
@@ -236,7 +247,33 @@ class TestDeadline:
         monkeypatch.setattr(iasgl.search, "classify_ground_set", slow_classify)
         out = search_iasgl(BROOM15, x0123, nogate(time_budget_ms=20))
         assert out.status is SearchStatus.BUDGET_EXCEEDED
-        assert out.stats.nodes == 1024
+        assert out.stats.nodes == 0
+        assert out.budget_stop == "time"
+
+    def test_budget_spent_in_gate_stops_before_set_up(self, monkeypatch, x0123):
+        import iasgl.search
+
+        gate = iasgl.search.structural_gate
+
+        def slow_gate(*args):
+            time.sleep(0.03)
+            return gate(*args)
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("set-up ran after the budget was spent")
+
+        monkeypatch.setattr(iasgl.search, "structural_gate", slow_gate)
+        monkeypatch.setattr(_State, "__init__", no_state)
+        out = search_iasgl(generate("star", 14), x0123, SearchConfig(time_budget_ms=20))
+        assert (out.status, out.stats.nodes, out.budget_stop) == (
+            SearchStatus.BUDGET_EXCEEDED, 0, "time"
+        )
+
+    def test_node_budget_stop_is_named(self, x0123):
+        out = search_iasgl(BROOM15, x0123, nogate(node_budget=10))
+        assert (out.status, out.budget_stop) == (SearchStatus.BUDGET_EXCEEDED, "node")
+        full = search_iasgl(BROOM15, x0123, nogate())
+        assert (full.status, full.budget_stop) == (SearchStatus.EXHAUSTED_NONE, None)
 
 
 METAMORPHIC_CASES = [(g, (0, 1, 2)) for g in CORPUS_N3] + [
@@ -451,3 +488,99 @@ class TestTreeFamily:
                 assert out.status is SearchStatus.FOUND
             else:
                 assert out.status is SearchStatus.EXHAUSTED_NONE
+
+
+#: (graph, n, gate): the stars K(1, 2^n - 2) and the broom with the gate
+#: on, and the n = 3 graphs with it off, so their searches reach the DFS.
+MEMO_CORPUS = [(generate("star", (1 << n) - 2), n, True) for n in (3, 4, 5)] + [
+    (BROOM15, 4, True),
+    *((g, 3, False) for g in (generate("cycle", 6), generate("complete", 4), generate("path", 7))),
+    *((tree, 3, False) for tree in enumerate_free_trees(7)),
+]
+
+
+class TestTypeMemo:
+    """A sweep decides each additive type once; every X gets what a call
+    of its own would give."""
+
+    @pytest.mark.parametrize("twins", [True, False], ids=["twins", "no-twins"])
+    @pytest.mark.parametrize("find_all", [False, True], ids=["first", "find-all"])
+    def test_sweeps_match_fresh_searches(self, find_all, twins):
+        for g, n, gate in MEMO_CORPUS:
+            rules = {rule for rule, on in (("gate", gate), ("twins", twins)) if not on}
+            # find_all on a star at n >= 4 would list (2^n - 2)! labelings:
+            # those searches stop on the node budget, and are not kept.
+            budget = 40 if find_all and n > 3 else 4_000
+            cfg = SearchConfig(node_budget=budget, find_all=find_all, disabled_rules=frozenset(rules))
+            swept = sweep_ground_sets(g, n, 10, cfg)
+            assert list(swept) == enumerate_canonical_ground_sets(n, 10)
+            # Far fewer additive types than ground sets: most X are mapped.
+            assert 3 * len({additive_type(x) for x in swept}) < len(swept)
+            for x, out in swept.items():
+                fresh = search_iasgl(g, x, cfg)
+                assert out.status is fresh.status
+                assert out.witnesses == fresh.witnesses
+                assert out.stats.to_obj() == fresh.stats.to_obj()
+                assert out.budget_stop == fresh.budget_stop
+
+    def test_realisations_and_classifications_match_direct_calls(self):
+        memo = TypeMemo()
+        family = [x for n in (3, 4, 5) for x in enumerate_canonical_ground_sets(n, 10)]
+        for x in family:
+            for prefer in (False, True):
+                assert memo.realise(x, prefer) == build_realisation(x, prefer)
+            for mode in SummandMode:
+                assert memo.classify(x, mode) == classify_ground_set(x, mode)
+        # 345 ground sets of 2 + 7 + 37 additive types, 4 lookups each.
+        assert len(family) == 345
+        assert (memo.misses, memo.hits) == (4 * 46, 4 * (345 - 46))
+
+    def test_additive_type_keys(self):
+        assert additive_type(GroundSet.of(0, 1, 2, 3)) == additive_type(GroundSet.of(0, 2, 4, 6))
+        assert additive_type(GroundSet.of(0, 1, 2, 3)) != additive_type(GroundSet.of(0, 1, 2, 4))
+        assert additive_type(GroundSet.of(0, 1, 3)) == (3, ((0, 0, 0), (0, 1, 1), (0, 2, 2)))
+
+    def test_time_budget_stop_is_not_kept(self, monkeypatch, x0123):
+        import iasgl.search
+
+        classify = iasgl.search.classify_ground_set
+
+        def slow_classify(*args, **kwargs):
+            time.sleep(0.05)
+            return classify(*args, **kwargs)
+
+        star = generate("star", 14)
+        x0246 = GroundSet.of(0, 2, 4, 6)
+        cfg = SearchConfig(time_budget_ms=40)
+        memo = TypeMemo()
+        monkeypatch.setattr(iasgl.search, "classify_ground_set", slow_classify)
+        for x in (x0123, x0246):
+            assert search_iasgl(star, x, cfg, memo).budget_stop == "time"
+        assert (memo.hits, memo.misses) == (0, 2)
+        monkeypatch.undo()
+        found = search_iasgl(star, x0123, cfg, memo)
+        assert (found.status, found.budget_stop) == (SearchStatus.FOUND, None)
+        mapped = search_iasgl(star, x0246, cfg, memo)
+        assert (memo.hits, memo.misses) == (1, 3)
+        assert mapped.witnesses == search_iasgl(star, x0246, cfg).witnesses
+
+    def test_mapped_witness_failing_verification_is_internal_error(self, monkeypatch, capsys):
+        import iasgl.search
+        from iasgl.cli import EXIT_INTERNAL_ERROR, main
+
+        real = iasgl.search._decide
+
+        def swapped(g, x, cfg):
+            # The real witness with two labels swapped: a well-formed
+            # labeling that is not graceful.
+            out = real(g, x, cfg)
+            f = dict(out.witnesses[0].assignment)
+            f["v0"], f["v1"] = f["v1"], f["v0"]
+            return SearchOutcome(out.status, [Labeling.from_mapping(x, f)], out.stats)
+
+        monkeypatch.setattr(iasgl.search, "_decide", swapped)
+        with pytest.raises(RuntimeError, match="mapped witness over .* failed re-verification"):
+            sweep_ground_sets(generate("star", 6), 3, 6)
+        code = main(["search", "--graph", "star:6", "--ground-set", "sweep:n=3,max=6"])
+        assert code == EXIT_INTERNAL_ERROR
+        assert "RuntimeError: mapped witness" in capsys.readouterr().err
