@@ -39,11 +39,20 @@ viable pairs that assignment can have killed are rescanned (see
 unrealized target.
 
 Set-up that depends only on X (the subset algebra, its label ->
-targets index and the classification) or only on the graph (vertex
-order, adjacency by DFS index, twin classes: ``_graph_layout``) sits in
-small LRU caches and is shared read-only, so a sweep of one graph over
-many ground sets, or of many graphs over one X, pays each part once. A
-sweep also searches each additive type of X only once (``TypeMemo``).
+targets index, its pair-sum table and the classification) or only on
+the graph (vertex order, adjacency by DFS index, twin classes:
+``_graph_layout``) sits in small LRU caches and is shared read-only, so
+a sweep of one graph over many ground sets, or of many graphs over one
+X, pays each part once. The pair-sum table maps a label mask to
+{partner mask: target mask} for every pair summing inside X, so P3
+costs one dict lookup per edge and a missing key is a sum that escapes
+X. A sweep also searches each additive type of X only once
+(``TypeMemo``).
+
+The twin rule is a cursor, not a filter: the candidate lists are
+strictly ascending, so a vertex's scan starts by bisection just past
+its twin predecessor's label. A star's leaves therefore cost O(1) each
+rather than a scan from the front of a 2^n-long list.
 
 The DFS recurses once per vertex; ``search_iasgl`` lifts the
 interpreter's recursion limit by the depth it needs for the duration of
@@ -59,6 +68,7 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -79,7 +89,6 @@ from .sets import (
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
     subset_algebra,
-    _sum_value_mask,
 )
 
 PRUNE_RULES = ("gate", "P1", "P2", "P3", "P4", "twins")
@@ -207,9 +216,10 @@ def _graph_layout(g: Graph) -> _Layout:
 class _State:
     """Mutable backtracking state over subset masks.
 
-    Labels and targets are handled as subset masks; edge sums as value
-    masks translated back through a value->mask table (a miss means the
-    sum escaped the ground set).
+    Labels and targets are handled as subset masks. An edge's label is
+    one lookup in the kernel's pair-sum table (``pair_sums``): the
+    partner's entry under the vertex's label, absent when the sum
+    escapes the ground set.
     """
 
     def __init__(
@@ -224,14 +234,12 @@ class _State:
         n = x.n
         alg = subset_algebra(x)
         self.sets = alg.sets
-        self.value = alg.value
-        self.value_to_mask = alg.value_to_mask
-        self.subset_elems = alg.elements
+        # Label mask -> {partner label mask: target mask} (P3).
+        self.pair_sums = alg.pair_sums
         # Label-mask pairs (a < b) per target mask; every target has one.
         self.pairs_by_target = alg.pairs
         # Label mask -> the targets with a pair that uses it (P4 rechecks).
         self.targets_of = alg.targets_of
-        self.zero_mask = ZERO_MASK
         self.targets = range(ZERO_MASK + 1, 1 << n)
 
         cls = classify_ground_set(x)
@@ -255,7 +263,7 @@ class _State:
 
         nv = len(self.order)
         self.assigned: list[int | None] = [None] * nv
-        self.owner: dict[int, int] = {}
+        self.owner: list[int | None] = [None] * (1 << n)
         self.realized = [0] * (1 << n)  # edges carrying each target mask
         self.missing = len(self.targets)  # targets with no edge yet
         self.edge_count = len(g.edges)
@@ -265,8 +273,9 @@ class _State:
         self.witnesses: list[Labeling] = []
 
     def _candidate_lists(self) -> tuple[list[list[int]], list[list[int] | None]]:
-        """Per-vertex label lists with P1 and P2 applied, each in
-        ascending subset-mask order.
+        """Per-vertex label lists with P1 and P2 applied, each strictly
+        ascending in subset-mask order (the twin rule's cursor bisects
+        them).
 
         The first list per vertex applies P1 and the degree test of P2.
         The second is the summand-only list that a pendant draws from
@@ -284,7 +293,7 @@ class _State:
                 shared[key] = [
                     m
                     for m in range(1, len(self.sets))
-                    if (zero_ok or m != self.zero_mask)
+                    if (zero_ok or m != ZERO_MASK)
                     and (non_summand_ok or m not in self.non_summand_masks)
                 ]
             return shared[key]
@@ -297,10 +306,13 @@ class _State:
         return lists, summand_only
 
     def tick(self) -> None:
-        self.stats.nodes += 1
-        if self.stats.nodes > self.cfg.node_budget:
+        """Count one node and apply the node and time budgets: the one
+        budget rule, for the DFS and the twin expansion alike."""
+        stats = self.stats
+        stats.nodes += 1
+        if stats.nodes > self.cfg.node_budget:
             raise _Budget("node")
-        if self.stats.nodes % 1024 == 0 and time.monotonic() > self.deadline:
+        if stats.nodes % 1024 == 0 and time.monotonic() > self.deadline:
             raise _Budget("time")
 
     def coverage_ok(self, vi: int, mask: int) -> bool:
@@ -315,37 +327,45 @@ class _State:
         So only the targets of mask, the targets of each such neighbor's
         label and, once unassigned < 2, every target are rescanned; the
         verdict is that of a full rescan of all unrealized targets.
+
+        A target is viable while some pair of it can still become an
+        edge label: both labels unused with two vertices unassigned, or
+        one label placed on a vertex that keeps an unassigned neighbor.
+        A pair whose labels both sit on vertices is dead (they are not
+        adjacent, or the target would be realized).
         """
         if self.missing > self.edge_count - self.assigned_edges:
             return False
-        if self.unassigned < 2:
+        unassigned = self.unassigned
+        free_neighbors = self.free_neighbors
+        if unassigned < 2:
             groups = [self.targets]
         else:
             groups = [self.targets_of[mask]]
             for w in self.earlier[vi]:
-                if not self.free_neighbors[w]:
+                if not free_neighbors[w]:
                     groups.append(self.targets_of[self.assigned[w]])
         realized = self.realized
+        owner = self.owner
+        pairs_by_target = self.pairs_by_target
         for group in groups:
             for t in group:
-                if not realized[t] and not self.viable(t):
+                if realized[t]:
+                    continue
+                for a, b in pairs_by_target[t]:
+                    va = owner[a]
+                    vb = owner[b]
+                    if va is None:
+                        if vb is None:
+                            if unassigned >= 2:
+                                break
+                        elif free_neighbors[vb]:
+                            break
+                    elif vb is None and free_neighbors[va]:
+                        break
+                else:
                     return False
         return True
-
-    def viable(self, t: int) -> bool:
-        """Some pair of target t can still become an edge label."""
-        for a, b in self.pairs_by_target[t]:
-            va = self.owner.get(a)
-            vb = self.owner.get(b)
-            if va is None and vb is None:
-                if self.unassigned >= 2:
-                    return True
-            elif va is None or vb is None:
-                anchored = vb if va is None else va
-                if self.free_neighbors[anchored]:
-                    return True
-            # both labels placed on non-adjacent vertices: pair is dead
-        return False
 
     def record(self) -> bool:
         """Verify the full assignment independently; keep it if it passes."""
@@ -378,7 +398,16 @@ class _State:
             self.assigned[v] = m
 
     def search(self, vi: int) -> bool:
-        """Depth-first over vertex vi; returns True to stop the search."""
+        """Depth-first over vertex vi; returns True to stop the search.
+
+        The twin rule is a cursor: the scan starts just past the label of
+        vi's predecessor in its twin class. What taking a vertex does to
+        the counters (unassigned vertices, assigned edges, the
+        neighbours' free counts) does not depend on the label, so it is
+        applied once around the scan; P4 and the deeper vertices see the
+        state they would if each label applied it. A budget stop leaves
+        the state as it is: the search is over.
+        """
         if vi == len(self.order):
             if not self.record():
                 return False
@@ -387,74 +416,76 @@ class _State:
             self.expand_twins(0, True)
             return False
 
+        assigned = self.assigned
         candidates = self.candidates[vi]
         summand_only = self.summand_only[vi]
         if summand_only is not None:
-            placed = self.assigned[self.neighbors[vi][0]]
-            if placed is not None and placed != self.zero_mask:
+            placed = assigned[self.neighbors[vi][0]]
+            if placed is not None and placed != ZERO_MASK:
                 candidates = summand_only
         prev = self.twin_prev[vi]
-        floor = 0 if prev is None else self.assigned[prev]
+        start = 0 if prev is None else bisect_right(candidates, assigned[prev])
+
+        owner = self.owner
         realized = self.realized
-        for mask in candidates:
-            if mask <= floor or mask in self.owner:
+        pair_sums = self.pair_sums
+        p3, p4 = self.p3, self.p4
+        prunes = self.stats.prunes
+        earlier = self.earlier[vi]
+
+        neighbors = self.neighbors[vi]
+        free_neighbors = self.free_neighbors
+        edges = len(earlier)
+        self.unassigned -= 1
+        self.assigned_edges += edges
+        for w in neighbors:
+            free_neighbors[w] -= 1
+
+        stop = False
+        for i in range(start, len(candidates)):
+            mask = candidates[i]
+            if owner[mask] is not None:
                 continue
             self.tick()
 
+            sums = pair_sums[mask]
             new_targets: list[int | None] = []
-            ok = True
-            elems = self.subset_elems[mask]
-            for w in self.earlier[vi]:
-                s = _sum_value_mask(elems, self.value[self.assigned[w]])
-                t = self.value_to_mask.get(s)
-                if self.p3:
-                    bad = (
-                        t is None
-                        or t == self.zero_mask
-                        or realized[t] > 0
-                        or t in new_targets
-                    )
-                    if bad:
-                        self.stats.bump("P3")
-                        ok = False
-                        break
+            # Two distinct labels never sum to {0}, the one non-target.
+            for w in earlier:
+                t = sums.get(assigned[w])
+                if p3 and (t is None or realized[t] or t in new_targets):
+                    prunes["P3"] = prunes.get("P3", 0) + 1
+                    break
                 new_targets.append(t)
-            if not ok:
-                continue
+            else:
+                assigned[vi] = mask
+                owner[mask] = vi
+                fresh = 0  # targets this label realizes for the first time
+                for t in new_targets:
+                    if t is not None:
+                        fresh += not realized[t]
+                        realized[t] += 1
+                self.missing -= fresh
 
-            self.assigned[vi] = mask
-            self.owner[mask] = vi
-            self.unassigned -= 1
-            self.assigned_edges += len(self.earlier[vi])
-            for w in self.neighbors[vi]:
-                self.free_neighbors[w] -= 1
-            for t in new_targets:
-                if t is not None and t != self.zero_mask:
-                    if not realized[t]:
-                        self.missing -= 1
-                    realized[t] += 1
+                if not p4 or self.coverage_ok(vi, mask):
+                    stop = self.search(vi + 1)
+                else:
+                    prunes["P4"] = prunes.get("P4", 0) + 1
 
-            proceed = True
-            if self.p4 and not self.coverage_ok(vi, mask):
-                self.stats.bump("P4")
-                proceed = False
+                for t in new_targets:
+                    if t is not None:
+                        realized[t] -= 1
+                self.missing += fresh
+                owner[mask] = None
+                assigned[vi] = None
+                if stop:
+                    break
 
-            stop = proceed and self.search(vi + 1)
-
-            for t in new_targets:
-                if t is not None and t != self.zero_mask:
-                    realized[t] -= 1
-                    if not realized[t]:
-                        self.missing += 1
-            for w in self.neighbors[vi]:
-                self.free_neighbors[w] += 1
-            self.assigned_edges -= len(self.earlier[vi])
-            self.unassigned += 1
-            del self.owner[mask]
-            self.assigned[vi] = None
-            if stop:
-                return True
-        return False
+        for w in neighbors:
+            free_neighbors[w] += 1
+        self.assigned_edges -= edges
+        self.unassigned += 1
+        return stop
 
 
 def search_iasgl(

@@ -27,8 +27,10 @@ inside X are exactly the submasks of X ∩ ⋂_{e∈A}(X − e), so only pairs
 that land in X are ever visited. Classification, the structural gate,
 the search and the realisation builder all read it. It is cached per X
 in a fixed-size LRU (32 ground sets), so a sweep over hundreds of ground
-sets holds a bounded amount of memory; the classification and the
-label -> targets index are memoised on the cached object.
+sets holds a bounded amount of memory; the classification, the
+label -> targets index and the pair-sum table (label -> {partner:
+target}, the search's P3 lookup) are memoised on the cached object,
+each built on first use.
 
 Additive type. Write X = {x_0 < ... < x_{n-1}} and
 T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k}, the sum-triple set.
@@ -266,6 +268,22 @@ class SubsetAlgebra:
                 targets[a].add(t)
                 targets[b].add(t)
         return tuple(tuple(sorted(ts)) for ts in targets)
+
+    @cached_property
+    def pair_sums(self) -> tuple[dict[int, int], ...]:
+        """Label mask a -> {b: target mask of A + B} for every pair of
+        ``pairs``, stored both ways round; a partner b that is absent
+        makes A + B escape X.
+
+        Built on first use and then shared by every reader of this
+        cached X (the search's P3 test, one lookup per edge).
+        """
+        sums: list[dict[int, int]] = [{} for _ in self.sets]
+        for t, pairs in self.pairs.items():
+            for a, b in pairs:
+                sums[a][b] = t
+                sums[b][a] = t
+        return tuple(sums)
 
 
 @lru_cache(maxsize=32)

@@ -11,6 +11,7 @@ from iasgl.search import (
     PRUNE_RULES,
     SearchConfig,
     SearchOutcome,
+    SearchStats,
     SearchStatus,
     TypeMemo,
     _State,
@@ -176,7 +177,7 @@ def full_coverage_ok(state, vi, mask):
     for t in unrealized:
         viable = False
         for a, b in state.pairs_by_target[t]:
-            va, vb = state.owner.get(a), state.owner.get(b)
+            va, vb = state.owner[a], state.owner[b]
             if va is None and vb is None:
                 viable = state.unassigned >= 2
             elif va is None or vb is None:
@@ -230,6 +231,61 @@ class TestIncrementalCoverage:
         # Both parts of P2 live in the candidate lists: no P2 prunes.
         assert out.stats.nodes == 21_523
         assert out.stats.prunes == {"P3": 8949, "P4": 5983}
+
+
+#: Status, nodes and prunes of every ground set of the broom sweep
+#: (|X| = 4, max 5). A change that only makes nodes cheaper keeps them.
+BROOM15_SWEEP = {
+    (0, 1, 2, 3): ("exhausted-none", 21_523, {"P3": 8949, "P4": 5983}),
+    (0, 1, 2, 4): ("exhausted-none", 10_337, {"P3": 4636, "P4": 1320}),
+    (0, 1, 2, 5): ("exhausted-none", 3181, {"P3": 330, "P4": 660}),
+    (0, 1, 3, 4): ("exhausted-none", 10_345, {"P3": 3312, "P4": 2648}),
+    (0, 1, 3, 5): ("gate-rejected", 0, {"gate": 1}),
+    (0, 1, 4, 5): ("exhausted-none", 10_345, {"P3": 3312, "P4": 2648}),
+    (0, 2, 3, 4): ("exhausted-none", 3181, {"P3": 330, "P4": 660}),
+    (0, 2, 3, 5): ("exhausted-none", 10_345, {"P3": 3312, "P4": 2648}),
+    (0, 2, 4, 5): ("exhausted-none", 3181, {"P3": 330, "P4": 660}),
+    (0, 3, 4, 5): ("gate-rejected", 0, {"gate": 1}),
+}
+
+
+class TestPinnedCounts:
+    """Counters pinned across changes to the DFS's cost per node."""
+
+    def test_broom15_sweep(self):
+        swept = sweep_ground_sets(BROOM15, 4, 5)
+        got = {
+            x.base.elements: (out.status.value, out.stats.nodes, out.stats.prunes)
+            for x, out in swept.items()
+        }
+        assert got == BROOM15_SWEEP
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_star_theorem_nodes(self, n):
+        # One node per vertex: the hub takes {0}, and each leaf's scan
+        # starts past its twin predecessor's label, at a free label.
+        out = search_iasgl(generate("star", (1 << n) - 2), GroundSet.of(*range(n)))
+        assert out.status is SearchStatus.FOUND
+        assert out.stats.nodes == (1 << n) - 1
+
+
+class TestCandidateLists:
+    @pytest.mark.parametrize("off", [(), ("P1",), ("P2",), ("P1", "P2")])
+    def test_strictly_ascending(self, off, x01, x012, x0123):
+        # The twin cursor bisects these lists.
+        corpus = [(g, x012) for g in CORPUS_N3] + [
+            (BROOM15, x0123),
+            (generate("star", 14), x0123),
+            (generate("path", 3), x01),
+            (generate("star", 30), GroundSet.of(0, 1, 2, 4, 7)),
+        ]
+        cfg = SearchConfig(disabled_rules=frozenset(off))
+        for g, x in corpus:
+            state = _State(g, x, cfg, SearchStats(), float("inf"))
+            lists = [*state.candidates, *(s for s in state.summand_only if s is not None)]
+            assert lists
+            for labels in lists:
+                assert all(a < b for a, b in zip(labels, labels[1:])), (g, x)
 
 
 class TestDeadline:

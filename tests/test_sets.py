@@ -12,6 +12,7 @@ from iasgl.sets import (
     classify_ground_set,
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
+    _sum_value_mask,
     subset_algebra,
     sumset,
 )
@@ -116,6 +117,28 @@ class TestDecompositions:
                 )
                 assert alg.targets_of == expected, x
                 assert alg.targets_of is subset_algebra(x).targets_of
+
+    def test_pair_sum_table(self):
+        # The search's P3 lookup against the value-mask route it replaced,
+        # and against plain sets: an absent entry means the sum escapes X.
+        for n in range(2, 5):
+            for x in enumerate_canonical_ground_sets(n, 8):
+                alg = subset_algebra(x)
+                ground = frozenset(x.base.elements)
+                labels = range(1, len(alg.sets))
+                for a in labels:
+                    for b in labels:
+                        if a == b:
+                            continue
+                        got = alg.pair_sums[a].get(b)
+                        via_values = _sum_value_mask(alg.elements[a], alg.value[b])
+                        assert got == alg.value_to_mask.get(via_values), (x, a, b)
+                        c = naive_sumset(alg.elements[a], alg.elements[b])
+                        if c <= ground:
+                            assert alg.sets[got].elements == tuple(sorted(c)), (x, a, b)
+                        else:
+                            assert got is None, (x, a, b)
+                assert alg.pair_sums is subset_algebra(x).pair_sums
 
 
 class TestSumsetSummandPredicates:
