@@ -16,8 +16,14 @@ human-aligned view). Exit codes are a stable contract:
   before the graph is built), ground-set families above
   ``GROUND_SET_FAMILY_CAP`` (sweeps and ``theorems``) and bad
   ``theorems`` bounds
+* an output path that cannot be written (``--out``, ``--dot``,
+  ``--report``) exits 2 after the result was printed, naming the path
 * an unexpected internal error prints its traceback and exits 70
   (``EXIT_INTERNAL_ERROR``), never 0 or 1
+
+A process loads only the layers its command runs: at import this module
+needs ``sets`` alone (ground-set parsing and ``classify``), and each
+``cmd_*`` imports what it calls.
 """
 
 from __future__ import annotations
@@ -26,22 +32,13 @@ import argparse
 import json
 import sys
 
-from . import io as iasgl_io
-from .labeling import verify_ladder
-from .realisation import build_realisation
-from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import SUBSET_ENUMERATION_CAP, GroundSet, IntegerSet, SummandMode, classify_ground_set
-from .graphs import family_edge_count, generate, is_bipartite, pendant_vertices
 
 #: Exit code of an unexpected internal error (sysexits' EX_SOFTWARE).
 EXIT_INTERNAL_ERROR = 70
 
-_EXIT_BY_STATUS = {
-    SearchStatus.FOUND: 0,
-    SearchStatus.EXHAUSTED_NONE: 1,
-    SearchStatus.BUDGET_EXCEEDED: 2,
-    SearchStatus.GATE_REJECTED: 3,
-}
+#: Exit code of one search by the value of its ``SearchStatus``.
+_EXIT_BY_STATUS = {"found": 0, "exhausted-none": 1, "budget-exceeded": 2, "gate-rejected": 3}
 
 
 def _parse_ground_set(text: str, parser: argparse.ArgumentParser) -> GroundSet:
@@ -62,10 +59,14 @@ def _parse_ground_set(text: str, parser: argparse.ArgumentParser) -> GroundSet:
 
 
 def _parse_graph(spec: str, parser: argparse.ArgumentParser):
+    from .graphs import family_edge_count, generate
+
     kind, _, arg = spec.partition(":")
     if kind == "file":
+        from .io import load_document
+
         try:
-            return iasgl_io.load_document(arg).to_graph()
+            return load_document(arg).to_graph()
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read graph file {arg!r}: {exc}")
     if kind in {"star", "path", "cycle", "complete"}:
@@ -99,6 +100,28 @@ def _parse_sweep(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         return int(params["n"]), int(params["max"])
     except ValueError:
         parser.error(f"bad sweep spec: {text!r} (use sweep:n=N,max=M)")
+
+
+def _write_document(graph, labeling, path: str, parser: argparse.ArgumentParser) -> None:
+    from .io import document_from_graph, dump_document
+
+    try:
+        dump_document(document_from_graph(graph, labeling), path)
+    except OSError as exc:
+        _unwritable(path, exc, parser)
+
+
+def _write_text(text: str, path: str, parser: argparse.ArgumentParser) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _unwritable(path, exc, parser)
+
+
+def _unwritable(path: str, exc: OSError, parser: argparse.ArgumentParser) -> None:
+    # No such directory, no permission: an input error, not a defect.
+    parser.error(f"cannot write {path!r}: {exc.strerror or exc}")
 
 
 def _emit(payload: dict, args, table: list[str]) -> None:
@@ -143,14 +166,18 @@ def cmd_classify(args, parser) -> int:
 
 
 def _outcome_obj(outcome) -> dict:
+    from .io import labeling_to_obj
+
     return {
         "status": outcome.status.value,
-        "witnesses": [iasgl_io.labeling_to_obj(w) for w in outcome.witnesses],
+        "witnesses": [labeling_to_obj(w) for w in outcome.witnesses],
         "stats": outcome.stats.to_obj(),
     }
 
 
 def cmd_search(args, parser) -> int:
+    from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
+
     graph = _parse_graph(args.graph, parser)
     try:
         cfg = SearchConfig(
@@ -185,7 +212,7 @@ def cmd_search(args, parser) -> int:
         witness = next((o.witnesses[0] for o in outcomes.values() if o.found), None)
         _emit(payload, args, table)
         if args.out and witness is not None:
-            _write_document(graph, witness, args.out)
+            _write_document(graph, witness, args.out, parser)
         if any(o.found for o in outcomes.values()):
             return 0
         if any(o.status is SearchStatus.BUDGET_EXCEEDED for o in outcomes.values()):
@@ -206,17 +233,16 @@ def cmd_search(args, parser) -> int:
     ]
     _emit(payload, args, table)
     if args.out and outcome.witnesses:
-        _write_document(graph, outcome.witnesses[0], args.out)
-    return _EXIT_BY_STATUS[outcome.status]
-
-
-def _write_document(graph, labeling, path: str) -> None:
-    iasgl_io.dump_document(iasgl_io.document_from_graph(graph, labeling), path)
+        _write_document(graph, outcome.witnesses[0], args.out, parser)
+    return _EXIT_BY_STATUS[outcome.status.value]
 
 
 def cmd_verify(args, parser) -> int:
+    from .io import load_document
+    from .labeling import verify_ladder
+
     try:
-        doc = iasgl_io.load_document(args.document)
+        doc = load_document(args.document)
         graph = doc.to_graph()
         labeling = doc.to_labeling()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -243,6 +269,9 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_construct(args, parser) -> int:
+    from .graphs import is_bipartite, pendant_vertices
+    from .realisation import build_realisation
+
     ground = _parse_ground_set(args.ground_set, parser)
     try:
         result = build_realisation(ground, args.prefer_nonbipartite)
@@ -265,15 +294,15 @@ def cmd_construct(args, parser) -> int:
     ]
     _emit(payload, args, table)
     if args.out:
-        _write_document(graph, labeling, args.out)
+        _write_document(graph, labeling, args.out, parser)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(iasgl_io.to_dot(graph, labeling))
+        from .io import to_dot
+
+        _write_text(to_dot(graph, labeling), args.dot, parser)
     return 0
 
 
 def cmd_theorems(args, parser) -> int:
-    # Only this command needs the harness; other commands skip compiling it.
     from .harness import HarnessConfig, run_all
 
     try:
@@ -295,9 +324,7 @@ def cmd_theorems(args, parser) -> int:
 
         # Timestamp lives outside the deterministic body of the report.
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.report, parser)
     return 0 if report.refuted == 0 else 1
 
 

@@ -11,7 +11,8 @@ isomorphism class.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+
+from .sets import Record
 
 FREE_TREE_CAP = 10
 
@@ -22,20 +23,18 @@ def _norm_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertex_ids: tuple[str, ...]
-    edges: frozenset[Edge]
+class Graph(Record):
+    __slots__ = ("vertex_ids", "edges", "_adj")
+    _fields = ("vertex_ids", "edges")
 
-    def __post_init__(self) -> None:
-        ids = tuple(sorted(self.vertex_ids))
+    def __init__(self, vertex_ids: tuple[str, ...], edges: frozenset[Edge]) -> None:
+        ids = tuple(sorted(vertex_ids))
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
-        object.__setattr__(self, "vertex_ids", ids)
         known = set(ids)
         touched: set[str] = set()
         norm = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u!r}")
             if u not in known or v not in known:
@@ -43,7 +42,6 @@ class Graph:
             norm.add(_norm_edge(u, v))
             touched.add(u)
             touched.add(v)
-        object.__setattr__(self, "edges", frozenset(norm))
         isolated = known - touched
         if isolated:
             raise ValueError(f"isolated vertices: {sorted(isolated)}")
@@ -51,6 +49,8 @@ class Graph:
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
+        object.__setattr__(self, "vertex_ids", ids)
+        object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
 
     @classmethod

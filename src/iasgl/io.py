@@ -13,22 +13,36 @@ Set-labels serialize as ascending integer arrays everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+import os
 
 from .graphs import Edge, Graph
 from .labeling import Labeling, induced_edge_label
 from .sets import GroundSet, IntegerSet, sumset
 
 
-@dataclass
 class Document:
     """Graph plus optional ground set, labels, and derived edge labels."""
 
-    vertices: list[tuple[str, IntegerSet | None]]
-    edges: list[Edge]
-    ground_set: IntegerSet | None = None
-    edge_labels: dict[Edge, IntegerSet] = field(default_factory=dict)
+    __slots__ = ("vertices", "edges", "ground_set", "edge_labels")
+
+    def __init__(
+        self,
+        vertices: list[tuple[str, IntegerSet | None]],
+        edges: list[Edge],
+        ground_set: IntegerSet | None = None,
+        edge_labels: dict[Edge, IntegerSet] | None = None,
+    ) -> None:
+        self.vertices = vertices
+        self.edges = edges
+        self.ground_set = ground_set
+        self.edge_labels = {} if edge_labels is None else edge_labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.ground_set, self.edge_labels) == (
+            other.vertices, other.edges, other.ground_set, other.edge_labels
+        )
 
     def to_graph(self) -> Graph:
         return Graph.from_edges([vid for vid, _ in self.vertices], self.edges)
@@ -154,12 +168,12 @@ def labeling_to_obj(f: Labeling) -> dict:
     }
 
 
-def load_document(path: str | Path) -> Document:
+def load_document(path: str | os.PathLike) -> Document:
     with open(path, encoding="utf-8") as fh:
         return parse_document(json.load(fh))
 
 
-def dump_document(doc: Document, path: str | Path) -> None:
+def dump_document(doc: Document, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc.to_obj(), fh, indent=2, sort_keys=True)
         fh.write("\n")

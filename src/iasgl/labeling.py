@@ -30,28 +30,36 @@ refutes existence without any search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .graphs import Graph, pendant_vertices
 from .sets import (
     ZERO_SET,
     GroundSet,
     IntegerSet,
+    Record,
     classify_ground_set,
     enumerate_nonempty_subsets,
     sumset,
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed rule: rule id, human detail, offending ids and sets."""
 
-    rule: str
-    detail: str
-    vertex_ids: tuple[str, ...] = ()
-    sets: tuple[IntegerSet, ...] = ()
+    __slots__ = _fields = ("rule", "detail", "vertex_ids", "sets")
+
+    def __init__(
+        self,
+        rule: str,
+        detail: str,
+        vertex_ids: tuple[str, ...] = (),
+        sets: tuple[IntegerSet, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "vertex_ids", vertex_ids)
+        object.__setattr__(self, "sets", sets)
 
     def to_obj(self) -> dict:
         return {
@@ -62,11 +70,13 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(Record):
     """The violations of one check; it passes when there are none."""
 
-    violations: tuple[Violation, ...] = ()
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()) -> None:
+        object.__setattr__(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -76,8 +86,7 @@ class GateReport:
         return self.passed
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Record):
     """Injective-by-intent map from vertex ids to non-empty subsets of X.
 
     Injectivity is a property checked by ``verify_iasl``, not enforced
@@ -86,20 +95,21 @@ class Labeling:
     compare deterministically.
     """
 
-    ground: GroundSet
-    assignment: tuple[tuple[str, IntegerSet], ...]
+    __slots__ = ("ground", "assignment", "_by_id")
+    _fields = ("ground", "assignment")
 
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted(self.assignment))
+    def __init__(self, ground: GroundSet, assignment: tuple[tuple[str, IntegerSet], ...]) -> None:
+        pairs = tuple(sorted(assignment))
         ids = [vid for vid, _ in pairs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex id in labeling")
-        base = set(self.ground.base.elements)
+        base = set(ground.base.elements)
         for vid, s in pairs:
             if s.is_empty():
                 raise ValueError(f"empty set-label at {vid!r}")
             if not base.issuperset(s.elements):
                 raise ValueError(f"label {s} at {vid!r} is not a subset of ground set")
+        object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "assignment", pairs)
         object.__setattr__(self, "_by_id", dict(pairs))
 

@@ -26,22 +26,36 @@ the bipartiteness flag honestly when none is reachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Edge, Graph, is_bipartite
 from .labeling import Labeling, verify_iasgl
-from .sets import ZERO_MASK, GroundSet, IntegerSet, SubsetAlgebra, classify_ground_set, subset_algebra
+from .sets import (
+    ZERO_MASK,
+    GroundSet,
+    IntegerSet,
+    Record,
+    SubsetAlgebra,
+    classify_ground_set,
+    subset_algebra,
+)
 
 ASSIGNMENT_NODE_BUDGET = 200_000
 NONBIPARTITE_SOLUTION_CAP = 2_000
 
 
-@dataclass(frozen=True)
-class RealisationResult:
-    graph: Graph
-    labeling: Labeling
-    non_bipartite: bool
-    assignment_trace: tuple[tuple[IntegerSet, Edge], ...]
+class RealisationResult(Record):
+    __slots__ = _fields = ("graph", "labeling", "non_bipartite", "assignment_trace")
+
+    def __init__(
+        self,
+        graph: Graph,
+        labeling: Labeling,
+        non_bipartite: bool,
+        assignment_trace: tuple[tuple[IntegerSet, Edge], ...],
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "non_bipartite", non_bipartite)
+        object.__setattr__(self, "assignment_trace", assignment_trace)
 
 
 def _solutions(alg: SubsetAlgebra, order: list[int], pool: set[int]):

@@ -73,10 +73,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
-from .realisation import RealisationResult, build_realisation
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     ZERO_MASK,
@@ -90,6 +90,9 @@ from .sets import (
     enumerate_nonempty_subsets,
     subset_algebra,
 )
+
+if TYPE_CHECKING:
+    from .realisation import RealisationResult
 
 PRUNE_RULES = ("gate", "P1", "P2", "P3", "P4", "twins")
 
@@ -654,6 +657,9 @@ class TypeMemo:
     def realise(self, x: GroundSet, prefer_nonbipartite: bool = False) -> RealisationResult:
         """``build_realisation(x, prefer_nonbipartite)``, built once per
         additive type."""
+        # Only the harness realises; a search process skips loading the builder.
+        from .realisation import RealisationResult, build_realisation
+
         key = (self._type_of(x), prefer_nonbipartite)
         stored = self._realisations.get(key)
         if stored is None:

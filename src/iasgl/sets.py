@@ -61,10 +61,9 @@ verdict the kernel leads to is checked by an independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache
 
 #: Hard cap on |X| for power-set enumeration (2^20 subsets): every
 #: enumeration and CLI path rejects a larger ground set.
@@ -91,22 +90,83 @@ class SummandMode(Enum):
     ALLOW_EQUAL = "allow-equal"
 
 
-@dataclass(frozen=True, order=True)
-class IntegerSet:
+class Immutable:
+    """Base of the value types: read-only once ``__init__`` has run.
+
+    Subclasses keep their state in ``__slots__`` and set it with
+    ``object.__setattr__``; any later assignment or deletion raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record(Immutable):
+    """An immutable value made of the fields named in ``_fields``.
+
+    Two records are equal when they are of one class and their fields
+    are equal in order; the hash is that of the tuple of the fields, and
+    ``repr`` lists them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class IntegerSet(Record):
     """A finite set of non-negative integers, stored strictly ascending.
 
     Ordering is lexicographic on the element tuple, which gives every
     family of sets a deterministic sort.
     """
 
-    elements: tuple[int, ...]
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self) -> None:
-        elems = tuple(sorted(set(self.elements)))
-        if any(e < 0 for e in elems):
-            raise ValueError(f"negative element in set-label: {self.elements}")
-        if elems != self.elements:
-            object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        elems = tuple(sorted(set(elements)))
+        if elems and elems[0] < 0:
+            raise ValueError(f"negative element in set-label: {elements}")
+        object.__setattr__(self, "elements", elems)
+
+    # Equality and hash are Record's, written out for the most used type.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements < other.elements
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements <= other.elements
+        return NotImplemented
 
     @classmethod
     def of(cls, *elements: int) -> "IntegerSet":
@@ -143,15 +203,25 @@ class IntegerSet:
 ZERO_SET = IntegerSet.of(0)
 
 
-@dataclass(frozen=True, order=True)
-class GroundSet:
+class GroundSet(Record):
     """The finite set X of non-negative integers supplying all labels."""
 
-    base: IntegerSet
+    __slots__ = _fields = ("base",)
 
-    def __post_init__(self) -> None:
-        if self.base.is_empty():
+    def __init__(self, base: IntegerSet) -> None:
+        if base.is_empty():
             raise ValueError("ground set must be non-empty")
+        object.__setattr__(self, "base", base)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base < other.base
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base <= other.base
+        return NotImplemented
 
     @classmethod
     def of(cls, *elements: int) -> "GroundSet":
@@ -172,8 +242,7 @@ class GroundSet:
         return str(self.base)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Partition of the non-empty subsets of X other than {0}.
 
     non_sumsets: subsets that are not a non-trivial sumset of any two
@@ -184,11 +253,21 @@ class Classification:
     sorted by (cardinality, elements) for determinism.
     """
 
-    ground: GroundSet
-    mode: SummandMode
-    non_sumsets: tuple[IntegerSet, ...]
-    non_summands: tuple[IntegerSet, ...]
-    neither: tuple[IntegerSet, ...]
+    __slots__ = _fields = ("ground", "mode", "non_sumsets", "non_summands", "neither")
+
+    def __init__(
+        self,
+        ground: GroundSet,
+        mode: SummandMode,
+        non_sumsets: tuple[IntegerSet, ...],
+        non_summands: tuple[IntegerSet, ...],
+        neither: tuple[IntegerSet, ...],
+    ) -> None:
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "non_sumsets", non_sumsets)
+        object.__setattr__(self, "non_summands", non_summands)
+        object.__setattr__(self, "neither", neither)
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
@@ -235,8 +314,7 @@ def _sum_value_mask(a_elements: tuple[int, ...], b_value_mask: int) -> int:
     return vm
 
 
-@dataclass(frozen=True, eq=False)
-class SubsetAlgebra:
+class SubsetAlgebra(Immutable):
     """Every subset of X and every pair of distinct subsets summing inside X.
 
     Tuples are indexed by subset mask (entry 0 is the empty set).
@@ -244,32 +322,67 @@ class SubsetAlgebra:
     a < b, with A + B equal to the target; a pair whose sum escapes X is
     absent. With 0 in X every target other than {0} has an entry, since
     {0} + C = C. Instances are shared through the cache of
-    ``subset_algebra``: treat every field as read-only.
+    ``subset_algebra``: treat every field as read-only. Two instances
+    are equal only if they are the same object.
     """
 
-    ground: GroundSet
-    sets: tuple[IntegerSet, ...]
-    elements: tuple[tuple[int, ...], ...]
-    value: tuple[int, ...]
-    value_to_mask: dict[int, int]
-    pairs: dict[int, tuple[tuple[int, int], ...]]
-    classifications: dict[SummandMode, Classification] = field(default_factory=dict, repr=False)
+    __slots__ = (
+        "ground", "sets", "elements", "value", "value_to_mask", "pairs",
+        "classifications", "_targets_of", "_pair_sums",
+    )
 
-    @cached_property
+    def __init__(self, x: GroundSet) -> None:
+        """Build the algebra of X; ``subset_algebra`` caches it.
+
+        For each a, every b with A + B inside X is a submask of
+        allowed(a) = X ∩ ⋂_{e∈A} (X − e). Walking those submasks from
+        the top down and stopping at b <= a visits each pair exactly
+        once, so the build costs O(n · (2^n + pairs)), not O(4^n).
+        """
+        sets = (IntegerSet(()), *enumerate_nonempty_subsets(x))
+        elements = tuple(s.elements for s in sets)
+        value = tuple(s.value_mask() for s in sets)
+        value_to_mask = {v: m for m, v in enumerate(value)}
+        x_vm = value[-1]
+        pairs: dict[int, list[tuple[int, int]]] = {}
+        for a in range(1, len(sets)):
+            ea = elements[a]
+            allowed = x_vm
+            for e in ea:
+                allowed &= x_vm >> e
+            s = value_to_mask[allowed]
+            b = s
+            while b > a:
+                t = value_to_mask[_sum_value_mask(ea, value[b])]
+                pairs.setdefault(t, []).append((a, b))
+                b = (b - 1) & s
+        object.__setattr__(self, "ground", x)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value_to_mask", value_to_mask)
+        object.__setattr__(self, "pairs", {t: tuple(sorted(p)) for t, p in pairs.items()})
+        object.__setattr__(self, "classifications", {})
+        object.__setattr__(self, "_targets_of", None)
+        object.__setattr__(self, "_pair_sums", None)
+
+    @property
     def targets_of(self) -> tuple[tuple[int, ...], ...]:
         """Label mask -> the ascending target masks with a pair using it.
 
         Built on first use and then shared by every reader of this
         cached X (the search's coverage rechecks).
         """
-        targets: list[set[int]] = [set() for _ in self.sets]
-        for t, pairs in self.pairs.items():
-            for a, b in pairs:
-                targets[a].add(t)
-                targets[b].add(t)
-        return tuple(tuple(sorted(ts)) for ts in targets)
+        if self._targets_of is None:
+            targets: list[set[int]] = [set() for _ in self.sets]
+            for t, pairs in self.pairs.items():
+                for a, b in pairs:
+                    targets[a].add(t)
+                    targets[b].add(t)
+            object.__setattr__(self, "_targets_of", tuple(tuple(sorted(ts)) for ts in targets))
+        return self._targets_of
 
-    @cached_property
+    @property
     def pair_sums(self) -> tuple[dict[int, int], ...]:
         """Label mask a -> {b: target mask of A + B} for every pair of
         ``pairs``, stored both ways round; a partner b that is absent
@@ -278,48 +391,20 @@ class SubsetAlgebra:
         Built on first use and then shared by every reader of this
         cached X (the search's P3 test, one lookup per edge).
         """
-        sums: list[dict[int, int]] = [{} for _ in self.sets]
-        for t, pairs in self.pairs.items():
-            for a, b in pairs:
-                sums[a][b] = t
-                sums[b][a] = t
-        return tuple(sums)
+        if self._pair_sums is None:
+            sums: list[dict[int, int]] = [{} for _ in self.sets]
+            for t, pairs in self.pairs.items():
+                for a, b in pairs:
+                    sums[a][b] = t
+                    sums[b][a] = t
+            object.__setattr__(self, "_pair_sums", tuple(sums))
+        return self._pair_sums
 
 
 @lru_cache(maxsize=32)
 def subset_algebra(x: GroundSet) -> SubsetAlgebra:
-    """Build (or fetch from a small LRU cache) the subset algebra of X.
-
-    For each a, every b with A + B inside X is a submask of
-    allowed(a) = X ∩ ⋂_{e∈A} (X − e). Walking those submasks from the
-    top down and stopping at b <= a visits each pair exactly once, so
-    the build costs O(n · (2^n + pairs)), not O(4^n).
-    """
-    sets = (IntegerSet(()), *enumerate_nonempty_subsets(x))
-    elements = tuple(s.elements for s in sets)
-    value = tuple(s.value_mask() for s in sets)
-    value_to_mask = {v: m for m, v in enumerate(value)}
-    x_vm = value[-1]
-    pairs: dict[int, list[tuple[int, int]]] = {}
-    for a in range(1, len(sets)):
-        ea = elements[a]
-        allowed = x_vm
-        for e in ea:
-            allowed &= x_vm >> e
-        s = value_to_mask[allowed]
-        b = s
-        while b > a:
-            t = value_to_mask[_sum_value_mask(ea, value[b])]
-            pairs.setdefault(t, []).append((a, b))
-            b = (b - 1) & s
-    return SubsetAlgebra(
-        ground=x,
-        sets=sets,
-        elements=elements,
-        value=value,
-        value_to_mask=value_to_mask,
-        pairs={t: tuple(sorted(p)) for t, p in pairs.items()},
-    )
+    """Build (or fetch from a small LRU cache) the subset algebra of X."""
+    return SubsetAlgebra(x)
 
 
 def _classify(alg: SubsetAlgebra, mode: SummandMode) -> Classification:

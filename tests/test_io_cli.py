@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import iasgl.search
 from iasgl import cli
 from iasgl.cli import EXIT_INTERNAL_ERROR, main
 from iasgl.io import (
@@ -256,11 +257,28 @@ class TestCli:
         def broken(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(cli, "search_iasgl", broken)
+        monkeypatch.setattr(iasgl.search, "search_iasgl", broken)
         code = main(["search", "--graph", "star:2", "--ground-set", "0,1"])
         assert code == EXIT_INTERNAL_ERROR == 70
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: injected failure" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["construct", "--ground-set", "0,1,2"], "--out"),
+        (["construct", "--ground-set", "0,1,2"], "--dot"),
+        (["search", "--graph", "star:6", "--ground-set", "0,1,2"], "--out"),
+        (["search", "--graph", "star:6", "--ground-set", "sweep:n=3,max=4"], "--out"),
+        (["theorems", "--n-max", "3", "--max-element", "4", "--trees", "3"], "--report"),
+    ], ids=["construct-out", "construct-dot", "search-out", "sweep-out", "theorems-report"])
+    def test_unwritable_output_path_is_usage_error(self, argv, flag, tmp_path, capsys):
+        path = str(tmp_path / "missing-dir" / "out.txt")
+        with pytest.raises(SystemExit) as err:
+            main([*argv, flag, path])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)  # the result was printed first
+        assert f"cannot write {path!r}: No such file or directory" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_verify_builder_output(self, tmp_path, capsys):
         out = tmp_path / "doc.json"
