@@ -125,10 +125,9 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
     if x.n < 2:
         raise ValueError("realisation needs a ground set with at least 2 elements")
 
-    cls = classify_ground_set(x)
+    forced = classify_ground_set(x).masks[0]
     alg = subset_algebra(x)
     elements = alg.elements
-    forced = [alg.value_to_mask[s.value_mask()] for s in cls.non_sumsets]
     forced_set = set(forced)
     order = sorted(
         (t for t in range(ZERO_MASK + 1, len(alg.sets)) if t not in forced_set),

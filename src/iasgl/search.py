@@ -39,7 +39,8 @@ viable pairs that assignment can have killed are rescanned (see
 unrealized target.
 
 Set-up that depends only on X (the subset algebra, its label ->
-targets index, its pair-sum table and the classification) or only on
+targets index, its pair-sum table and the classification, all in subset
+masks and all read off X's additive type) or only on
 the graph (vertex order, adjacency by DFS index, twin classes:
 ``_graph_layout``) sits in small LRU caches and is shared read-only, so
 a sweep of one graph over many ground sets, or of many graphs over one
@@ -219,10 +220,11 @@ def _graph_layout(g: Graph) -> _Layout:
 class _State:
     """Mutable backtracking state over subset masks.
 
-    Labels and targets are handled as subset masks. An edge's label is
-    one lookup in the kernel's pair-sum table (``pair_sums``): the
-    partner's entry under the vertex's label, absent when the sum
-    escapes the ground set.
+    Labels, targets and the classification's families are handled as
+    subset masks; ``IntegerSet``s are read only to build a witness. An
+    edge's label is one lookup in the kernel's pair-sum table
+    (``pair_sums``): the partner's entry under the vertex's label,
+    absent when the sum escapes the ground set.
     """
 
     def __init__(
@@ -247,7 +249,7 @@ class _State:
 
         cls = classify_ground_set(x)
         self.min_zero_degree = len(cls.non_sumsets)
-        self.non_summand_masks = {alg.value_to_mask[s.value_mask()] for s in cls.non_summands}
+        self.non_summand_masks = set(cls.masks[1])
         self.p3 = cfg.enabled("P3")
         self.p4 = cfg.enabled("P4")
 
@@ -703,13 +705,11 @@ class TypeMemo:
         if stored is None:
             self.misses += 1
             cls = classify_ground_set(x, mode)
-            families = (cls.non_sumsets, cls.non_summands, cls.neither)
-            self._classifications[key] = tuple(self._masks(x, f) for f in families)
+            self._classifications[key] = cls.masks
             return cls
         self.hits += 1
         sets = self._sets_of(x)
-        non_sumsets, non_summands, neither = (tuple(map(sets.__getitem__, f)) for f in stored)
-        return Classification(x, mode, non_sumsets, non_summands, neither)
+        return Classification(x, mode, *(tuple(map(sets.__getitem__, f)) for f in stored), stored)
 
 
 def sweep_ground_sets(

@@ -11,45 +11,35 @@ Sumsets are always computed in the full non-negative integers and never
 truncated to the ground set: a sum escaping the ground set is precisely
 what makes a candidate edge infeasible, and truncation would hide that.
 
-Subsets of a ground set are mirrored as bitmasks in two ways:
-
-* subset mask: bit i set means the i-th smallest element is present
-  (the enumeration order of ``enumerate_nonempty_subsets``);
-* value mask: bit v set means the integer v is present, so a sumset is
-  an OR of shifted value masks and containment is a bit test.
+Write X = {x_0 < ... < x_{n-1}}. A subset of X is handled as a subset
+mask, bit i set when x_i is present (the order of
+``enumerate_nonempty_subsets``); the kernel has no other coordinates.
 
 ``subset_algebra(X)`` is the one place that enumerates pairs of subsets.
-It holds every subset of X (elements, ``IntegerSet``, value mask), the
-value-mask -> subset-mask map and the pair table: for each target C,
-the pairs of distinct subsets A, B with A + B = C inside X. The table is
-built output-sensitively: for each A, the partners B that keep A + B
-inside X are exactly the submasks of X ∩ ⋂_{e∈A}(X − e), so only pairs
-that land in X are ever visited. Classification, the structural gate,
-the search and the realisation builder all read it. It is cached per X
-in a fixed-size LRU (32 ground sets), so a sweep over hundreds of ground
-sets holds a bounded amount of memory; the classification, the
-label -> targets index and the pair-sum table (label -> {partner:
-target}, the search's P3 lookup) are memoised on the cached object,
-each built on first use.
+It holds every subset of X (elements, ``IntegerSet``) and the pair
+table: for each target C, the pairs of distinct subsets A, B with
+A + B = C inside X. It is cached per X in a fixed-size LRU (32 ground
+sets), so a sweep over hundreds of ground sets holds a bounded amount of
+memory; the classification, the label -> targets index and the pair-sum
+table (label -> {partner: target}, the search's P3 lookup) are memoised
+on the cached object, each built on first use.
 
-Additive type. Write X = {x_0 < ... < x_{n-1}} and
-T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k}, the sum-triple set.
-``additive_type(X)`` = (n, sorted T(X)) is an O(n^2) key. Everything
-the kernel holds is a function of it in subset-mask coordinates: A + B
-lands in X iff every index pair i in A, j in B has a triple
-(min(i, j), max(i, j), k) in T(X), and then it is the subset whose
-indices are those k. So the pair table, the value -> subset
-translation of each sum (or its miss), and with them the
-classification, the gate, the search's candidate lists, prunes and
-node counts, the realisation builder and whether a labeling given in
-masks is graceful are equal for two ground sets of one type. So are
-their input checks: n is in the key, and (0, 0, 0) is in T(X) iff 0 is
-in X. Every order they use is shared too:
-index -> element is increasing, so subset masks and the lexicographic
-order of element tuples rank subsets the same way for both. A result
-computed over one X therefore maps onto another X of its type through
-that X's own index -> element map (``search.TypeMemo``), where it is
-verified again.
+Additive type. T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k} is the
+sum-triple set, and ``additive_type(X)`` = (n, sorted T(X)) an O(n^2)
+key. The kernel is built from that key alone: A + B lands in X iff every
+index pair i in A, j in B has a triple (min(i, j), max(i, j), k) in
+T(X), and then it is the subset whose indices are those k. So, by
+construction, the pair table and with it the classification, the gate,
+the search's candidate lists, prunes and node counts, the realisation
+builder and whether a labeling given in masks is graceful are equal for
+two ground sets of one type, and the kernel's cost does not depend on
+how large X's elements are. So are their input checks: n is in the key,
+and (0, 0, 0) is in T(X) iff 0 is in X. Every order they use is shared
+too: index -> element is increasing, so subset masks and the
+lexicographic order of element tuples rank subsets the same way for
+both. A result computed over one X therefore maps onto another X of its
+type through that X's own index -> element map (``search.TypeMemo``),
+where it is verified again.
 
 Verification (``sumset`` here, and the checks in ``labeling``) never
 reads the kernel: it recomputes every sum from the elements as a plain
@@ -191,13 +181,6 @@ class IntegerSet(Record):
     def is_empty(self) -> bool:
         return not self.elements
 
-    def value_mask(self) -> int:
-        """Bitmask with bit v set for every element v."""
-        mask = 0
-        for e in self.elements:
-            mask |= 1 << e
-        return mask
-
 
 #: The set {0}, the additive identity of the sumset operation.
 ZERO_SET = IntegerSet.of(0)
@@ -250,10 +233,14 @@ class Classification(Record):
     the {0}-vertex. non_summands: subsets A with no B != {0} keeping
     A + B inside X; vertices carrying them must be pendant. neither is
     the intersection and lower-bounds the pendant count. Families are
-    sorted by (cardinality, elements) for determinism.
+    sorted by (cardinality, elements) for determinism. ``masks`` holds
+    the three families as subset masks of X, in the same order, for the
+    readers that work in masks; it is a function of the other fields,
+    so equality, hash and repr leave it out.
     """
 
-    __slots__ = _fields = ("ground", "mode", "non_sumsets", "non_summands", "neither")
+    _fields = ("ground", "mode", "non_sumsets", "non_summands", "neither")
+    __slots__ = (*_fields, "masks")
 
     def __init__(
         self,
@@ -262,12 +249,14 @@ class Classification(Record):
         non_sumsets: tuple[IntegerSet, ...],
         non_summands: tuple[IntegerSet, ...],
         neither: tuple[IntegerSet, ...],
+        masks: tuple[tuple[int, ...], ...],
     ) -> None:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "non_sumsets", non_sumsets)
         object.__setattr__(self, "non_summands", non_summands)
         object.__setattr__(self, "neither", neither)
+        object.__setattr__(self, "masks", masks)
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
@@ -275,11 +264,6 @@ def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     if a.is_empty() or b.is_empty():
         raise ValueError("empty set-label")
     return IntegerSet.from_iterable(x + y for x in a for y in b)
-
-
-def _family_sorted(sets: Iterable[IntegerSet]) -> tuple[IntegerSet, ...]:
-    # Cardinality first, then element order: {0,3} before {0,1,3}.
-    return tuple(sorted(sets, key=lambda s: (len(s), s.elements)))
 
 
 def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
@@ -307,13 +291,6 @@ def additive_type(x: GroundSet) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     return len(elems), tuple(triples)
 
 
-def _sum_value_mask(a_elements: tuple[int, ...], b_value_mask: int) -> int:
-    vm = 0
-    for e in a_elements:
-        vm |= b_value_mask << e
-    return vm
-
-
 class SubsetAlgebra(Immutable):
     """Every subset of X and every pair of distinct subsets summing inside X.
 
@@ -321,47 +298,69 @@ class SubsetAlgebra(Immutable):
     ``pairs`` maps a target subset mask to the sorted mask pairs (a, b),
     a < b, with A + B equal to the target; a pair whose sum escapes X is
     absent. With 0 in X every target other than {0} has an entry, since
-    {0} + C = C. Instances are shared through the cache of
+    {0} + C = C. ``equal_sums`` holds the target mask of every A + A
+    inside X (ALLOW_EQUAL's diagonal). All of it is read off
+    ``additive_type(X)``. Instances are shared through the cache of
     ``subset_algebra``: treat every field as read-only. Two instances
     are equal only if they are the same object.
     """
 
     __slots__ = (
-        "ground", "sets", "elements", "value", "value_to_mask", "pairs",
+        "ground", "sets", "elements", "pairs", "equal_sums",
         "classifications", "_targets_of", "_pair_sums",
     )
 
     def __init__(self, x: GroundSet) -> None:
         """Build the algebra of X; ``subset_algebra`` caches it.
 
-        For each a, every b with A + B inside X is a submask of
-        allowed(a) = X ∩ ⋂_{e∈A} (X − e). Walking those submasks from
-        the top down and stopping at b <= a visits each pair exactly
-        once, so the build costs O(n · (2^n + pairs)), not O(4^n).
+        partner(i) is the mask of the j with x_i + x_j in X, so every b
+        with A + B inside X is a submask of allowed(a), the AND of
+        partner(i) over i in A. Walking those submasks from the top down
+        and stopping at b < a visits each pair once, so the build costs
+        O(n · (2^n + pairs)), not O(4^n). A + B is the OR over i in A of
+        row_i[b], the mask of {x_i} + B, where row_i is filled over the
+        submasks s of partner(i) in ascending order by
+        row[s] = row[s ^ low] | bit(k), where low = bit(j) is the lowest
+        bit of s and x_i + x_j = x_k.
         """
-        sets = (IntegerSet(()), *enumerate_nonempty_subsets(x))
-        elements = tuple(s.elements for s in sets)
-        value = tuple(s.value_mask() for s in sets)
-        value_to_mask = {v: m for m, v in enumerate(value)}
-        x_vm = value[-1]
+        sets = (IntegerSet(()), *enumerate_nonempty_subsets(x))  # checks the size cap
+        n, triples = additive_type(x)
+        sum_bit: list[dict[int, int]] = [{} for _ in range(n)]  # i -> {bit(j): bit(k)}
+        for i, j, k in triples:
+            sum_bit[i][1 << j] = sum_bit[j][1 << i] = 1 << k
+        partner = [sum(bits) for bits in sum_bit]
+        rows = []
+        for p, bits in zip(partner, sum_bit):
+            row = [0] * (p + 1)
+            s = p & -p
+            while s:
+                row[s] = row[s & (s - 1)] | bits[s & -s]
+                s = (s - p) & p
+            rows.append(row)
+
         pairs: dict[int, list[tuple[int, int]]] = {}
-        for a in range(1, len(sets)):
-            ea = elements[a]
-            allowed = x_vm
-            for e in ea:
-                allowed &= x_vm >> e
-            s = value_to_mask[allowed]
-            b = s
-            while b > a:
-                t = value_to_mask[_sum_value_mask(ea, value[b])]
-                pairs.setdefault(t, []).append((a, b))
-                b = (b - 1) & s
+        equal_sums = []
+        for a in range(1, 1 << n):
+            allowed, a_rows = -1, []
+            for i in range(n):
+                if a >> i & 1:
+                    allowed &= partner[i]
+                    a_rows.append(rows[i])
+            b = allowed
+            while b >= a:  # b == a only when A + A lies inside X
+                t = 0
+                for row in a_rows:
+                    t |= row[b]
+                if b == a:
+                    equal_sums.append(t)
+                else:
+                    pairs.setdefault(t, []).append((a, b))
+                b = (b - 1) & allowed
         object.__setattr__(self, "ground", x)
         object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "value_to_mask", value_to_mask)
+        object.__setattr__(self, "elements", tuple(s.elements for s in sets))
         object.__setattr__(self, "pairs", {t: tuple(sorted(p)) for t, p in pairs.items()})
+        object.__setattr__(self, "equal_sums", tuple(equal_sums))
         object.__setattr__(self, "classifications", {})
         object.__setattr__(self, "_targets_of", None)
         object.__setattr__(self, "_pair_sums", None)
@@ -408,38 +407,34 @@ def subset_algebra(x: GroundSet) -> SubsetAlgebra:
 
 
 def _classify(alg: SubsetAlgebra, mode: SummandMode) -> Classification:
-    """Read the classification off the pair table.
+    """Read the classification off the pair table, in subset masks.
 
     C is a non-trivial sumset iff some pair for C avoids {0}; A is a
     non-trivial summand iff it sits in a pair whose partner is not {0}.
     Under ALLOW_EQUAL the diagonal A + A inside X adds sumsets but no
     summands: for nonzero b in A, A + {b} (or {b} + {0, b} when A = {b})
-    already lies inside A + A or {b, 2b}, hence inside X.
+    already lies inside A + A or {b, 2b}, hence inside X. Each family is
+    sorted by cardinality, then element order: {0,3} before {0,1,3}.
     """
-    sumsets: set[int] = set()
-    summands: set[int] = set()
+    size = len(alg.sets)
+    sumset = bytearray(size)
+    summand = bytearray(size)
     for t, pairs in alg.pairs.items():
         for a, b in pairs:
             if a != ZERO_MASK:
-                sumsets.add(t)
-                summands.update((a, b))
-    others = range(ZERO_MASK + 1, len(alg.sets))
+                sumset[t] = summand[a] = summand[b] = 1
     if mode is SummandMode.ALLOW_EQUAL:
-        for a in others:
-            t = alg.value_to_mask.get(_sum_value_mask(alg.elements[a], alg.value[a]))
-            if t is not None:
-                sumsets.add(t)
-
-    non_sumsets = [alg.sets[m] for m in others if m not in sumsets]
-    non_summands = [alg.sets[m] for m in others if m not in summands]
-    neither = [alg.sets[m] for m in others if m not in sumsets and m not in summands]
-    return Classification(
-        ground=alg.ground,
-        mode=mode,
-        non_sumsets=_family_sorted(non_sumsets),
-        non_summands=_family_sorted(non_summands),
-        neither=_family_sorted(neither),
+        for t in alg.equal_sums:
+            sumset[t] = 1
+    elements = alg.elements
+    order = sorted(range(ZERO_MASK + 1, size), key=lambda m: (len(elements[m]), elements[m]))
+    masks = (
+        tuple(m for m in order if not sumset[m]),
+        tuple(m for m in order if not summand[m]),
+        tuple(m for m in order if not sumset[m] and not summand[m]),
     )
+    families = (tuple(map(alg.sets.__getitem__, f)) for f in masks)
+    return Classification(alg.ground, mode, *families, masks)
 
 
 def classify_ground_set(

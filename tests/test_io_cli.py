@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -502,3 +505,46 @@ class TestCli:
         assert main(["classify", "--ground-set", "0,1,2", "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "non-sumsets" in out and "{0,1,2}" in out
+
+
+class TestHugeElements:
+    """A ground set's cost and output depend on its additive type only.
+
+    {0, ..., 5, 10**30} has the type of {0, ..., 5, 100}: each command
+    over it finishes well inside the timeout, and its output is the one
+    over {0, ..., 5, 100} with 100 replaced by 10**30. A kernel holding
+    one bit per integer value could not build the first at all.
+    """
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    SMALL = (0, 1, 2, 3, 4, 5, 100)
+    HUGE = (0, 1, 2, 3, 4, 5, 10**30)
+
+    def run(self, argv: list[str], ground: tuple[int, ...]):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "iasgl.cli", *argv, "--format", "json",
+             "--ground-set", ",".join(map(str, ground))],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def to_huge(self, obj):
+        """The output over SMALL with each element mapped index-wise onto HUGE;
+        elements sit in lists and in set strings such as "{0,1,100}"."""
+        elems = dict(zip(self.SMALL, self.HUGE))
+        if isinstance(obj, dict):
+            return {self.to_huge(k): self.to_huge(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [elems[v] if type(v) is int else self.to_huge(v) for v in obj]
+        if isinstance(obj, str) and re.fullmatch(r"\{[0-9,]*\}", obj):
+            return "{" + ",".join(str(elems[int(e)]) for e in obj[1:-1].split(",")) + "}"
+        return obj
+
+    @pytest.mark.parametrize(
+        "argv", [["classify"], ["construct"], ["search", "--graph", "star:126"]]
+    )
+    def test_output_maps_index_wise_onto_same_type(self, argv):
+        huge = self.run(argv, self.HUGE)
+        assert huge == self.to_huge(self.run(argv, self.SMALL))

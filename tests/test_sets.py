@@ -9,10 +9,10 @@ from iasgl.sets import (
     GroundSet,
     IntegerSet,
     SummandMode,
+    additive_type,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
-    _sum_value_mask,
     subset_algebra,
     sumset,
 )
@@ -65,12 +65,14 @@ class TestEnumeration:
         big = GroundSet.of(*range(21))
         with pytest.raises(ValueError, match="too large"):
             enumerate_nonempty_subsets(big)
+        with pytest.raises(ValueError, match="too large"):
+            subset_algebra(big)  # before any pair is walked
 
 
 def set_pairs(x: GroundSet, target: IntegerSet) -> list[tuple[IntegerSet, IntegerSet]]:
     """The kernel's pairs for a target, as sets."""
     alg = subset_algebra(x)
-    target_mask = alg.value_to_mask[target.value_mask()]
+    target_mask = sum(1 << x.base.elements.index(e) for e in target)
     return [(alg.sets[a], alg.sets[b]) for a, b in alg.pairs[target_mask]]
 
 
@@ -119,8 +121,8 @@ class TestDecompositions:
                 assert alg.targets_of is subset_algebra(x).targets_of
 
     def test_pair_sum_table(self):
-        # The search's P3 lookup against the value-mask route it replaced,
-        # and against plain sets: an absent entry means the sum escapes X.
+        # The search's P3 lookup against plain sets: an absent entry means
+        # the sum escapes X.
         for n in range(2, 5):
             for x in enumerate_canonical_ground_sets(n, 8):
                 alg = subset_algebra(x)
@@ -131,14 +133,54 @@ class TestDecompositions:
                         if a == b:
                             continue
                         got = alg.pair_sums[a].get(b)
-                        via_values = _sum_value_mask(alg.elements[a], alg.value[b])
-                        assert got == alg.value_to_mask.get(via_values), (x, a, b)
                         c = naive_sumset(alg.elements[a], alg.elements[b])
                         if c <= ground:
                             assert alg.sets[got].elements == tuple(sorted(c)), (x, a, b)
                         else:
                             assert got is None, (x, a, b)
                 assert alg.pair_sums is subset_algebra(x).pair_sums
+
+
+class TestAdditiveTypeInvariance:
+    """The kernel is built from T(X) alone, so a ground set with the same
+    type and huge elements gives it equal, mask for mask."""
+
+    def test_scaled_ground_set_has_equal_kernel(self):
+        # 10**30·X has X's type; one bit per value would need 10**31 bits.
+        for n in range(2, 6):
+            for x in enumerate_canonical_ground_sets(n, 10):
+                big = GroundSet(IntegerSet.from_iterable(10**30 * e for e in x.base.elements))
+                assert additive_type(big) == additive_type(x)
+                alg, big_alg = subset_algebra(x), subset_algebra(big)
+                assert big_alg.pairs == alg.pairs, x
+                assert big_alg.pair_sums == alg.pair_sums, x
+                assert big_alg.targets_of == alg.targets_of, x
+                assert big_alg.equal_sums == alg.equal_sums, x
+                for mode in SummandMode:
+                    masks = classify_ground_set(x, mode).masks
+                    assert classify_ground_set(big, mode).masks == masks, x
+
+    @pytest.mark.parametrize("mode", list(SummandMode))
+    def test_huge_element_against_oracle(self, mode):
+        small = GroundSet.of(0, 1, 2, 3, 4, 5, 100)
+        huge = GroundSet.of(0, 1, 2, 3, 4, 5, 10**30)
+        to_huge = dict(zip(small.base.elements, huge.base.elements))
+        got, want = classify_ground_set(huge, mode), classify_ground_set(small, mode)
+        oracle = oracle_classify(huge.base.elements, distinct=mode is SummandMode.DISTINCT_LABELS)
+        for family, expected in zip(("non_sumsets", "non_summands", "neither"), oracle):
+            sets = getattr(got, family)
+            assert {frozenset(s.elements) for s in sets} == expected
+            assert sets == tuple(
+                IntegerSet.from_iterable(map(to_huge.get, s)) for s in getattr(want, family)
+            )
+
+    def test_masks_name_the_classified_sets(self):
+        for x in (GroundSet.of(0, 1, 2, 3), GroundSet.of(0, 1, 3, 7, 12)):
+            alg = subset_algebra(x)
+            for mode in SummandMode:
+                cls = classify_ground_set(x, mode)
+                families = (cls.non_sumsets, cls.non_summands, cls.neither)
+                assert tuple(tuple(alg.sets[m] for m in f) for f in cls.masks) == families
 
 
 class TestSumsetSummandPredicates:
