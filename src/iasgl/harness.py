@@ -29,12 +29,14 @@ pendant and edge-count bounds as soon as it is made; a ``WitnessTally``
 keeps only counts and the first violation, which the pendant and
 edge-count checks then report.
 
-Every per-X classification, search and realisation goes through a
-``TypeMemo``: the tally's for the star and tree checks, a sweep's own
-for the path, cycle and complete checks. Each is computed once per
-additive type and mapped onto every other X of the type, with each
-mapped witness and realisation verified again, so every X still gets
-its own evidence and the report is the one per-X calls would give.
+Every per-X search and realisation goes through a ``TypeMemo``: the
+tally's for the star and tree checks, a sweep's own for the path, cycle
+and complete checks. Each is computed once per additive type and mapped
+onto every other X of the type, with each mapped witness and
+realisation verified again, so every X still gets its own evidence and
+the report is the one per-X calls would give. Classifications need no
+memo: ``classify_ground_set`` reads the masks off the kernel its type
+shares.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .sets import (
     GroundSet,
     IntegerSet,
     check_ground_set_family,
+    classify_ground_set,
     enumerate_canonical_ground_sets,
 )
 
@@ -217,8 +220,9 @@ class WitnessTally:
 
     Only counts and the first violation of each bound are kept: a
     witness is checked when it is made and then dropped. ``memo`` is
-    the run's type memo; the classifications here and the star and tree
-    checks' searches go through it.
+    the run's type memo, which the star and tree checks' searches and
+    realisations go through; the classifications here are
+    ``classify_ground_set`` calls.
     """
 
     ground_sets: int = 0
@@ -231,7 +235,7 @@ class WitnessTally:
     def add_ground_set(self, x: GroundSet) -> None:
         """Check |neither| >= n - 1 on one canonical ground set."""
         self.ground_sets += 1
-        neither = len(self.memo.classify(x).neither)
+        neither = len(classify_ground_set(x).neither)
         if neither < x.n - 1 and self.neither_violation is None:
             self.neither_violation = f"|neither| = {neither} < {x.n - 1} at X = {x}"
 
@@ -248,7 +252,7 @@ class WitnessTally:
                 f"witness over {x} has {edges} edges, expected {_star_order(x.n)}"
             )
         if self.pendant_violation is None:
-            neither = self.memo.classify(x).neither
+            neither = classify_ground_set(x).neither
             self.pendant_violation = _pendant_violation(x, neither, graph, labeling)
 
 

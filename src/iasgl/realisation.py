@@ -34,8 +34,10 @@ from .sets import (
     IntegerSet,
     Record,
     SubsetAlgebra,
-    classify_ground_set,
+    SummandMode,
+    additive_type,
     subset_algebra,
+    subsets_by_mask,
 )
 
 ASSIGNMENT_NODE_BUDGET = 200_000
@@ -58,18 +60,20 @@ class RealisationResult(Record):
         object.__setattr__(self, "assignment_trace", assignment_trace)
 
 
-def _solutions(alg: SubsetAlgebra, order: list[int], pool: set[int]):
+def _solutions(
+    alg: SubsetAlgebra, sets: tuple[IntegerSet, ...], order: list[int], pool: set[int]
+):
     """Yield exact assignments as tuples of mask pairs, one per target of order.
 
-    For each target the candidates are ordered by how many new vertices
-    they would add (pool pairs, then one new label, then two), then by
-    the operands as ``IntegerSet``s (lexicographic, which is not mask
-    order), which keeps vertex growth lazy and the output deterministic.
-    ASSIGNMENT_NODE_BUDGET only ends the scan once a solution has been
-    yielded.
+    sets is X's ``subsets_by_mask``. For each target the candidates are
+    ordered by how many new vertices they would add (pool pairs, then
+    one new label, then two), then by the operands as ``IntegerSet``s
+    (lexicographic, which is not mask order), which keeps vertex growth
+    lazy and the output deterministic. ASSIGNMENT_NODE_BUDGET only ends
+    the scan once a solution has been yielded.
     """
-    ranked = sorted(range(1, len(alg.sets)), key=alg.sets.__getitem__)
-    rank = [0] * len(alg.sets)
+    ranked = sorted(range(1, len(sets)), key=sets.__getitem__)
+    rank = [0] * len(sets)
     for r, m in enumerate(ranked):
         rank[m] = r
 
@@ -125,13 +129,13 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
     if x.n < 2:
         raise ValueError("realisation needs a ground set with at least 2 elements")
 
-    forced = classify_ground_set(x).masks[0]
-    alg = subset_algebra(x)
-    elements = alg.elements
+    alg = subset_algebra(additive_type(x))
+    forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
+    sets = subsets_by_mask(x)
     forced_set = set(forced)
     order = sorted(
-        (t for t in range(ZERO_MASK + 1, len(alg.sets)) if t not in forced_set),
-        key=lambda t: (len(alg.pairs[t]), len(elements[t]), elements[t]),
+        (t for t in range(ZERO_MASK + 1, len(sets)) if t not in forced_set),
+        key=lambda t: (len(alg.pairs[t]), len(sets[t]), sets[t]),
     )
 
     def materialize(solution: tuple[tuple[int, int], ...]) -> RealisationResult:
@@ -146,18 +150,18 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
             u, w = sorted((vertex_of[a], vertex_of[b]))
             trace.append((t, (u, w)))
         graph = Graph.from_edges(vertex_of.values(), [e for _, e in trace])
-        labeling = Labeling.from_mapping(x, {vid: alg.sets[m] for m, vid in vertex_of.items()})
-        trace.sort(key=lambda item: (len(elements[item[0]]), elements[item[0]]))
+        labeling = Labeling.from_mapping(x, {vid: sets[m] for m, vid in vertex_of.items()})
+        trace.sort(key=lambda item: (len(sets[item[0]]), sets[item[0]]))
         return RealisationResult(
             graph=graph,
             labeling=labeling,
             non_bipartite=not is_bipartite(graph),
-            assignment_trace=tuple((alg.sets[t], e) for t, e in trace),
+            assignment_trace=tuple((sets[t], e) for t, e in trace),
         )
 
     result: RealisationResult | None = None
     scanned = 0
-    for sol in _solutions(alg, order, {ZERO_MASK, *forced}):
+    for sol in _solutions(alg, sets, order, {ZERO_MASK, *forced}):
         built = materialize(sol)
         if result is None or built.non_bipartite:
             result = built

@@ -38,17 +38,17 @@ viable pairs that assignment can have killed are rescanned (see
 ``_State.coverage_ok``). The verdict equals a full rescan of every
 unrealized target.
 
-Set-up that depends only on X (the subset algebra, its label ->
-targets index, its pair-sum table and the classification, all in subset
-masks and all read off X's additive type) or only on
-the graph (vertex order, adjacency by DFS index, twin classes:
+Set-up that depends only on X's additive type (the subset algebra, its
+pair-sum table and its classification masks, all in subset masks) or
+only on the graph (vertex order, adjacency by DFS index, twin classes:
 ``_graph_layout``) sits in small LRU caches and is shared read-only, so
 a sweep of one graph over many ground sets, or of many graphs over one
-X, pays each part once. The pair-sum table maps a label mask to
-{partner mask: target mask} for every pair summing inside X, so P3
-costs one dict lookup per edge and a missing key is a sum that escapes
-X. A sweep also searches each additive type of X only once
-(``TypeMemo``).
+X, pays each part once per type or graph. The pair-sum table maps a
+label mask to {partner mask: target mask} for every pair summing inside
+X, so P3 costs one dict lookup per edge and a missing key is a sum that
+escapes X; its values for a label are the targets P4 rechecks. X's own
+subsets (``subsets_by_mask``) are read only to build a witness. A sweep
+also searches each additive type of X only once (``TypeMemo``).
 
 The twin rule is a cursor, not a filter: the candidate lists are
 strictly ascending, so a vertex's scan starts by bisection just past
@@ -81,15 +81,12 @@ from .labeling import Labeling, structural_gate, verify_iasgl
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     ZERO_MASK,
-    Classification,
     GroundSet,
-    IntegerSet,
     SummandMode,
     additive_type,
-    classify_ground_set,
     enumerate_canonical_ground_sets,
-    enumerate_nonempty_subsets,
     subset_algebra,
+    subsets_by_mask,
 )
 
 if TYPE_CHECKING:
@@ -115,6 +112,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.node_budget <= 0 or self.time_budget_ms <= 0:
             raise ValueError("budgets must be positive")
+        if self.time_budget_ms > sys.float_info.max:
+            # The deadline is a float of seconds.
+            raise ValueError("time budget too large")
         unknown = set(self.disabled_rules) - set(PRUNE_RULES)
         if unknown:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
@@ -221,7 +221,7 @@ class _State:
     """Mutable backtracking state over subset masks.
 
     Labels, targets and the classification's families are handled as
-    subset masks; ``IntegerSet``s are read only to build a witness. An
+    subset masks; X's ``IntegerSet``s are read only to build a witness. An
     edge's label is one lookup in the kernel's pair-sum table
     (``pair_sums``): the partner's entry under the vertex's label,
     absent when the sum escapes the ground set.
@@ -237,19 +237,16 @@ class _State:
         self.deadline = deadline
 
         n = x.n
-        alg = subset_algebra(x)
-        self.sets = alg.sets
-        # Label mask -> {partner label mask: target mask} (P3).
+        alg = subset_algebra(additive_type(x))
+        # Label mask -> {partner label mask: target mask} (P3, P4 rechecks).
         self.pair_sums = alg.pair_sums
         # Label-mask pairs (a < b) per target mask; every target has one.
         self.pairs_by_target = alg.pairs
-        # Label mask -> the targets with a pair that uses it (P4 rechecks).
-        self.targets_of = alg.targets_of
         self.targets = range(ZERO_MASK + 1, 1 << n)
 
-        cls = classify_ground_set(x)
-        self.min_zero_degree = len(cls.non_sumsets)
-        self.non_summand_masks = set(cls.masks[1])
+        non_sumsets, non_summands, _ = alg.class_masks(SummandMode.DISTINCT_LABELS)
+        self.min_zero_degree = len(non_sumsets)
+        self.non_summand_masks = set(non_summands)
         self.p3 = cfg.enabled("P3")
         self.p4 = cfg.enabled("P4")
 
@@ -297,7 +294,7 @@ class _State:
             if key not in shared:
                 shared[key] = [
                     m
-                    for m in range(1, len(self.sets))
+                    for m in range(1, 1 << self.x.n)
                     if (zero_ok or m != ZERO_MASK)
                     and (non_summand_ok or m not in self.non_summand_masks)
                 ]
@@ -330,8 +327,10 @@ class _State:
         neighbor of vi that has just lost its last unassigned neighbor,
         or if it needs two unassigned vertices and fewer than two remain.
         So only the targets of mask, the targets of each such neighbor's
-        label and, once unassigned < 2, every target are rescanned; the
-        verdict is that of a full rescan of all unrealized targets.
+        label (the values of their ``pair_sums`` rows; a target listed
+        twice is rescanned twice, to the same verdict) and, once
+        unassigned < 2, every target are rescanned; the verdict is that
+        of a full rescan of all unrealized targets.
 
         A target is viable while some pair of it can still become an
         edge label: both labels unused with two vertices unassigned, or
@@ -346,10 +345,11 @@ class _State:
         if unassigned < 2:
             groups = [self.targets]
         else:
-            groups = [self.targets_of[mask]]
+            pair_sums = self.pair_sums
+            groups = [pair_sums[mask].values()]
             for w in self.earlier[vi]:
                 if not free_neighbors[w]:
-                    groups.append(self.targets_of[self.assigned[w]])
+                    groups.append(pair_sums[self.assigned[w]].values())
         realized = self.realized
         owner = self.owner
         pairs_by_target = self.pairs_by_target
@@ -374,7 +374,8 @@ class _State:
 
     def record(self) -> bool:
         """Verify the full assignment independently; keep it if it passes."""
-        mapping = {self.order[i]: self.sets[m] for i, m in enumerate(self.assigned)}
+        sets = subsets_by_mask(self.x)
+        mapping = {self.order[i]: sets[m] for i, m in enumerate(self.assigned)}
         labeling = Labeling.from_mapping(self.x, mapping)
         if verify_iasgl(self.g, labeling):
             self.witnesses.append(labeling)
@@ -573,25 +574,25 @@ def _decide(g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
 class TypeMemo:
     """Results decided once per additive type, mapped onto each X.
 
-    A search, a realisation and a classification are functions of X's
-    additive type in subset-mask coordinates (see ``sets``). The memo
-    keeps search outcomes per (graph, config, type), realisations per
-    (type, prefer_nonbipartite) and classifications per (type, mode).
-    It stores them in subset-mask coordinates as tuples of small ints:
-    label masks per vertex, the realisation's vertex numbers and trace
-    masks, and the counters (beside the status and prune-rule names),
-    never ``Graph``, ``Labeling`` or ``IntegerSet`` objects. A hit turns
-    the masks into X's own subsets by index and re-verifies every mapped
+    A search and a realisation are functions of X's additive type in
+    subset-mask coordinates (see ``sets``); a classification needs no
+    memo, since its masks live on the type's kernel. The memo keeps
+    search outcomes per (graph, config, type) and realisations per
+    (type, prefer_nonbipartite). It stores them in subset-mask
+    coordinates as tuples of small ints: label masks per vertex, the
+    realisation's vertex numbers and trace masks, and the counters
+    (beside the status and prune-rule names), never ``Graph``,
+    ``Labeling`` or ``IntegerSet`` objects. A hit turns the masks into
+    X's own subsets (``subsets_by_mask``) and re-verifies every mapped
     witness and realisation with ``verify_iasgl``; one that fails is a
     RuntimeError, never a fallback. A search that a budget stopped is
     never kept, so every X spends its own budget on it.
 
     Searches go through ``search_iasgl(g, x, cfg, memo)``, so every X is
-    still one call of the search's public entry point; ``realise`` and
-    ``classify`` stand for ``build_realisation`` and
-    ``classify_ground_set``. One memo serves one sweep or one harness
-    run: create it there and let it go with the results. ``hits`` and
-    ``misses`` count lookups.
+    still one call of the search's public entry point; ``realise``
+    stands for ``build_realisation``. One memo serves one sweep or one
+    harness run: create it there and let it go with the results.
+    ``hits`` and ``misses`` count lookups.
     """
 
     def __init__(self) -> None:
@@ -599,23 +600,6 @@ class TypeMemo:
         self.misses = 0
         self._searches: dict = {}
         self._realisations: dict = {}
-        self._classifications: dict = {}
-        # The last X looked up, its type and (once a hit needs them) its
-        # subsets by subset mask: the calls for one X usually come together.
-        self._x: GroundSet | None = None
-        self._type: tuple = ()
-        self._sets: tuple[IntegerSet | None, ...] = ()
-
-    def _type_of(self, x: GroundSet) -> tuple:
-        if x != self._x:
-            self._x, self._type, self._sets = x, additive_type(x), ()
-        return self._type
-
-    def _sets_of(self, x: GroundSet) -> tuple[IntegerSet | None, ...]:
-        """X's subsets by subset mask, for the X just looked up."""
-        if not self._sets:
-            self._sets = (None, *enumerate_nonempty_subsets(x))
-        return self._sets
 
     @staticmethod
     def _masks(x: GroundSet, sets) -> tuple[int, ...]:
@@ -632,7 +616,7 @@ class TypeMemo:
 
     def _search(self, g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
         """``search_iasgl(g, x, cfg, self)``."""
-        key = (g, cfg, self._type_of(x))
+        key = (g, cfg, additive_type(x))
         stored = self._searches.get(key)
         if stored is None:
             self.misses += 1
@@ -646,7 +630,7 @@ class TypeMemo:
             return outcome
         self.hits += 1
         status, witnesses, (nodes, prunes) = stored
-        sets = self._sets_of(x) if witnesses else ()
+        sets = subsets_by_mask(x) if witnesses else ()
         mapped = [
             self._verified(
                 g, Labeling(x, tuple(zip(g.vertex_ids, map(sets.__getitem__, masks)))),
@@ -662,7 +646,7 @@ class TypeMemo:
         # Only the harness realises; a search process skips loading the builder.
         from .realisation import RealisationResult, build_realisation
 
-        key = (self._type_of(x), prefer_nonbipartite)
+        key = (additive_type(x), prefer_nonbipartite)
         stored = self._realisations.get(key)
         if stored is None:
             self.misses += 1
@@ -683,7 +667,7 @@ class TypeMemo:
             return built
         self.hits += 1
         labels, trace, non_bipartite = stored
-        sets = self._sets_of(x)
+        sets = subsets_by_mask(x)
         names = [f"v{i}" for i in range(len(labels))]
         steps = list(zip(*[iter(trace)] * 3))
         graph = Graph.from_edges(names, [(names[u], names[w]) for _, u, w in steps])
@@ -694,22 +678,6 @@ class TypeMemo:
             non_bipartite=non_bipartite,
             assignment_trace=tuple((sets[t], (names[u], names[w])) for t, u, w in steps),
         )
-
-    def classify(
-        self, x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
-    ) -> Classification:
-        """``classify_ground_set(x, mode)``, classified once per additive
-        type."""
-        key = (self._type_of(x), mode)
-        stored = self._classifications.get(key)
-        if stored is None:
-            self.misses += 1
-            cls = classify_ground_set(x, mode)
-            self._classifications[key] = cls.masks
-            return cls
-        self.hits += 1
-        sets = self._sets_of(x)
-        return Classification(x, mode, *(tuple(map(sets.__getitem__, f)) for f in stored), stored)
 
 
 def sweep_ground_sets(

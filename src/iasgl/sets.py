@@ -15,14 +15,17 @@ Write X = {x_0 < ... < x_{n-1}}. A subset of X is handled as a subset
 mask, bit i set when x_i is present (the order of
 ``enumerate_nonempty_subsets``); the kernel has no other coordinates.
 
-``subset_algebra(X)`` is the one place that enumerates pairs of subsets.
-It holds every subset of X (elements, ``IntegerSet``) and the pair
-table: for each target C, the pairs of distinct subsets A, B with
-A + B = C inside X. It is cached per X in a fixed-size LRU (32 ground
-sets), so a sweep over hundreds of ground sets holds a bounded amount of
-memory; the classification, the label -> targets index and the pair-sum
-table (label -> {partner: target}, the search's P3 lookup) are memoised
-on the cached object, each built on first use.
+``subset_algebra(additive_type(X))`` is the one place that enumerates
+pairs of subsets. It holds the pair table (for each target C, the pairs
+of distinct subsets A, B with A + B = C inside X) and, memoised on first
+use, the pair-sum table (label -> {partner: target}, the search's P3
+and P4 lookup) and the classification masks per mode. It is built from
+X's additive type alone and cached by that type in a fixed-size LRU (32
+types), so every X of one type shares one kernel and a sweep over
+hundreds of ground sets holds a bounded amount of memory. X's own
+subsets, as ``IntegerSet``s indexed by subset mask, come from
+``subsets_by_mask(X)``, cached per X; only the readers that print labels
+(classification, witnesses, realisations) build them.
 
 Additive type. T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k} is the
 sum-triple set, and ``additive_type(X)`` = (n, sorted T(X)) an O(n^2)
@@ -233,14 +236,11 @@ class Classification(Record):
     the {0}-vertex. non_summands: subsets A with no B != {0} keeping
     A + B inside X; vertices carrying them must be pendant. neither is
     the intersection and lower-bounds the pendant count. Families are
-    sorted by (cardinality, elements) for determinism. ``masks`` holds
-    the three families as subset masks of X, in the same order, for the
-    readers that work in masks; it is a function of the other fields,
-    so equality, hash and repr leave it out.
+    sorted by (cardinality, elements) for determinism. The same families
+    as subset masks are the kernel's ``SubsetAlgebra.class_masks``.
     """
 
-    _fields = ("ground", "mode", "non_sumsets", "non_summands", "neither")
-    __slots__ = (*_fields, "masks")
+    __slots__ = _fields = ("ground", "mode", "non_sumsets", "non_summands", "neither")
 
     def __init__(
         self,
@@ -249,14 +249,12 @@ class Classification(Record):
         non_sumsets: tuple[IntegerSet, ...],
         non_summands: tuple[IntegerSet, ...],
         neither: tuple[IntegerSet, ...],
-        masks: tuple[tuple[int, ...], ...],
     ) -> None:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "non_sumsets", non_sumsets)
         object.__setattr__(self, "non_summands", non_summands)
         object.__setattr__(self, "neither", neither)
-        object.__setattr__(self, "masks", masks)
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
@@ -266,15 +264,30 @@ def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     return IntegerSet.from_iterable(x + y for x in a for y in b)
 
 
-def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
-    """All 2^n - 1 non-empty subsets of X, ascending by subset mask."""
+@lru_cache(maxsize=32)
+def subsets_by_mask(x: GroundSet) -> tuple[IntegerSet, ...]:
+    """All 2^n subsets of X as ``IntegerSet``s, indexed by subset mask
+    (entry 0 is the empty set), built once per X in a small LRU cache.
+
+    The subsets with top bit i are those below bit i, each with x_i
+    appended: already ascending and distinct, so no set is re-sorted.
+    """
     if x.n > SUBSET_ENUMERATION_CAP:
         raise ValueError("ground set too large")
-    elems = x.base.elements
-    out = []
-    for mask in range(1, 1 << x.n):
-        out.append(IntegerSet.from_iterable(elems[i] for i in range(x.n) if mask >> i & 1))
-    return out
+    new, set_elements = object.__new__, IntegerSet.elements.__set__
+    out = [IntegerSet(())]
+    for e in x.base.elements:
+        last = (e,)
+        for s in out[:]:
+            t = new(IntegerSet)
+            set_elements(t, s.elements + last)
+            out.append(t)
+    return tuple(out)
+
+
+def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
+    """All 2^n - 1 non-empty subsets of X, ascending by subset mask."""
+    return list(subsets_by_mask(x)[1:])
 
 
 def additive_type(x: GroundSet) -> tuple[int, tuple[tuple[int, int, int], ...]]:
@@ -292,26 +305,24 @@ def additive_type(x: GroundSet) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
 
 class SubsetAlgebra(Immutable):
-    """Every subset of X and every pair of distinct subsets summing inside X.
+    """Every pair of distinct subsets of X summing inside X, in subset masks.
 
-    Tuples are indexed by subset mask (entry 0 is the empty set).
-    ``pairs`` maps a target subset mask to the sorted mask pairs (a, b),
-    a < b, with A + B equal to the target; a pair whose sum escapes X is
-    absent. With 0 in X every target other than {0} has an entry, since
-    {0} + C = C. ``equal_sums`` holds the target mask of every A + A
-    inside X (ALLOW_EQUAL's diagonal). All of it is read off
-    ``additive_type(X)``. Instances are shared through the cache of
-    ``subset_algebra``: treat every field as read-only. Two instances
-    are equal only if they are the same object.
+    Built from the key ``additive_type(X)`` alone, so one instance serves
+    every X of that type. ``pairs`` maps a target subset mask to the
+    sorted mask pairs (a, b), a < b, with A + B equal to the target; a
+    pair whose sum escapes X is absent. With 0 in X every target other
+    than {0} has an entry, since {0} + C = C. ``equal_sums`` holds the
+    target mask of every A + A inside X (ALLOW_EQUAL's diagonal).
+    Instances are shared through the cache of ``subset_algebra``: treat
+    every field as read-only. Two instances are equal only if they are
+    the same object.
     """
 
-    __slots__ = (
-        "ground", "sets", "elements", "pairs", "equal_sums",
-        "classifications", "_targets_of", "_pair_sums",
-    )
+    __slots__ = ("n", "pairs", "equal_sums", "_pair_sums", "_class_masks")
 
-    def __init__(self, x: GroundSet) -> None:
-        """Build the algebra of X; ``subset_algebra`` caches it.
+    def __init__(self, key: tuple[int, tuple[tuple[int, int, int], ...]]) -> None:
+        """Build the algebra of the additive type key = (n, T(X));
+        ``subset_algebra`` caches it.
 
         partner(i) is the mask of the j with x_i + x_j in X, so every b
         with A + B inside X is a submask of allowed(a), the AND of
@@ -323,8 +334,9 @@ class SubsetAlgebra(Immutable):
         row[s] = row[s ^ low] | bit(k), where low = bit(j) is the lowest
         bit of s and x_i + x_j = x_k.
         """
-        sets = (IntegerSet(()), *enumerate_nonempty_subsets(x))  # checks the size cap
-        n, triples = additive_type(x)
+        n, triples = key
+        if n > SUBSET_ENUMERATION_CAP:
+            raise ValueError("ground set too large")
         sum_bit: list[dict[int, int]] = [{} for _ in range(n)]  # i -> {bit(j): bit(k)}
         for i, j, k in triples:
             sum_bit[i][1 << j] = sum_bit[j][1 << i] = 1 << k
@@ -356,42 +368,25 @@ class SubsetAlgebra(Immutable):
                 else:
                     pairs.setdefault(t, []).append((a, b))
                 b = (b - 1) & allowed
-        object.__setattr__(self, "ground", x)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "elements", tuple(s.elements for s in sets))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", {t: tuple(sorted(p)) for t, p in pairs.items()})
         object.__setattr__(self, "equal_sums", tuple(equal_sums))
-        object.__setattr__(self, "classifications", {})
-        object.__setattr__(self, "_targets_of", None)
         object.__setattr__(self, "_pair_sums", None)
-
-    @property
-    def targets_of(self) -> tuple[tuple[int, ...], ...]:
-        """Label mask -> the ascending target masks with a pair using it.
-
-        Built on first use and then shared by every reader of this
-        cached X (the search's coverage rechecks).
-        """
-        if self._targets_of is None:
-            targets: list[set[int]] = [set() for _ in self.sets]
-            for t, pairs in self.pairs.items():
-                for a, b in pairs:
-                    targets[a].add(t)
-                    targets[b].add(t)
-            object.__setattr__(self, "_targets_of", tuple(tuple(sorted(ts)) for ts in targets))
-        return self._targets_of
+        object.__setattr__(self, "_class_masks", {})
 
     @property
     def pair_sums(self) -> tuple[dict[int, int], ...]:
         """Label mask a -> {b: target mask of A + B} for every pair of
         ``pairs``, stored both ways round; a partner b that is absent
-        makes A + B escape X.
+        makes A + B escape X, and the values are the targets with a pair
+        using a.
 
         Built on first use and then shared by every reader of this
-        cached X (the search's P3 test, one lookup per edge).
+        cached type (the search's P3 test, one lookup per edge, and its
+        P4 rechecks).
         """
         if self._pair_sums is None:
-            sums: list[dict[int, int]] = [{} for _ in self.sets]
+            sums: list[dict[int, int]] = [{} for _ in range(1 << self.n)]
             for t, pairs in self.pairs.items():
                 for a, b in pairs:
                     sums[a][b] = t
@@ -399,61 +394,77 @@ class SubsetAlgebra(Immutable):
             object.__setattr__(self, "_pair_sums", tuple(sums))
         return self._pair_sums
 
+    def class_masks(self, mode: SummandMode) -> tuple[tuple[int, ...], ...]:
+        """The classification's families (non-sumsets, non-summands,
+        neither) as subset masks, read off the pair table and memoised
+        per mode.
+
+        C is a non-trivial sumset iff some pair for C avoids {0}; A is a
+        non-trivial summand iff it sits in a pair whose partner is not
+        {0}. Under ALLOW_EQUAL the diagonal A + A inside X adds sumsets
+        but no summands: for nonzero b in A, A + {b} (or {b} + {0, b}
+        when A = {b}) already lies inside A + A or {b, 2b}, hence inside
+        X. Each family is sorted by cardinality, then index tuple, which
+        is element order since index -> element is increasing: {0,3}
+        before {0,1,3}. Among masks of one popcount, the index tuples
+        first differ at the lowest bit of a XOR b, and the mask holding
+        it comes first: that is descending order of the bit-reversed
+        mask.
+        """
+        masks = self._class_masks.get(mode)
+        if masks is not None:
+            return masks
+        n = self.n
+        size = 1 << n
+        sumset = bytearray(size)
+        summand = bytearray(size)
+        for t, pairs in self.pairs.items():
+            for a, b in pairs:
+                if a != ZERO_MASK:
+                    sumset[t] = summand[a] = summand[b] = 1
+        if mode is SummandMode.ALLOW_EQUAL:
+            for t in self.equal_sums:
+                sumset[t] = 1
+        reverse = [0]  # n-bit reversal of each mask
+        for i in range(n):
+            bit = size >> (i + 1)
+            reverse += [r | bit for r in reverse]
+        order = sorted(
+            range(ZERO_MASK + 1, size), key=lambda m: (m.bit_count() << n) - reverse[m]
+        )
+        masks = self._class_masks[mode] = (
+            tuple(m for m in order if not sumset[m]),
+            tuple(m for m in order if not summand[m]),
+            tuple(m for m in order if not sumset[m] and not summand[m]),
+        )
+        return masks
+
 
 @lru_cache(maxsize=32)
-def subset_algebra(x: GroundSet) -> SubsetAlgebra:
-    """Build (or fetch from a small LRU cache) the subset algebra of X."""
-    return SubsetAlgebra(x)
+def subset_algebra(key: tuple[int, tuple[tuple[int, int, int], ...]]) -> SubsetAlgebra:
+    """Build (or fetch from a small LRU cache) the subset algebra of the
+    additive type key = ``additive_type(X)``."""
+    return SubsetAlgebra(key)
 
 
-def _classify(alg: SubsetAlgebra, mode: SummandMode) -> Classification:
-    """Read the classification off the pair table, in subset masks.
-
-    C is a non-trivial sumset iff some pair for C avoids {0}; A is a
-    non-trivial summand iff it sits in a pair whose partner is not {0}.
-    Under ALLOW_EQUAL the diagonal A + A inside X adds sumsets but no
-    summands: for nonzero b in A, A + {b} (or {b} + {0, b} when A = {b})
-    already lies inside A + A or {b, 2b}, hence inside X. Each family is
-    sorted by cardinality, then element order: {0,3} before {0,1,3}.
-    """
-    size = len(alg.sets)
-    sumset = bytearray(size)
-    summand = bytearray(size)
-    for t, pairs in alg.pairs.items():
-        for a, b in pairs:
-            if a != ZERO_MASK:
-                sumset[t] = summand[a] = summand[b] = 1
-    if mode is SummandMode.ALLOW_EQUAL:
-        for t in alg.equal_sums:
-            sumset[t] = 1
-    elements = alg.elements
-    order = sorted(range(ZERO_MASK + 1, size), key=lambda m: (len(elements[m]), elements[m]))
-    masks = (
-        tuple(m for m in order if not sumset[m]),
-        tuple(m for m in order if not summand[m]),
-        tuple(m for m in order if not sumset[m] and not summand[m]),
-    )
-    families = (tuple(map(alg.sets.__getitem__, f)) for f in masks)
-    return Classification(alg.ground, mode, *families, masks)
-
-
+@lru_cache(maxsize=32)
 def classify_ground_set(
     x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
 ) -> Classification:
     """Classify every non-empty subset of X except {0}.
 
-    The result is memoised per mode on the cached subset algebra of X,
-    so repeated calls return the same instance while X stays cached.
+    The families are the kernel's ``class_masks`` for X's additive type,
+    turned into X's own subsets by ``subsets_by_mask``. Results are kept
+    per (X, mode) in a small LRU cache, so repeated calls return the
+    same instance while X stays cached.
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n < 2:
         raise ValueError("classification needs a ground set with at least 2 elements")
-    alg = subset_algebra(x)
-    cls = alg.classifications.get(mode)
-    if cls is None:
-        cls = alg.classifications[mode] = _classify(alg, mode)
-    return cls
+    masks = subset_algebra(additive_type(x)).class_masks(mode)
+    sets = subsets_by_mask(x)
+    return Classification(x, mode, *(tuple(map(sets.__getitem__, f)) for f in masks))
 
 
 def check_ground_set_family(n: int, max_element: int) -> None:

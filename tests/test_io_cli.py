@@ -205,6 +205,15 @@ class TestCli:
         assert err.value.code == 2
         assert "budgets must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ground_set", ["0,1", "sweep:n=2,max=3"])
+    def test_search_time_budget_above_float_range_is_usage_error(self, ground_set, capsys):
+        # 10^309 ms has no float deadline.
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", "star:2", "--ground-set", ground_set,
+                  "--time-budget-ms", "1" + "0" * 309])
+        assert err.value.code == 2
+        assert "time budget too large" in capsys.readouterr().err
+
     def test_search_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["search", "--graph", "star:6", "--ground-set", "0,1,2", "--seed", "3"])

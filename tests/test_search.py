@@ -294,13 +294,13 @@ class TestDeadline:
         # set-up stops the search before its first node.
         import iasgl.search
 
-        classify = iasgl.search.classify_ground_set
+        kernel = iasgl.search.subset_algebra
 
-        def slow_classify(*args, **kwargs):
+        def slow_kernel(*args):
             time.sleep(0.03)
-            return classify(*args, **kwargs)
+            return kernel(*args)
 
-        monkeypatch.setattr(iasgl.search, "classify_ground_set", slow_classify)
+        monkeypatch.setattr(iasgl.search, "subset_algebra", slow_kernel)
         out = search_iasgl(BROOM15, x0123, nogate(time_budget_ms=20))
         assert out.status is SearchStatus.BUDGET_EXCEEDED
         assert out.stats.nodes == 0
@@ -508,10 +508,20 @@ class TestSharedSetUp:
         search_iasgl(generate("star", 14), x0123, nogate())
         search_iasgl(BROOM15, x0124, nogate())
         broom, star, broom_again = states
-        assert broom.targets_of is star.targets_of is subset_algebra(x0123).targets_of
-        assert broom_again.targets_of is subset_algebra(x0124).targets_of
+        kernel = subset_algebra(additive_type(x0123))
+        assert broom.pair_sums is star.pair_sums is kernel.pair_sums
+        assert broom_again.pair_sums is subset_algebra(additive_type(x0124)).pair_sums
         assert broom.earlier is broom_again.earlier
         assert broom.twin_classes is broom_again.twin_classes
+
+    def test_ground_sets_of_one_type_share_the_kernel(self, x0123):
+        # {0,2,4,6} = 2·{0,1,2,3}: the second search builds no kernel.
+        subset_algebra.cache_clear()
+        first = search_iasgl(BROOM15, x0123, nogate())
+        misses = subset_algebra.cache_info().misses
+        second = search_iasgl(BROOM15, GroundSet.of(0, 2, 4, 6), nogate())
+        assert subset_algebra.cache_info().misses == misses
+        assert second.stats.to_obj() == first.stats.to_obj()
 
     def test_warm_sweeps_match_fresh_searches(self):
         star6 = generate("star", 6)
@@ -585,11 +595,16 @@ class TestTypeMemo:
         for x in family:
             for prefer in (False, True):
                 assert memo.realise(x, prefer) == build_realisation(x, prefer)
-            for mode in SummandMode:
-                assert memo.classify(x, mode) == classify_ground_set(x, mode)
-        # 345 ground sets of 2 + 7 + 37 additive types, 4 lookups each.
+        # Each classification through the kernel its type shares, against
+        # a cold call.
+        shared = {(x, mode): classify_ground_set(x, mode) for x in family for mode in SummandMode}
+        for (x, mode), cls in shared.items():
+            classify_ground_set.cache_clear()
+            subset_algebra.cache_clear()
+            assert classify_ground_set(x, mode) == cls
+        # 345 ground sets of 2 + 7 + 37 additive types, 2 lookups each.
         assert len(family) == 345
-        assert (memo.misses, memo.hits) == (4 * 46, 4 * (345 - 46))
+        assert (memo.misses, memo.hits) == (2 * 46, 2 * (345 - 46))
 
     def test_additive_type_keys(self):
         assert additive_type(GroundSet.of(0, 1, 2, 3)) == additive_type(GroundSet.of(0, 2, 4, 6))
@@ -599,17 +614,17 @@ class TestTypeMemo:
     def test_time_budget_stop_is_not_kept(self, monkeypatch, x0123):
         import iasgl.search
 
-        classify = iasgl.search.classify_ground_set
+        kernel = iasgl.search.subset_algebra
 
-        def slow_classify(*args, **kwargs):
+        def slow_kernel(*args):
             time.sleep(0.05)
-            return classify(*args, **kwargs)
+            return kernel(*args)
 
         star = generate("star", 14)
         x0246 = GroundSet.of(0, 2, 4, 6)
         cfg = SearchConfig(time_budget_ms=40)
         memo = TypeMemo()
-        monkeypatch.setattr(iasgl.search, "classify_ground_set", slow_classify)
+        monkeypatch.setattr(iasgl.search, "subset_algebra", slow_kernel)
         for x in (x0123, x0246):
             assert search_iasgl(star, x, cfg, memo).budget_stop == "time"
         assert (memo.hits, memo.misses) == (0, 2)

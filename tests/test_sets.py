@@ -1,6 +1,7 @@
 """Sumset arithmetic and ground-set classification."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from iasgl.sets import (
     enumerate_canonical_ground_sets,
     enumerate_nonempty_subsets,
     subset_algebra,
+    subsets_by_mask,
     sumset,
 )
 
@@ -66,14 +68,27 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="too large"):
             enumerate_nonempty_subsets(big)
         with pytest.raises(ValueError, match="too large"):
-            subset_algebra(big)  # before any pair is walked
+            subset_algebra(additive_type(big))  # before any pair is walked
+
+    def test_subsets_by_mask_against_combinations(self):
+        # Built by appending to the set one bit smaller, never re-sorted.
+        for n in range(1, 9):
+            elems = (0, 1, 3, 7, 12, 20, 30, 44)[:n]
+            expected = [()] * (1 << n)
+            for k in range(1, n + 1):
+                for idx in combinations(range(n), k):
+                    expected[sum(1 << i for i in idx)] = tuple(elems[i] for i in idx)
+            got = subsets_by_mask(GroundSet.of(*elems))
+            assert len(got) == 1 << n
+            for mask, (s, want) in enumerate(zip(got, expected)):
+                assert type(s) is IntegerSet and s.elements == want, (n, mask)
 
 
 def set_pairs(x: GroundSet, target: IntegerSet) -> list[tuple[IntegerSet, IntegerSet]]:
     """The kernel's pairs for a target, as sets."""
-    alg = subset_algebra(x)
+    alg, sets = subset_algebra(additive_type(x)), subsets_by_mask(x)
     target_mask = sum(1 << x.base.elements.index(e) for e in target)
-    return [(alg.sets[a], alg.sets[b]) for a, b in alg.pairs[target_mask]]
+    return [(sets[a], sets[b]) for a, b in alg.pairs[target_mask]]
 
 
 class TestDecompositions:
@@ -98,52 +113,54 @@ class TestDecompositions:
                         if a != b and c <= ground:
                             expected.setdefault(c, set()).add(frozenset((a, b)))
 
-                alg = subset_algebra(x)
+                alg, sets = subset_algebra(additive_type(x)), subsets_by_mask(x)
                 got: dict[frozenset[int], set[frozenset[frozenset[int]]]] = {}
                 for t, pairs in alg.pairs.items():
                     assert list(pairs) == sorted(pairs) and all(a < b for a, b in pairs)
-                    got[frozenset(alg.sets[t])] = {
-                        frozenset((frozenset(alg.sets[a]), frozenset(alg.sets[b])))
-                        for a, b in pairs
+                    got[frozenset(sets[t])] = {
+                        frozenset((frozenset(sets[a]), frozenset(sets[b]))) for a, b in pairs
                     }
-                    assert len(got[frozenset(alg.sets[t])]) == len(pairs)
+                    assert len(got[frozenset(sets[t])]) == len(pairs)
                 assert got == expected, x
 
     def test_label_targets_index(self):
+        # The search's P4 rechecks read a label's targets off its
+        # pair-sum row.
         for n in range(2, 6):
             for x in enumerate_canonical_ground_sets(n, 8):
-                alg = subset_algebra(x)
-                expected = tuple(
-                    tuple(t for t in sorted(alg.pairs) if any(m in p for p in alg.pairs[t]))
-                    for m in range(len(alg.sets))
-                )
-                assert alg.targets_of == expected, x
-                assert alg.targets_of is subset_algebra(x).targets_of
+                alg = subset_algebra(additive_type(x))
+                for m, row in enumerate(alg.pair_sums):
+                    expected = {t for t in alg.pairs if any(m in p for p in alg.pairs[t])}
+                    assert set(row.values()) == expected, (x, m)
 
     def test_pair_sum_table(self):
         # The search's P3 lookup against plain sets: an absent entry means
         # the sum escapes X.
         for n in range(2, 5):
             for x in enumerate_canonical_ground_sets(n, 8):
-                alg = subset_algebra(x)
+                alg, sets = subset_algebra(additive_type(x)), subsets_by_mask(x)
                 ground = frozenset(x.base.elements)
-                labels = range(1, len(alg.sets))
+                labels = range(1, len(sets))
                 for a in labels:
                     for b in labels:
                         if a == b:
                             continue
                         got = alg.pair_sums[a].get(b)
-                        c = naive_sumset(alg.elements[a], alg.elements[b])
+                        c = naive_sumset(sets[a].elements, sets[b].elements)
                         if c <= ground:
-                            assert alg.sets[got].elements == tuple(sorted(c)), (x, a, b)
+                            assert sets[got].elements == tuple(sorted(c)), (x, a, b)
                         else:
                             assert got is None, (x, a, b)
-                assert alg.pair_sums is subset_algebra(x).pair_sums
+                assert alg.pair_sums is subset_algebra(additive_type(x)).pair_sums
 
 
 class TestAdditiveTypeInvariance:
-    """The kernel is built from T(X) alone, so a ground set with the same
-    type and huge elements gives it equal, mask for mask."""
+    """The kernel is built from T(X) alone, so every ground set of one
+    type shares it, however large its elements."""
+
+    def test_one_kernel_per_type(self):
+        x0123, x0246 = GroundSet.of(0, 1, 2, 3), GroundSet.of(0, 2, 4, 6)
+        assert subset_algebra(additive_type(x0123)) is subset_algebra(additive_type(x0246))
 
     def test_scaled_ground_set_has_equal_kernel(self):
         # 10**30·X has X's type; one bit per value would need 10**31 bits.
@@ -151,14 +168,14 @@ class TestAdditiveTypeInvariance:
             for x in enumerate_canonical_ground_sets(n, 10):
                 big = GroundSet(IntegerSet.from_iterable(10**30 * e for e in x.base.elements))
                 assert additive_type(big) == additive_type(x)
-                alg, big_alg = subset_algebra(x), subset_algebra(big)
-                assert big_alg.pairs == alg.pairs, x
-                assert big_alg.pair_sums == alg.pair_sums, x
-                assert big_alg.targets_of == alg.targets_of, x
-                assert big_alg.equal_sums == alg.equal_sums, x
+                assert subset_algebra(additive_type(big)) is subset_algebra(additive_type(x))
                 for mode in SummandMode:
-                    masks = classify_ground_set(x, mode).masks
-                    assert classify_ground_set(big, mode).masks == masks, x
+                    got, want = classify_ground_set(big, mode), classify_ground_set(x, mode)
+                    for family in ("non_sumsets", "non_summands", "neither"):
+                        assert getattr(got, family) == tuple(
+                            IntegerSet.from_iterable(10**30 * e for e in s)
+                            for s in getattr(want, family)
+                        ), (x, mode, family)
 
     @pytest.mark.parametrize("mode", list(SummandMode))
     def test_huge_element_against_oracle(self, mode):
@@ -176,11 +193,11 @@ class TestAdditiveTypeInvariance:
 
     def test_masks_name_the_classified_sets(self):
         for x in (GroundSet.of(0, 1, 2, 3), GroundSet.of(0, 1, 3, 7, 12)):
-            alg = subset_algebra(x)
+            alg, sets = subset_algebra(additive_type(x)), subsets_by_mask(x)
             for mode in SummandMode:
                 cls = classify_ground_set(x, mode)
                 families = (cls.non_sumsets, cls.non_summands, cls.neither)
-                assert tuple(tuple(alg.sets[m] for m in f) for f in cls.masks) == families
+                assert tuple(tuple(sets[m] for m in f) for f in alg.class_masks(mode)) == families
 
 
 class TestSumsetSummandPredicates:
@@ -233,6 +250,15 @@ class TestClassification:
         assert classify_ground_set(x0123) is classify_ground_set(x0123)
         assert subset_algebra.cache_info().maxsize is not None
 
+    def test_family_order_up_to_n10(self):
+        # {0} with powers of 3 has only the sums 0 + x: every subset but
+        # {0} is a non-sumset, so that family is the kernel's whole order.
+        for n in range(2, 11):
+            x = GroundSet.of(0, *(3**i for i in range(n - 1)))
+            family = classify_ground_set(x).non_sumsets
+            assert len(family) == (1 << n) - 2
+            assert list(family) == sorted(family, key=lambda s: (len(s), s.elements)), n
+
     @pytest.mark.parametrize("mode", list(SummandMode))
     def test_oracle_agreement_small(self, mode):
         for x in (x for n in range(3, 6) for x in enumerate_canonical_ground_sets(n, 6)):
@@ -243,6 +269,9 @@ class TestClassification:
             assert {frozenset(s.elements) for s in cls.non_sumsets} == o_ns
             assert {frozenset(s.elements) for s in cls.non_summands} == o_nsd
             assert {frozenset(s.elements) for s in cls.neither} == o_nei
+            # The oracle compares sets; each family's order is (size, elements).
+            for family in (cls.non_sumsets, cls.non_summands, cls.neither):
+                assert list(family) == sorted(family, key=lambda s: (len(s), s.elements)), x
 
 
 class TestCanonicalization:

@@ -11,6 +11,7 @@ from iasgl.sets import (
     GroundSet,
     IntegerSet,
     SummandMode,
+    additive_type,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     subset_algebra,
@@ -99,7 +100,7 @@ class TestImmutability:
         (lambda: IntegerSet.of(0), "elements"),
         (lambda: GroundSet.of(0, 1), "base"),
         (lambda: classify_ground_set(GroundSet.of(0, 1, 2)), "neither"),
-        (lambda: subset_algebra(GroundSet.of(0, 1, 2)), "pairs"),
+        (lambda: subset_algebra(additive_type(GroundSet.of(0, 1, 2))), "pairs"),
         (lambda: generate("star", 2), "edges"),
         (lambda: Violation("R1", "d"), "rule"),
         (lambda: GateReport(), "violations"),
