@@ -1,8 +1,9 @@
 """Backtracking decision procedure for graceful set-labelability.
 
 Vertices are assigned distinct non-empty subsets of the ground set in
-descending-degree order. Four pruning rules and one symmetry rule cut
-the tree:
+descending-degree order; among vertices of one degree, those with fewer
+twins come first (see ``_graph_layout``). Four pruning rules and one
+symmetry rule cut the tree:
 
 P1  {0} is only tried on vertices whose degree can host every forced
     edge (degree >= |non_sumsets|).
@@ -165,7 +166,8 @@ _STACK_HEADROOM = 100
 @dataclass(frozen=True)
 class _Layout:
     """The graph-only part of the DFS set-up, shared by every search of
-    one graph: vertices in DFS order (descending degree, then id), and
+    one graph: vertices in DFS order (descending degree, then ascending
+    twin-class size, then id), and
     per DFS index the degree, the neighbours, the earlier neighbours,
     plus the non-trivial twin classes (members in DFS order) and each
     member's predecessor in its class."""
@@ -184,12 +186,23 @@ def _graph_layout(g: Graph) -> _Layout:
 
     False twins share N(v), true twins share N[v]. A vertex is never in
     non-trivial classes of both kinds: if u, v are false twins and u, w
-    true twins, then w is adjacent to v, so v lies in N[w] = N[u].
+    true twins, then w is adjacent to v, so v lies in N[w] = N[u]. So
+    each vertex has one twin class, of size 1 when it has no twin.
+
+    The DFS order is (-degree, size of the twin class, id): among
+    vertices of one degree, the less symmetric ones are decided first
+    (fail first). The twin cursor makes a class of k vertices cost
+    C(m, k) label choices rather than m^k, but a vertex without twins
+    placed after the class is decided again under each of them; placed
+    first, P3 and P4 cut its branch before that fan-out. The members of
+    a class share their degree and class size, so they stay in id order,
+    and every rule holds for any order that lists each class's members
+    in DFS order: only node and prune counts depend on the order.
     """
     order = tuple(sorted(g.vertex_ids, key=lambda v: (-g.degree(v), v)))
     index = {v: i for i, v in enumerate(order)}
     neighbors = tuple(tuple(index[w] for w in g.neighbors(v)) for v in order)
-    earlier = tuple(tuple(w for w in nbrs if w < i) for i, nbrs in enumerate(neighbors))
+    degree = tuple(map(len, neighbors))
 
     false_twins: dict[frozenset[int], list[int]] = {}
     true_twins: dict[frozenset[int], list[int]] = {}
@@ -197,21 +210,41 @@ def _graph_layout(g: Graph) -> _Layout:
         key = frozenset(nbrs)
         false_twins.setdefault(key, []).append(v)
         true_twins.setdefault(key | {v}, []).append(v)
-    twin_classes = tuple(
-        tuple(members)
-        for classes in (false_twins, true_twins)
-        for members in classes.values()
+    classes = [
+        members
+        for kind in (false_twins, true_twins)
+        for members in kind.values()
         if len(members) > 1
-    )
-    twin_prev: list[int | None] = [None] * len(order)
+    ]
+
+    # Stable-sort that (-degree, id) order by class size and renumber,
+    # unless it is sorted already (as for a star). Vertices move only
+    # within a degree, so ``degree`` holds for the new numbering too.
+    nv = len(order)
+    size = [1] * nv
+    for members in classes:
+        k = len(members)
+        for v in members:
+            size[v] = k
+    if any(d0 == d1 and s0 > s1 for d0, d1, s0, s1 in zip(degree, degree[1:], size, size[1:])):
+        perm = sorted(range(nv), key=lambda i: (-degree[i], size[i]))
+        rank = [0] * nv
+        for i, old in enumerate(perm):
+            rank[old] = i
+        order = tuple(order[old] for old in perm)
+        neighbors = tuple(tuple(rank[w] for w in neighbors[old]) for old in perm)
+        # Renumbering keeps each class's members in ascending order.
+        classes = [[rank[v] for v in members] for members in classes]
+    twin_classes = tuple(map(tuple, classes))
+    twin_prev: list[int | None] = [None] * nv
     for members in twin_classes:
         for prev, v in zip(members, members[1:]):
             twin_prev[v] = prev
     return _Layout(
         order=order,
-        degree=tuple(len(nbrs) for nbrs in neighbors),
+        degree=degree,
         neighbors=neighbors,
-        earlier=earlier,
+        earlier=tuple(tuple(w for w in nbrs if w < i) for i, nbrs in enumerate(neighbors)),
         twin_classes=twin_classes,
         twin_prev=tuple(twin_prev),
     )

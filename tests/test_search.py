@@ -1,5 +1,6 @@
 """Search engine: soundness, completeness against brute force, pruning."""
 
+import random
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from iasgl.search import (
     SearchStats,
     SearchStatus,
     TypeMemo,
+    _Layout,
     _State,
     _graph_layout,
     search_iasgl,
@@ -52,12 +54,51 @@ CORPUS_N3 = [
     ),
 ]
 
+
+def broom15(path: tuple[str, str] = ("v13", "v14")) -> Graph:
+    """Hub v0 with the path v0-a-b and leaves on v1..v14 but a, b."""
+    a, b = path
+    leaves = [f"v{i}" for i in range(1, 15) if f"v{i}" not in path]
+    return Graph.from_edges(
+        [f"v{i}" for i in range(15)], [("v0", v) for v in leaves] + [("v0", a), (a, b)]
+    )
+
+
 # Hub v0 with leaves v1..v12 and the path v0-v13-v14: a tree with 2^4 - 2
 # edges that is not a star, so no ground set of size 4 labels it.
-BROOM15 = Graph.from_edges(
-    [f"v{i}" for i in range(15)],
-    [("v0", f"v{i}") for i in range(1, 14)] + [("v13", "v14")],
+BROOM15 = broom15()
+
+# K(2, 7): 2^4 - 2 edges, and each side is one class of false twins.
+K2_7 = Graph.from_edges(
+    ["a0", "a1", *(f"b{j}" for j in range(7))],
+    [(f"a{i}", f"b{j}") for i in range(2) for j in range(7)],
 )
+
+
+def hub_graph(seed: int, edges: int = 14, vertices: int = 15) -> Graph:
+    """A seeded random graph whose low-numbered vertices are hubs: each
+    edge joins the smaller of two uniform draws to a uniform vertex."""
+    rng = random.Random(seed)
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < edges:
+        u = min(rng.randrange(vertices), rng.randrange(vertices))
+        w = rng.randrange(vertices)
+        if u != w:
+            chosen.add((min(u, w), max(u, w)))
+    ids = sorted({f"v{i}" for e in chosen for i in e})
+    return Graph.from_edges(ids, [(f"v{u}", f"v{w}") for u, w in chosen])
+
+
+def assignment_graph(x: GroundSet, seed: int) -> Graph:
+    """A graph that X labels by construction: one seeded random label
+    pair per target, each label one vertex, named in shuffled order."""
+    rng = random.Random(seed)
+    pairs = subset_algebra(additive_type(x)).pairs
+    edges = [rng.choice(pairs[t]) for t in range(2, 1 << x.n)]
+    labels = sorted({m for e in edges for m in e})
+    rng.shuffle(labels)
+    name = {m: f"v{i:02d}" for i, m in enumerate(labels)}
+    return Graph.from_edges(name.values(), [(name[a], name[b]) for a, b in edges])
 
 
 class TestBasics:
@@ -147,11 +188,12 @@ class TestPruneSafety:
 
 
 class TestTwins:
-    def test_twin_rule_prunes_and_keeps_verdict(self, x012):
-        broom = CORPUS_N3[-1]  # hub a with leaves b, c, d, g and path a-e-f
-        base = search_iasgl(broom, x012, nogate())
+    def test_twin_rule_prunes_and_keeps_verdict(self, x0123):
+        # Every vertex of K(2, 7) has twins, so the twin rule, not the
+        # vertex order, decides how often each side is labelled.
+        base = search_iasgl(K2_7, x0123, nogate())
         relaxed = search_iasgl(
-            broom, x012, SearchConfig(disabled_rules=frozenset({"gate", "twins"}))
+            K2_7, x0123, SearchConfig(disabled_rules=frozenset({"gate", "twins"}))
         )
         assert base.status is relaxed.status
         assert base.stats.nodes < relaxed.stats.nodes
@@ -195,18 +237,37 @@ class TestIncrementalCoverage:
     @pytest.mark.parametrize("rule", PRUNE_RULES)
     @pytest.mark.parametrize("find_all", [False, True])
     def test_matches_full_rescan(self, rule, find_all, monkeypatch, x012, x0123):
-        corpus = [(CORPUS_N3[0], x012), (CORPUS_N3[-1], x012), (BROOM15, x0123)]
+        # hub_graph(264) takes 1,668 nodes over {0,1,2,3} with every
+        # rule on: the corpus's deepest search.
+        corpus = [
+            (CORPUS_N3[0], x012),
+            (CORPUS_N3[-1], x012),
+            (BROOM15, x0123),
+            (hub_graph(264), x0123),
+        ]
         cfg = SearchConfig(
             disabled_rules=frozenset({"gate", rule}), find_all=find_all, node_budget=120_000
         )
         incremental = [search_iasgl(g, x, cfg) for g, x in corpus]
-        monkeypatch.setattr(_State, "coverage_ok", full_coverage_ok)
+        compared = 0
+
+        def counted(state, vi, mask):
+            nonlocal compared
+            compared += 1
+            return full_coverage_ok(state, vi, mask)
+
+        monkeypatch.setattr(_State, "coverage_ok", counted)
         for (g, x), inc in zip(corpus, incremental):
             full = search_iasgl(g, x, cfg)
             assert inc.status is full.status
             assert inc.witnesses == full.witnesses
             assert inc.stats.nodes == full.stats.nodes
             assert inc.stats.prunes == full.stats.prunes
+        # A corpus that got cheap would compare too few P4 verdicts.
+        if rule == "P4":
+            assert compared == 0
+        else:
+            assert compared >= 1_000
 
     @pytest.mark.parametrize("rule", sorted(set(PRUNE_RULES) - {"P4"}))
     def test_every_node_matches_full_rescan(self, rule, monkeypatch, x012):
@@ -229,36 +290,108 @@ class TestIncrementalCoverage:
         out = search_iasgl(BROOM15, x0123, nogate())
         assert out.status is SearchStatus.EXHAUSTED_NONE
         # Both parts of P2 live in the candidate lists: no P2 prunes.
-        assert out.stats.nodes == 21_523
-        assert out.stats.prunes == {"P3": 8949, "P4": 5983}
+        assert out.stats.nodes == 145
+        assert out.stats.prunes == {"P3": 50, "P4": 64}
 
 
 #: Status, nodes and prunes of every ground set of the broom sweep
 #: (|X| = 4, max 5). A change that only makes nodes cheaper keeps them.
 BROOM15_SWEEP = {
-    (0, 1, 2, 3): ("exhausted-none", 21_523, {"P3": 8949, "P4": 5983}),
-    (0, 1, 2, 4): ("exhausted-none", 10_337, {"P3": 4636, "P4": 1320}),
-    (0, 1, 2, 5): ("exhausted-none", 3181, {"P3": 330, "P4": 660}),
-    (0, 1, 3, 4): ("exhausted-none", 10_345, {"P3": 3312, "P4": 2648}),
+    (0, 1, 2, 3): ("exhausted-none", 145, {"P3": 50, "P4": 64}),
+    (0, 1, 2, 4): ("exhausted-none", 41, {"P3": 24, "P4": 4}),
+    (0, 1, 2, 5): ("exhausted-none", 9, {"P4": 2}),
+    (0, 1, 3, 4): ("exhausted-none", 49, {"P3": 16, "P4": 16}),
     (0, 1, 3, 5): ("gate-rejected", 0, {"gate": 1}),
-    (0, 1, 4, 5): ("exhausted-none", 10_345, {"P3": 3312, "P4": 2648}),
-    (0, 2, 3, 4): ("exhausted-none", 3181, {"P3": 330, "P4": 660}),
-    (0, 2, 3, 5): ("exhausted-none", 10_345, {"P3": 3312, "P4": 2648}),
-    (0, 2, 4, 5): ("exhausted-none", 3181, {"P3": 330, "P4": 660}),
+    (0, 1, 4, 5): ("exhausted-none", 49, {"P3": 16, "P4": 16}),
+    (0, 2, 3, 4): ("exhausted-none", 9, {"P4": 2}),
+    (0, 2, 3, 5): ("exhausted-none", 49, {"P3": 16, "P4": 16}),
+    (0, 2, 4, 5): ("exhausted-none", 9, {"P4": 2}),
     (0, 3, 4, 5): ("gate-rejected", 0, {"gate": 1}),
 }
+
+
+def id_order_layout(g: Graph) -> _Layout:
+    """The DFS layout under the plain (-degree, id) vertex order, without
+    twin-class sizes in the key; every rule holds under it as well."""
+    order = tuple(sorted(g.vertex_ids, key=lambda v: (-g.degree(v), v)))
+    index = {v: i for i, v in enumerate(order)}
+    neighbors = tuple(tuple(index[w] for w in g.neighbors(v)) for v in order)
+    false_twins: dict[frozenset[int], list[int]] = {}
+    true_twins: dict[frozenset[int], list[int]] = {}
+    for v, nbrs in enumerate(neighbors):
+        false_twins.setdefault(frozenset(nbrs), []).append(v)
+        true_twins.setdefault(frozenset(nbrs) | {v}, []).append(v)
+    twin_classes = tuple(
+        tuple(members)
+        for kind in (false_twins, true_twins)
+        for members in kind.values()
+        if len(members) > 1
+    )
+    twin_prev: list[int | None] = [None] * len(order)
+    for members in twin_classes:
+        for prev, v in zip(members, members[1:]):
+            twin_prev[v] = prev
+    return _Layout(
+        order=order,
+        degree=tuple(len(nbrs) for nbrs in neighbors),
+        neighbors=neighbors,
+        earlier=tuple(tuple(w for w in nbrs if w < i) for i, nbrs in enumerate(neighbors)),
+        twin_classes=twin_classes,
+        twin_prev=tuple(twin_prev),
+    )
+
+
+class TestVertexOrder:
+    """The DFS vertex order moves node and prune counts only: statuses
+    and find_all witness lists equal those of the (-degree, id) order."""
+
+    @staticmethod
+    def corpus() -> list[tuple[Graph, GroundSet]]:
+        x012, x0123 = GroundSet.of(0, 1, 2), GroundSet.of(0, 1, 2, 3)
+        one_per_type = {}
+        for x in enumerate_canonical_ground_sets(4, 6):
+            one_per_type.setdefault(additive_type(x), x)
+        assert len(one_per_type) == 7
+        return [
+            *((g, x012) for g in CORPUS_N3 + enumerate_free_trees(7)),
+            *((BROOM15, x) for x in enumerate_canonical_ground_sets(4, 5)),
+            *((hub_graph(seed), x) for seed in range(20) for x in one_per_type.values()),
+            # Labelled graphs whose twin-aware order differs from the
+            # (-degree, id) one, so the reordering meets witnesses.
+            *((assignment_graph(x0123, seed), x0123) for seed in (1, 6)),
+        ]
+
+    def test_matches_id_order(self, monkeypatch):
+        import iasgl.search
+
+        corpus = self.corpus()
+        cfg = nogate(find_all=True, node_budget=200_000)
+        ours = [search_iasgl(g, x, cfg) for g, x in corpus]
+        reordered = [_graph_layout(g).order != id_order_layout(g).order for g, _ in corpus]
+        monkeypatch.setattr(iasgl.search, "_graph_layout", id_order_layout)
+        moved = reordered_found = 0
+        for (g, x), out, other_order in zip(corpus, ours, reordered):
+            ref = search_iasgl(g, x, cfg)
+            assert out.status is ref.status, (g.sorted_edges(), x)
+            assert out.budget_stop is ref.budget_stop is None
+            assert out.witnesses == ref.witnesses, (g.sorted_edges(), x)
+            moved += out.stats.nodes != ref.stats.nodes
+            reordered_found += other_order and out.found
+        assert moved > 0 and reordered_found == 2
 
 
 class TestPinnedCounts:
     """Counters pinned across changes to the DFS's cost per node."""
 
     def test_broom15_sweep(self):
-        swept = sweep_ground_sets(BROOM15, 4, 5)
-        got = {
-            x.base.elements: (out.status.value, out.stats.nodes, out.stats.prunes)
-            for x, out in swept.items()
-        }
-        assert got == BROOM15_SWEEP
+        # The path's first vertex is the hub's one neighbour without a
+        # twin, so it is decided right after the hub, whatever its id.
+        for path in [("v13", "v14"), ("v1", "v2"), ("v7", "v3")]:
+            got = {
+                x.base.elements: (out.status.value, out.stats.nodes, out.stats.prunes)
+                for x, out in sweep_ground_sets(broom15(path), 4, 5).items()
+            }
+            assert got == BROOM15_SWEEP, path
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_star_theorem_nodes(self, n):
@@ -539,7 +672,7 @@ class TestSharedSetUp:
                 assert out.status is fresh.status
                 assert out.witnesses == fresh.witnesses
                 assert out.stats.to_obj() == fresh.stats.to_obj()
-        assert sum(o.stats.nodes for o in warm[0].values()) == 72_438
+        assert sum(o.stats.nodes for o in warm[0].values()) == 360
 
 
 class TestTreeFamily:
