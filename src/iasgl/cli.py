@@ -172,6 +172,7 @@ def _outcome_obj(outcome) -> dict:
         "status": outcome.status.value,
         "witnesses": [labeling_to_obj(w) for w in outcome.witnesses],
         "stats": outcome.stats.to_obj(),
+        "budget_stop": outcome.budget_stop,
     }
 
 
@@ -230,6 +231,7 @@ def cmd_search(args, parser) -> int:
         f"nodes    {outcome.stats.nodes}",
         f"prunes   {outcome.stats.prunes}",
         f"witnesses {len(outcome.witnesses)}",
+        f"budget   {outcome.budget_stop or 'none'}",
     ]
     _emit(payload, args, table)
     if args.out and outcome.witnesses:

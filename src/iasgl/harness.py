@@ -29,14 +29,12 @@ pendant and edge-count bounds as soon as it is made; a ``WitnessTally``
 keeps only counts and the first violation, which the pendant and
 edge-count checks then report.
 
-Every per-X search and realisation goes through a ``TypeMemo``: the
-tally's for the star and tree checks, a sweep's own for the path, cycle
-and complete checks. Each is computed once per additive type and mapped
-onto every other X of the type, with each mapped witness and
-realisation verified again, so every X still gets its own evidence and
-the report is the one per-X calls would give. Classifications need no
-memo: ``classify_ground_set`` reads the masks off the kernel its type
-shares.
+The checks call ``search_iasgl``, ``sweep_ground_sets`` and
+``build_realisation`` once per X, as any caller does. Those decide each
+additive type once and map the result onto every other X of the type,
+verifying each mapped witness and realisation again, so every X still
+gets its own evidence and the report is the one uncached calls would
+give.
 """
 
 from __future__ import annotations
@@ -54,7 +52,8 @@ from .graphs import (
     pendant_vertices,
 )
 from .labeling import Labeling, structural_gate, zero_vertex
-from .search import SearchConfig, SearchStatus, TypeMemo, search_iasgl, sweep_ground_sets
+from .realisation import build_realisation
+from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
@@ -219,10 +218,7 @@ class WitnessTally:
     """Bounds evidence gathered while the checks run.
 
     Only counts and the first violation of each bound are kept: a
-    witness is checked when it is made and then dropped. ``memo`` is
-    the run's type memo, which the star and tree checks' searches and
-    realisations go through; the classifications here are
-    ``classify_ground_set`` calls.
+    witness is checked when it is made and then dropped.
     """
 
     ground_sets: int = 0
@@ -230,7 +226,6 @@ class WitnessTally:
     neither_violation: str | None = None
     pendant_violation: str | None = None
     edge_violation: str | None = None
-    memo: TypeMemo = field(default_factory=TypeMemo, repr=False)
 
     def add_ground_set(self, x: GroundSet) -> None:
         """Check |neither| >= n - 1 on one canonical ground set."""
@@ -276,7 +271,6 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     star witness and the realisation go to the tally.
     """
     cfg = _search_config(gate=True)
-    memo = tally.memo
     results = []
     anchor = "star K(1,m) admits a graceful set-indexer iff m = 2^n - 2"
     n_lo, n_hi = config.n_range
@@ -287,11 +281,11 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
             tally.add_ground_set(x)
-            outcome = search_iasgl(star, x, cfg, memo)
+            outcome = search_iasgl(star, x, cfg)
             if outcome.found:
                 tally.add_witness(x, star, outcome.witnesses[0])
             statuses.append((outcome.status, True))
-            built = memo.realise(x)
+            built = build_realisation(x)
             tally.add_witness(x, built.graph, built.labeling)
         status, found, budget = _verdict(statuses)
         evidence = {
@@ -365,7 +359,7 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             is_star = max(tree.degree(v) for v in tree.vertex_ids) == m - 1
             stars += is_star
             for x in family:
-                outcome = search_iasgl(tree, x, cfg if is_star else nogate, tally.memo)
+                outcome = search_iasgl(tree, x, cfg if is_star else nogate)
                 if outcome.found and is_star:
                     tally.add_witness(x, tree, outcome.witnesses[0])
                 statuses.append((outcome.status, is_star))
@@ -599,8 +593,6 @@ def run_all(config: HarnessConfig | None = None) -> TheoremReport:
     every ground set in range, is checked against the pendant and
     edge-count bounds, so every labeling the harness accepts anywhere
     is also size-checked. Identical configs give identical reports.
-    The tally's type memo serves the star and tree checks; each sweep
-    of the path, cycle and complete checks has its own.
     """
     config = config or HarnessConfig()
     tally = WitnessTally()

@@ -9,10 +9,15 @@ so the rest is solved as an exact assignment problem: each remaining
 target is matched to exactly one label pair from the subset algebra's
 pair table (existing vertices first, new vertices lazily).
 
-The assignment works on subset masks and turns them into
-``IntegerSet``s once per solution. It backtracks over an explicit stack
-of (candidate list, cursor) frames, one per target, so the number of
-targets, not the interpreter's recursion limit, bounds its depth.
+The assignment works on subset masks. It backtracks over an explicit
+stack of (candidate list, cursor) frames, one per target, so the number
+of targets, not the interpreter's recursion limit, bounds its depth.
+
+The builder's choices depend on X only through its additive type (see
+``sets``), so ``build_realisation`` keeps each result in subset masks
+and vertex numbers per (type, prefer_nonbipartite) in a bounded LRU.
+Every call takes the same path: it maps the kept masks onto X's own
+subsets and verifies the realisation there.
 
 No candidate is ever rejected: a label pair determines its sumset, so
 it is a candidate for exactly one target, and the forced pairs
@@ -25,6 +30,8 @@ the bipartiteness flag honestly when none is reachable.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from .graphs import Edge, Graph, is_bipartite
 from .labeling import Labeling, verify_iasgl
@@ -42,6 +49,12 @@ from .sets import (
 
 ASSIGNMENT_NODE_BUDGET = 200_000
 NONBIPARTITE_SOLUTION_CAP = 2_000
+
+#: Realisations ``build_realisation`` keeps, one per (type, prefer_nonbipartite).
+REALISATION_CACHE_SIZE = 32
+
+#: (type, prefer_nonbipartite) -> ``_build``'s result, least recently used first.
+_built: OrderedDict = OrderedDict()
 
 
 class RealisationResult(Record):
@@ -122,13 +135,46 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
     The returned graph always carries exactly 2^n - 2 edges. With
     prefer_nonbipartite the assignment solutions are scanned (bounded)
     for one containing an odd cycle; if only bipartite realisations are
-    reachable the flag records that honestly.
+    reachable the flag records that honestly. The build runs once per
+    additive type of X (see the module docstring).
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n < 2:
         raise ValueError("realisation needs a ground set with at least 2 elements")
 
+    key = (additive_type(x), prefer_nonbipartite)
+    stored = _built.get(key)
+    if stored is None:
+        stored = _built[key] = _build(x, prefer_nonbipartite)
+        if len(_built) > REALISATION_CACHE_SIZE:
+            _built.popitem(last=False)
+    else:
+        _built.move_to_end(key)
+    labels, trace, non_bipartite = stored
+    sets = subsets_by_mask(x)
+    names = [f"v{i}" for i in range(len(labels))]
+    edges = [(names[u], names[w]) for _, u, w in trace]
+    result = RealisationResult(
+        graph=Graph.from_edges(names, edges),
+        labeling=Labeling(x, tuple(zip(names, map(sets.__getitem__, labels)))),
+        non_bipartite=non_bipartite,
+        assignment_trace=tuple((sets[t], e) for (t, _, _), e in zip(trace, edges)),
+    )
+    check = verify_iasgl(result.graph, result.labeling)
+    if not check:
+        details = "; ".join(v.detail for v in check.violations)
+        raise RuntimeError(f"realisation failed re-verification: {details}")
+    return result
+
+
+def _build(
+    x: GroundSet, prefer_nonbipartite: bool
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], bool]:
+    """The builder over X, in subset masks and vertex numbers (vertex i
+    is named v<i>): each vertex's label mask, the trace as (target mask,
+    u, w) with u's name before w's, in (|target|, target) order, and
+    whether the graph has an odd cycle."""
     alg = subset_algebra(additive_type(x))
     forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
     sets = subsets_by_mask(x)
@@ -138,41 +184,33 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
         key=lambda t: (len(alg.pairs[t]), len(sets[t]), sets[t]),
     )
 
-    def materialize(solution: tuple[tuple[int, int], ...]) -> RealisationResult:
-        vertex_of = {ZERO_MASK: "v0"}
-        for i, s in enumerate(forced, start=1):
-            vertex_of[s] = f"v{i}"
-        trace = [(s, ("v0", vertex_of[s])) for s in forced]
+    def materialize(solution: tuple[tuple[int, int], ...]):
+        vertex_of = {ZERO_MASK: 0}
+        for s in forced:
+            vertex_of[s] = len(vertex_of)
+        trace = [(s, 0, vertex_of[s]) for s in forced]
         for t, (a, b) in zip(order, solution):
             for lab in (a, b):
                 if lab not in vertex_of:
-                    vertex_of[lab] = f"v{len(vertex_of)}"
-            u, w = sorted((vertex_of[a], vertex_of[b]))
-            trace.append((t, (u, w)))
-        graph = Graph.from_edges(vertex_of.values(), [e for _, e in trace])
-        labeling = Labeling.from_mapping(x, {vid: sets[m] for m, vid in vertex_of.items()})
-        trace.sort(key=lambda item: (len(sets[item[0]]), sets[item[0]]))
-        return RealisationResult(
-            graph=graph,
-            labeling=labeling,
-            non_bipartite=not is_bipartite(graph),
-            assignment_trace=tuple((sets[t], e) for t, e in trace),
-        )
+                    vertex_of[lab] = len(vertex_of)
+            # Ordered as the names v<u>, v<w> sort.
+            u, w = sorted((vertex_of[a], vertex_of[b]), key=str)
+            trace.append((t, u, w))
+        trace.sort(key=lambda step: (len(sets[step[0]]), sets[step[0]]))
+        names = [f"v{i}" for i in range(len(vertex_of))]
+        graph = Graph.from_edges(names, [(names[u], names[w]) for _, u, w in trace])
+        return tuple(vertex_of), tuple(trace), not is_bipartite(graph)
 
-    result: RealisationResult | None = None
+    result = None
     scanned = 0
     for sol in _solutions(alg, sets, order, {ZERO_MASK, *forced}):
         built = materialize(sol)
-        if result is None or built.non_bipartite:
+        non_bipartite = built[2]
+        if result is None or non_bipartite:
             result = built
-        if not prefer_nonbipartite or built.non_bipartite:
+        if not prefer_nonbipartite or non_bipartite:
             break
         scanned += 1
         if scanned >= NONBIPARTITE_SOLUTION_CAP:
             break
-
-    check = verify_iasgl(result.graph, result.labeling)
-    if not check:
-        details = "; ".join(v.detail for v in check.violations)
-        raise RuntimeError(f"realisation failed re-verification: {details}")
     return result

@@ -48,8 +48,14 @@ X, pays each part once per type or graph. The pair-sum table maps a
 label mask to {partner mask: target mask} for every pair summing inside
 X, so P3 costs one dict lookup per edge and a missing key is a sum that
 escapes X; its values for a label are the targets P4 rechecks. X's own
-subsets (``subsets_by_mask``) are read only to build a witness. A sweep
-also searches each additive type of X only once (``TypeMemo``).
+subsets (``subsets_by_mask``) are read only to build a witness.
+
+A search is a function of X's additive type (see ``sets``), so
+``search_iasgl`` keeps each outcome in subset masks per (graph, config,
+type) in a bounded LRU and hands it to every X of the type, its
+witnesses mapped onto X and verified again: any caller that loops over
+ground sets, a sweep or the theorem harness alike, runs the DFS once
+per type.
 
 The twin rule is a cursor, not a filter: the candidate lists are
 strictly ascending, so a vertex's scan starts by bisection just past
@@ -71,11 +77,11 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING
 
 from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
@@ -89,9 +95,6 @@ from .sets import (
     subset_algebra,
     subsets_by_mask,
 )
-
-if TYPE_CHECKING:
-    from .realisation import RealisationResult
 
 PRUNE_RULES = ("gate", "P1", "P2", "P3", "P4", "twins")
 
@@ -161,6 +164,13 @@ class _Budget(Exception):
 
 #: Frames kept free above the DFS for the leaf's verification calls.
 _STACK_HEADROOM = 100
+
+#: Search outcomes ``search_iasgl`` keeps, one per (graph, config, type).
+SEARCH_CACHE_SIZE = 128
+
+#: (graph, config, type) -> (status, each witness's label masks in
+#: ``g.vertex_ids`` order, nodes, prunes), least recently used first.
+_outcomes: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -305,7 +315,7 @@ class _State:
         self.assigned_edges = 0
         self.unassigned = nv
         self.free_neighbors = list(self.degree)  # unassigned neighbours per vertex
-        self.witnesses: list[Labeling] = []
+        self.witnesses: list[tuple[Labeling, tuple[int, ...]]] = []
 
     def _candidate_lists(self) -> tuple[list[list[int]], list[list[int] | None]]:
         """Per-vertex label lists with P1 and P2 applied, each strictly
@@ -406,12 +416,13 @@ class _State:
         return True
 
     def record(self) -> bool:
-        """Verify the full assignment independently; keep it if it passes."""
-        sets = subsets_by_mask(self.x)
-        mapping = {self.order[i]: sets[m] for i, m in enumerate(self.assigned)}
-        labeling = Labeling.from_mapping(self.x, mapping)
+        """Verify the full assignment independently; keep it, with its
+        label masks in ``g.vertex_ids`` order, if it passes."""
+        mask_of = dict(zip(self.order, self.assigned))
+        labels = tuple(map(mask_of.__getitem__, self.g.vertex_ids))
+        labeling = _labeling(self.g, self.x, labels)
         if verify_iasgl(self.g, labeling):
-            self.witnesses.append(labeling)
+            self.witnesses.append((labeling, labels))
             return True
         return False
 
@@ -527,56 +538,84 @@ class _State:
         return stop
 
 
-def search_iasgl(
-    g: Graph, x: GroundSet, cfg: SearchConfig | None = None, memo: TypeMemo | None = None
-) -> SearchOutcome:
+def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Decide whether g admits a graceful set-indexer over X.
 
     The structural gate runs first (GATE_REJECTED short-circuits unless
     the "gate" rule is disabled). EXHAUSTED_NONE is only reported when
     the whole pruned tree was explored within budget; BUDGET_EXCEEDED
     means unknown, with any witnesses found so far still valid. A ground
-    set above the subset enumeration cap is a ValueError, gate or not.
-    The time budget counts from entry, so the gate, the kernel build and
-    the candidate-list set-up spend it too: the clock is read after the
-    gate and again once set-up ends, and a budget spent by then stops
-    the search at 0 nodes. The kernel build itself is not interrupted.
+    set without 0 or above the subset enumeration cap is a ValueError,
+    gate or not. The time budget counts from the start of the search,
+    so the gate, the kernel build and the candidate-list set-up spend it
+    too: the clock is read after the gate and again once set-up ends,
+    and a budget spent by then stops the search at 0 nodes. The kernel
+    build itself is not interrupted.
 
     The DFS takes one frame per vertex, so the interpreter's recursion
     limit is raised by that depth while it runs and restored afterwards.
     The limit is process-wide: searches must not run concurrently in
     threads of one process.
 
-    With a ``TypeMemo``, g is searched once per additive type of X under
-    cfg, and every other X of that type gets the outcome with its
-    witnesses mapped onto X and verified again (see ``TypeMemo``).
+    g is searched once per additive type of X under cfg: the outcome is
+    kept, as label masks and counters, in an LRU of
+    ``SEARCH_CACHE_SIZE`` entries, and a later X of the type gets it
+    with each witness mapped onto X's own subsets and verified again; a
+    mapped witness that fails is a RuntimeError, never a fallback. An
+    outcome that a budget stopped is never kept, so every X spends its
+    own budget on it.
     """
     cfg = cfg or SearchConfig()
-    if memo is not None:
-        return memo._search(g, x, cfg)
-    return _decide(g, x, cfg)
-
-
-def _decide(g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
-    """``search_iasgl`` without a memo."""
-    deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n > SUBSET_ENUMERATION_CAP:
         raise ValueError("ground set too large")
+    key = (g, cfg, additive_type(x))
+    stored = _outcomes.get(key)
+    if stored is None:
+        outcome, masks = _decide(g, x, cfg)
+        if outcome.budget_stop is None:
+            stats = outcome.stats
+            _outcomes[key] = (outcome.status, masks, stats.nodes, tuple(stats.prunes.items()))
+            if len(_outcomes) > SEARCH_CACHE_SIZE:
+                _outcomes.popitem(last=False)
+        return outcome
+    _outcomes.move_to_end(key)
+    status, masks, nodes, prunes = stored
+    witnesses = []
+    for labels in masks:
+        f = _labeling(g, x, labels)
+        check = verify_iasgl(g, f)
+        if not check:
+            details = "; ".join(v.detail for v in check.violations)
+            raise RuntimeError(f"mapped witness over {x} failed re-verification: {details}")
+        witnesses.append(f)
+    return SearchOutcome(status, witnesses, SearchStats(nodes, dict(prunes)))
 
+
+def _labeling(g: Graph, x: GroundSet, labels: tuple[int, ...]) -> Labeling:
+    """The labeling over X with label masks in ``g.vertex_ids`` order."""
+    return Labeling(x, tuple(zip(g.vertex_ids, map(subsets_by_mask(x).__getitem__, labels))))
+
+
+def _decide(
+    g: Graph, x: GroundSet, cfg: SearchConfig
+) -> tuple[SearchOutcome, tuple[tuple[int, ...], ...]]:
+    """Run the gate and the DFS: the outcome, and each witness's label
+    masks in ``g.vertex_ids`` order."""
+    deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
     stats = SearchStats()
     if cfg.enabled("gate"):
         gate = structural_gate(g, x)
         if not gate:
             stats.bump("gate")
-            return SearchOutcome(SearchStatus.GATE_REJECTED, [], stats)
+            return SearchOutcome(SearchStatus.GATE_REJECTED, [], stats), ()
 
     if len(g.vertex_ids) > (1 << x.n) - 1:
         # More vertices than available labels: no injective assignment.
-        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, [], stats)
+        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, [], stats), ()
 
-    out_of_time = SearchOutcome(SearchStatus.BUDGET_EXCEEDED, [], stats, "time")
+    out_of_time = SearchOutcome(SearchStatus.BUDGET_EXCEEDED, [], stats, "time"), ()
     if time.monotonic() > deadline:
         return out_of_time
     state = _State(g, x, cfg, stats, deadline)
@@ -594,123 +633,15 @@ def _decide(g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
     finally:
         sys.setrecursionlimit(limit)
 
-    witnesses = sorted(state.witnesses, key=lambda f: f.assignment)
-    if witnesses:
+    found = sorted(state.witnesses, key=lambda w: w[0].assignment)
+    if found:
         status = SearchStatus.FOUND
     elif budget_stop is None:
         status = SearchStatus.EXHAUSTED_NONE
     else:
         status = SearchStatus.BUDGET_EXCEEDED
-    return SearchOutcome(status, witnesses, stats, budget_stop)
-
-
-class TypeMemo:
-    """Results decided once per additive type, mapped onto each X.
-
-    A search and a realisation are functions of X's additive type in
-    subset-mask coordinates (see ``sets``); a classification needs no
-    memo, since its masks live on the type's kernel. The memo keeps
-    search outcomes per (graph, config, type) and realisations per
-    (type, prefer_nonbipartite). It stores them in subset-mask
-    coordinates as tuples of small ints: label masks per vertex, the
-    realisation's vertex numbers and trace masks, and the counters
-    (beside the status and prune-rule names), never ``Graph``,
-    ``Labeling`` or ``IntegerSet`` objects. A hit turns the masks into
-    X's own subsets (``subsets_by_mask``) and re-verifies every mapped
-    witness and realisation with ``verify_iasgl``; one that fails is a
-    RuntimeError, never a fallback. A search that a budget stopped is
-    never kept, so every X spends its own budget on it.
-
-    Searches go through ``search_iasgl(g, x, cfg, memo)``, so every X is
-    still one call of the search's public entry point; ``realise``
-    stands for ``build_realisation``. One memo serves one sweep or one
-    harness run: create it there and let it go with the results.
-    ``hits`` and ``misses`` count lookups.
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._searches: dict = {}
-        self._realisations: dict = {}
-
-    @staticmethod
-    def _masks(x: GroundSet, sets) -> tuple[int, ...]:
-        bit = {e: 1 << i for i, e in enumerate(x.base.elements)}
-        return tuple(sum(bit[e] for e in s.elements) for s in sets)
-
-    @staticmethod
-    def _verified(g: Graph, f: Labeling, what: str) -> Labeling:
-        check = verify_iasgl(g, f)
-        if not check:
-            details = "; ".join(v.detail for v in check.violations)
-            raise RuntimeError(f"mapped {what} failed re-verification: {details}")
-        return f
-
-    def _search(self, g: Graph, x: GroundSet, cfg: SearchConfig) -> SearchOutcome:
-        """``search_iasgl(g, x, cfg, self)``."""
-        key = (g, cfg, additive_type(x))
-        stored = self._searches.get(key)
-        if stored is None:
-            self.misses += 1
-            outcome = _decide(g, x, cfg)
-            if outcome.budget_stop is None and outcome.status is not SearchStatus.BUDGET_EXCEEDED:
-                witnesses = tuple(
-                    self._masks(x, (s for _, s in w.assignment)) for w in outcome.witnesses
-                )
-                stats = (outcome.stats.nodes, tuple(outcome.stats.prunes.items()))
-                self._searches[key] = (outcome.status, witnesses, stats)
-            return outcome
-        self.hits += 1
-        status, witnesses, (nodes, prunes) = stored
-        sets = subsets_by_mask(x) if witnesses else ()
-        mapped = [
-            self._verified(
-                g, Labeling(x, tuple(zip(g.vertex_ids, map(sets.__getitem__, masks)))),
-                f"witness over {x}",
-            )
-            for masks in witnesses
-        ]
-        return SearchOutcome(status, mapped, SearchStats(nodes, dict(prunes)))
-
-    def realise(self, x: GroundSet, prefer_nonbipartite: bool = False) -> RealisationResult:
-        """``build_realisation(x, prefer_nonbipartite)``, built once per
-        additive type."""
-        # Only the harness realises; a search process skips loading the builder.
-        from .realisation import RealisationResult, build_realisation
-
-        key = (additive_type(x), prefer_nonbipartite)
-        stored = self._realisations.get(key)
-        if stored is None:
-            self.misses += 1
-            built = build_realisation(x, prefer_nonbipartite)
-            # The builder names its vertices v0, v1, ...
-            assignment = built.labeling.assignment
-            labels = [0] * len(assignment)
-            for (vid, _), mask in zip(assignment, self._masks(x, (s for _, s in assignment))):
-                labels[int(vid[1:])] = mask
-            # The trace, flat: target mask, then its edge's vertex numbers.
-            targets = self._masks(x, (t for t, _ in built.assignment_trace))
-            trace = tuple(
-                v
-                for t, (_, (u, w)) in zip(targets, built.assignment_trace)
-                for v in (t, int(u[1:]), int(w[1:]))
-            )
-            self._realisations[key] = (tuple(labels), trace, built.non_bipartite)
-            return built
-        self.hits += 1
-        labels, trace, non_bipartite = stored
-        sets = subsets_by_mask(x)
-        names = [f"v{i}" for i in range(len(labels))]
-        steps = list(zip(*[iter(trace)] * 3))
-        graph = Graph.from_edges(names, [(names[u], names[w]) for _, u, w in steps])
-        labeling = Labeling(x, tuple(zip(names, map(sets.__getitem__, labels))))
-        return RealisationResult(
-            graph=graph,
-            labeling=self._verified(graph, labeling, f"realisation of {x}"),
-            non_bipartite=non_bipartite,
-            assignment_trace=tuple((sets[t], (names[u], names[w])) for t, u, w in steps),
-        )
+    outcome = SearchOutcome(status, [f for f, _ in found], stats, budget_stop)
+    return outcome, tuple(labels for _, labels in found)
 
 
 def sweep_ground_sets(
@@ -721,11 +652,7 @@ def sweep_ground_sets(
     Ground sets are enumerated with 0 present, |X| = n and max element
     bounded, reduced to canonical (gcd 1) representatives. Items run in
     order, one after another; results are keyed and ordered by ground set.
-    Each additive type is searched once, through a ``TypeMemo`` of the
-    sweep's own, and every other X of the type gets that outcome with
-    its witnesses mapped and re-verified.
+    Through ``search_iasgl``, each additive type is searched once.
     """
     cfg = cfg or SearchConfig()
-    family = enumerate_canonical_ground_sets(n, max_element)
-    memo = TypeMemo()
-    return {x: search_iasgl(g, x, cfg, memo) for x in family}
+    return {x: search_iasgl(g, x, cfg) for x in enumerate_canonical_ground_sets(n, max_element)}

@@ -41,8 +41,9 @@ and (0, 0, 0) is in T(X) iff 0 is in X. Every order they use is shared
 too: index -> element is increasing, so subset masks and the
 lexicographic order of element tuples rank subsets the same way for
 both. A result computed over one X therefore maps onto another X of its
-type through that X's own index -> element map (``search.TypeMemo``),
-where it is verified again.
+type through that X's own index -> element map, where it is verified
+again: ``search_iasgl`` and ``build_realisation`` keep their results per
+type this way.
 
 Verification (``sumset`` here, and the checks in ``labeling``) never
 reads the kernel: it recomputes every sum from the elements as a plain

@@ -12,6 +12,8 @@ from itertools import combinations, permutations
 import pytest
 
 import iasgl.labeling
+import iasgl.realisation
+import iasgl.search
 from iasgl.graphs import Graph, generate
 from iasgl.labeling import Labeling
 from iasgl.sets import GroundSet, IntegerSet
@@ -124,6 +126,33 @@ def prufer_trees(m: int):
 
 def labeling_to_frozensets(labeling) -> dict[str, frozenset[int]]:
     return {vid: frozenset(s.elements) for vid, s in labeling.assignment}
+
+
+def clear_result_caches() -> None:
+    """Empty the per-type caches of ``search_iasgl`` and
+    ``build_realisation``, so the next call of each decides afresh."""
+    iasgl.search._outcomes.clear()
+    iasgl.realisation._built.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_result_caches() -> None:
+    """Start every test with both result caches empty, so that no result
+    depends on the order tests run in."""
+    clear_result_caches()
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls of module.name; the one-item list holds the count."""
+    count = [0]
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from iasgl.labeling import GateReport, Labeling
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
 from iasgl.sets import GroundSet, subset_algebra
 
-from conftest import iset
+from conftest import count_calls, iset
 
 
 class TestDiophantine:
@@ -182,6 +182,19 @@ class TestRunAll:
         run_all(HarnessConfig())
         assert subset_algebra.cache_info().misses == 10
 
+    def test_one_decision_per_type(self, monkeypatch):
+        # The theorems-breadth input (n = 2..5, max 10): every search and
+        # realisation of one (graph, config, type) after the first is
+        # mapped from the kept result. Counted at the uncached cores, so
+        # a cache that is too small or wrongly keyed fails here.
+        import iasgl.realisation
+
+        searches = count_calls(monkeypatch, iasgl.search, "_decide")
+        builds = count_calls(monkeypatch, iasgl.realisation, "_build")
+        report = run_all(HarnessConfig(n_range=(2, 5), max_element=10))
+        assert all(c.status == CONFIRMED for c in report.checks)
+        assert (searches[0], builds[0]) == (74, 47)
+
     def test_report_determinism(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6)
         a = run_all(config).to_obj()
@@ -243,7 +256,7 @@ class TestRunAll:
     ):
         # The interval ground set {0..n-1} hits the budget; every other
         # ground set answers definitely against the claim.
-        def search(g, x, cfg, memo=None):
+        def search(g, x, cfg):
             interval = x == GroundSet.of(*range(x.n))
             status = SearchStatus.BUDGET_EXCEEDED if interval else contradiction
             return SearchOutcome(status, [], SearchStats())

@@ -160,6 +160,34 @@ class TestCli:
                      "--node-budget", "1"])
         assert code == 2
 
+    def test_search_names_the_budget_that_stopped_it(self, capsys):
+        # K(1,14) over {0,1,2,3} has 14! labelings: 100 nodes find some
+        # of them, and the node budget ends the listing.
+        argv = ["search", "--graph", "star:14", "--ground-set", "0,1,2,3", "--find-all"]
+        assert main([*argv, "--node-budget", "100"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["budget_stop"]) == ("found", "node")
+        assert main([*argv, "--node-budget", "100", "--format", "table"]) == 0
+        assert "budget   node" in capsys.readouterr().out.splitlines()
+        plain = ["search", "--graph", "star:14", "--ground-set", "0,1,2,3"]
+        # A search run to its end, then the same search answered from
+        # the kept outcome: neither was stopped.
+        for _ in range(2):
+            assert main(plain) == 0
+            assert json.loads(capsys.readouterr().out)["budget_stop"] is None
+        assert main([*plain, "--format", "table"]) == 0
+        assert "budget   none" in capsys.readouterr().out.splitlines()
+
+    def test_search_sweep_items_name_their_budget_stop(self, capsys):
+        argv = ["search", "--graph", "star:6", "--ground-set", "sweep:n=3,max=4"]
+        assert main([*argv, "--node-budget", "1"]) == 2
+        items = json.loads(capsys.readouterr().out)["sweep"]
+        assert [i["outcome"]["budget_stop"] for i in items] == ["node"] * len(items)
+        # 5 ground sets of 2 types: 3 outcomes are kept ones, mapped.
+        assert main(argv) == 0
+        items = json.loads(capsys.readouterr().out)["sweep"]
+        assert [i["outcome"]["budget_stop"] for i in items] == [None] * 5
+
     def test_search_find_all(self, capsys):
         code = main(["search", "--graph", "star:2", "--ground-set", "0,1",
                      "--find-all"])

@@ -18,7 +18,7 @@ from iasgl.sets import (
     enumerate_canonical_ground_sets,
 )
 
-from conftest import iset, naive_sumset, nonempty_subsets
+from conftest import clear_result_caches, iset, naive_sumset, nonempty_subsets
 
 
 def oracle_all_realisations(elements):
@@ -167,6 +167,7 @@ class TestBuildRealisation:
 
     def test_deterministic(self, x0123):
         a = build_realisation(x0123, prefer_nonbipartite=True)
+        clear_result_caches()  # built again, not mapped from a's build
         b = build_realisation(x0123, prefer_nonbipartite=True)
         assert a.graph == b.graph
         assert a.labeling == b.labeling

@@ -14,7 +14,6 @@ from iasgl.search import (
     SearchOutcome,
     SearchStats,
     SearchStatus,
-    TypeMemo,
     _Layout,
     _State,
     _graph_layout,
@@ -31,7 +30,7 @@ from iasgl.sets import (
     subset_algebra,
 )
 
-from conftest import labeling_to_frozensets, oracle_search_all
+from conftest import clear_result_caches, count_calls, labeling_to_frozensets, oracle_search_all
 
 
 def nogate(**kw) -> SearchConfig:
@@ -257,6 +256,7 @@ class TestIncrementalCoverage:
             return full_coverage_ok(state, vi, mask)
 
         monkeypatch.setattr(_State, "coverage_ok", counted)
+        clear_result_caches()
         for (g, x), inc in zip(corpus, incremental):
             full = search_iasgl(g, x, cfg)
             assert inc.status is full.status
@@ -369,6 +369,7 @@ class TestVertexOrder:
         ours = [search_iasgl(g, x, cfg) for g, x in corpus]
         reordered = [_graph_layout(g).order != id_order_layout(g).order for g, _ in corpus]
         monkeypatch.setattr(iasgl.search, "_graph_layout", id_order_layout)
+        clear_result_caches()
         moved = reordered_found = 0
         for (g, x), out, other_order in zip(corpus, ours, reordered):
             ref = search_iasgl(g, x, cfg)
@@ -489,7 +490,9 @@ class TestMetamorphic:
         x = GroundSet.of(*elements)
         kx = GroundSet.of(*(k * e for e in elements))
         cfg = SearchConfig() if gate else nogate()
-        base, scaled = search_iasgl(g, x, cfg), search_iasgl(g, kx, cfg)
+        base = search_iasgl(g, x, cfg)
+        clear_result_caches()  # the DFS over k·X, not base's outcome mapped
+        scaled = search_iasgl(g, kx, cfg)
         assert scaled.status is base.status
         assert scaled.stats.nodes == base.stats.nodes
         assert scaled.stats.prunes == base.stats.prunes
@@ -570,6 +573,7 @@ class TestRandomizedDifferential:
 class TestDeterminism:
     def test_identical_runs(self, x012):
         a = search_iasgl(generate("star", 6), x012, SearchConfig(find_all=True))
+        clear_result_caches()
         b = search_iasgl(generate("star", 6), x012, SearchConfig(find_all=True))
         assert a.status is b.status
         assert a.witnesses == b.witnesses
@@ -620,6 +624,7 @@ class TestSweep:
 
         subset_algebra.cache_clear()
         cold = snapshot()
+        clear_result_caches()  # searched again, over the warm kernel cache
         warm = snapshot()
         assert cold == warm
 
@@ -652,6 +657,7 @@ class TestSharedSetUp:
         subset_algebra.cache_clear()
         first = search_iasgl(BROOM15, x0123, nogate())
         misses = subset_algebra.cache_info().misses
+        clear_result_caches()  # so the second search runs its own DFS
         second = search_iasgl(BROOM15, GroundSet.of(0, 2, 4, 6), nogate())
         assert subset_algebra.cache_info().misses == misses
         assert second.stats.to_obj() == first.stats.to_obj()
@@ -668,6 +674,7 @@ class TestSharedSetUp:
             for x, out in outcomes.items():
                 _graph_layout.cache_clear()
                 subset_algebra.cache_clear()
+                clear_result_caches()
                 fresh = search_iasgl(g, x, cfg)
                 assert out.status is fresh.status
                 assert out.witnesses == fresh.witnesses
@@ -699,8 +706,8 @@ MEMO_CORPUS = [(generate("star", (1 << n) - 2), n, True) for n in (3, 4, 5)] + [
 
 
 class TestTypeMemo:
-    """A sweep decides each additive type once; every X gets what a call
-    of its own would give."""
+    """``search_iasgl`` and ``build_realisation`` decide each additive
+    type once; every X gets what a cold call of its own would give."""
 
     @pytest.mark.parametrize("twins", [True, False], ids=["twins", "no-twins"])
     @pytest.mark.parametrize("find_all", [False, True], ids=["first", "find-all"])
@@ -716,18 +723,31 @@ class TestTypeMemo:
             # Far fewer additive types than ground sets: most X are mapped.
             assert 3 * len({additive_type(x) for x in swept}) < len(swept)
             for x, out in swept.items():
+                clear_result_caches()
                 fresh = search_iasgl(g, x, cfg)
                 assert out.status is fresh.status
                 assert out.witnesses == fresh.witnesses
                 assert out.stats.to_obj() == fresh.stats.to_obj()
                 assert out.budget_stop == fresh.budget_stop
 
-    def test_realisations_and_classifications_match_direct_calls(self):
-        memo = TypeMemo()
+    def test_realisations_and_classifications_match_direct_calls(self, monkeypatch):
+        import iasgl.realisation
+
+        builds = count_calls(monkeypatch, iasgl.realisation, "_build")
         family = [x for n in (3, 4, 5) for x in enumerate_canonical_ground_sets(n, 10)]
-        for x in family:
-            for prefer in (False, True):
-                assert memo.realise(x, prefer) == build_realisation(x, prefer)
+        # Type by type, so that each type's realisations stay cached
+        # until its last ground set.
+        warm = {
+            (x, prefer): build_realisation(x, prefer)
+            for x in sorted(family, key=additive_type)
+            for prefer in (False, True)
+        }
+        # 345 ground sets of 2 + 7 + 37 additive types, 2 builds each.
+        assert len(family) == 345
+        assert builds[0] == 2 * 46
+        for (x, prefer), built in warm.items():
+            clear_result_caches()
+            assert build_realisation(x, prefer) == built
         # Each classification through the kernel its type shares, against
         # a cold call.
         shared = {(x, mode): classify_ground_set(x, mode) for x in family for mode in SummandMode}
@@ -735,14 +755,46 @@ class TestTypeMemo:
             classify_ground_set.cache_clear()
             subset_algebra.cache_clear()
             assert classify_ground_set(x, mode) == cls
-        # 345 ground sets of 2 + 7 + 37 additive types, 2 lookups each.
-        assert len(family) == 345
-        assert (memo.misses, memo.hits) == (2 * 46, 2 * (345 - 46))
 
     def test_additive_type_keys(self):
         assert additive_type(GroundSet.of(0, 1, 2, 3)) == additive_type(GroundSet.of(0, 2, 4, 6))
         assert additive_type(GroundSet.of(0, 1, 2, 3)) != additive_type(GroundSet.of(0, 1, 2, 4))
         assert additive_type(GroundSet.of(0, 1, 3)) == (3, ((0, 0, 0), (0, 1, 1), (0, 2, 2)))
+
+    def test_broom_sweep_decides_each_type_once(self, monkeypatch):
+        import iasgl.search
+
+        decided = count_calls(monkeypatch, iasgl.search, "_decide")
+        outcomes = sweep_ground_sets(BROOM15, 4, 5)
+        assert len(outcomes) == 10
+        assert decided[0] == len({additive_type(x) for x in outcomes}) == 6
+
+    def test_eviction_keeps_results(self, monkeypatch):
+        import iasgl.search
+
+        star6 = generate("star", 6)
+        cases = [(BROOM15, 4, 5, SearchConfig()), (star6, 3, 6, SearchConfig(find_all=True))]
+        search = iasgl.search.search_iasgl
+
+        def bounded(*args):
+            out = search(*args)
+            assert len(iasgl.search._outcomes) <= 2
+            return out
+
+        monkeypatch.setattr(iasgl.search, "SEARCH_CACHE_SIZE", 2)
+        monkeypatch.setattr(iasgl.search, "search_iasgl", bounded)
+        decided = count_calls(monkeypatch, iasgl.search, "_decide")
+        swept = [sweep_ground_sets(g, n, m, cfg) for g, n, m, cfg in cases]
+        # 6 + 2 types; two entries cannot hold them all, so some are
+        # decided again after being evicted.
+        assert decided[0] > 8
+        for (g, _, _, cfg), outcomes in zip(cases, swept):
+            for x, out in outcomes.items():
+                clear_result_caches()
+                fresh = search(g, x, cfg)
+                assert out.status is fresh.status
+                assert out.witnesses == fresh.witnesses
+                assert out.stats.to_obj() == fresh.stats.to_obj()
 
     def test_time_budget_stop_is_not_kept(self, monkeypatch, x0123):
         import iasgl.search
@@ -753,19 +805,26 @@ class TestTypeMemo:
             time.sleep(0.05)
             return kernel(*args)
 
+        def no_kernel(*args):
+            raise AssertionError("a kept outcome was decided again")
+
         star = generate("star", 14)
         x0246 = GroundSet.of(0, 2, 4, 6)
         cfg = SearchConfig(time_budget_ms=40)
-        memo = TypeMemo()
         monkeypatch.setattr(iasgl.search, "subset_algebra", slow_kernel)
+        # x0246 has x0123's type: it is stopped too, so the first stop
+        # was not kept.
         for x in (x0123, x0246):
-            assert search_iasgl(star, x, cfg, memo).budget_stop == "time"
-        assert (memo.hits, memo.misses) == (0, 2)
+            assert search_iasgl(star, x, cfg).budget_stop == "time"
         monkeypatch.undo()
-        found = search_iasgl(star, x0123, cfg, memo)
+        found = search_iasgl(star, x0123, cfg)
         assert (found.status, found.budget_stop) == (SearchStatus.FOUND, None)
-        mapped = search_iasgl(star, x0246, cfg, memo)
-        assert (memo.hits, memo.misses) == (1, 3)
+        # A finished outcome is kept: x0246 gets it without a kernel.
+        monkeypatch.setattr(iasgl.search, "subset_algebra", no_kernel)
+        mapped = search_iasgl(star, x0246, cfg)
+        assert (mapped.status, mapped.budget_stop) == (SearchStatus.FOUND, None)
+        monkeypatch.undo()
+        clear_result_caches()
         assert mapped.witnesses == search_iasgl(star, x0246, cfg).witnesses
 
     def test_mapped_witness_failing_verification_is_internal_error(self, monkeypatch, capsys):
@@ -775,12 +834,11 @@ class TestTypeMemo:
         real = iasgl.search._decide
 
         def swapped(g, x, cfg):
-            # The real witness with two labels swapped: a well-formed
-            # labeling that is not graceful.
-            out = real(g, x, cfg)
-            f = dict(out.witnesses[0].assignment)
-            f["v0"], f["v1"] = f["v1"], f["v0"]
-            return SearchOutcome(out.status, [Labeling.from_mapping(x, f)], out.stats)
+            # The real witness's masks with v0's and v1's swapped: a
+            # well-formed labeling that is not graceful, kept for the type.
+            out, (masks, *rest) = real(g, x, cfg)
+            masks = (masks[1], masks[0], *masks[2:])
+            return out, (masks, *rest)
 
         monkeypatch.setattr(iasgl.search, "_decide", swapped)
         with pytest.raises(RuntimeError, match="mapped witness over .* failed re-verification"):
