@@ -271,7 +271,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_construct(args, parser) -> int:
-    from .graphs import is_bipartite, pendant_vertices
+    from .graphs import pendant_vertices
     from .realisation import build_realisation
 
     ground = _parse_ground_set(args.ground_set, parser)
@@ -284,7 +284,7 @@ def cmd_construct(args, parser) -> int:
         "vertices": len(graph.vertex_ids),
         "edges": graph.edge_count(),
         "pendants": len(pendant_vertices(graph)),
-        "bipartite": is_bipartite(graph),
+        "bipartite": not result.non_bipartite,
         "non_bipartite": result.non_bipartite,
         "trace": {str(t): list(e) for t, e in result.assignment_trace},
     }

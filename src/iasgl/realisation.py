@@ -14,10 +14,12 @@ stack of (candidate list, cursor) frames, one per target, so the number
 of targets, not the interpreter's recursion limit, bounds its depth.
 
 The builder's choices depend on X only through its additive type (see
-``sets``), so ``build_realisation`` keeps each result in subset masks
-and vertex numbers per (type, prefer_nonbipartite) in a bounded LRU.
-Every call takes the same path: it maps the kept masks onto X's own
-subsets and verifies the realisation there.
+``sets``): ``_build`` takes that type, works over the index set
+{0..n-1} (index to element is increasing, so every order it uses is the
+order of X's own subsets) and is memoised per (type,
+prefer_nonbipartite). Every call of ``build_realisation`` takes the
+same path: it maps the built graph's label masks onto X's own subsets
+and verifies the realisation there.
 
 No candidate is ever rejected: a label pair determines its sumset, so
 it is a candidate for exactly one target, and the forced pairs
@@ -31,7 +33,7 @@ the bipartiteness flag honestly when none is reachable.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 
 from .graphs import Edge, Graph, is_bipartite
 from .labeling import Labeling, verify_iasgl
@@ -49,12 +51,6 @@ from .sets import (
 
 ASSIGNMENT_NODE_BUDGET = 200_000
 NONBIPARTITE_SOLUTION_CAP = 2_000
-
-#: Realisations ``build_realisation`` keeps, one per (type, prefer_nonbipartite).
-REALISATION_CACHE_SIZE = 32
-
-#: (type, prefer_nonbipartite) -> ``_build``'s result, least recently used first.
-_built: OrderedDict = OrderedDict()
 
 
 class RealisationResult(Record):
@@ -78,12 +74,13 @@ def _solutions(
 ):
     """Yield exact assignments as tuples of mask pairs, one per target of order.
 
-    sets is X's ``subsets_by_mask``. For each target the candidates are
-    ordered by how many new vertices they would add (pool pairs, then
-    one new label, then two), then by the operands as ``IntegerSet``s
-    (lexicographic, which is not mask order), which keeps vertex growth
-    lazy and the output deterministic. ASSIGNMENT_NODE_BUDGET only ends
-    the scan once a solution has been yielded.
+    sets is the ``subsets_by_mask`` of the index set {0..n-1}. For each
+    target the candidates are ordered by how many new vertices they
+    would add (pool pairs, then one new label, then two), then by the
+    operands as ``IntegerSet``s (lexicographic, which is not mask
+    order), which keeps vertex growth lazy and the output deterministic.
+    ASSIGNMENT_NODE_BUDGET only ends the scan once a solution has been
+    yielded.
     """
     ranked = sorted(range(1, len(sets)), key=sets.__getitem__)
     rank = [0] * len(sets)
@@ -143,23 +140,13 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
     if x.n < 2:
         raise ValueError("realisation needs a ground set with at least 2 elements")
 
-    key = (additive_type(x), prefer_nonbipartite)
-    stored = _built.get(key)
-    if stored is None:
-        stored = _built[key] = _build(x, prefer_nonbipartite)
-        if len(_built) > REALISATION_CACHE_SIZE:
-            _built.popitem(last=False)
-    else:
-        _built.move_to_end(key)
-    labels, trace, non_bipartite = stored
+    graph, labels, trace, non_bipartite = _build(additive_type(x), prefer_nonbipartite)
     sets = subsets_by_mask(x)
-    names = [f"v{i}" for i in range(len(labels))]
-    edges = [(names[u], names[w]) for _, u, w in trace]
     result = RealisationResult(
-        graph=Graph.from_edges(names, edges),
-        labeling=Labeling(x, tuple(zip(names, map(sets.__getitem__, labels)))),
+        graph=graph,
+        labeling=Labeling(x, tuple((v, sets[m]) for v, m in labels)),
         non_bipartite=non_bipartite,
-        assignment_trace=tuple((sets[t], e) for (t, _, _), e in zip(trace, edges)),
+        assignment_trace=tuple((sets[t], e) for t, e in trace),
     )
     check = verify_iasgl(result.graph, result.labeling)
     if not check:
@@ -168,16 +155,18 @@ def build_realisation(x: GroundSet, prefer_nonbipartite: bool = False) -> Realis
     return result
 
 
+@lru_cache(maxsize=32)
 def _build(
-    x: GroundSet, prefer_nonbipartite: bool
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], bool]:
-    """The builder over X, in subset masks and vertex numbers (vertex i
-    is named v<i>): each vertex's label mask, the trace as (target mask,
-    u, w) with u's name before w's, in (|target|, target) order, and
-    whether the graph has an odd cycle."""
-    alg = subset_algebra(additive_type(x))
+    key: tuple[int, tuple[tuple[int, int, int], ...]], prefer_nonbipartite: bool
+) -> tuple[Graph, tuple[tuple[str, int], ...], tuple[tuple[int, Edge], ...], bool]:
+    """The builder for the additive type key, in subset masks: the graph
+    (vertices v0, v1, ... in order of creation), each vertex's (name,
+    label mask), the trace as (target mask, edge) in (|target|, target)
+    order, and whether the graph has an odd cycle. Memoised per (key,
+    prefer_nonbipartite)."""
+    alg = subset_algebra(key)
     forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
-    sets = subsets_by_mask(x)
+    sets = subsets_by_mask(GroundSet.of(*range(key[0])))
     forced_set = set(forced)
     order = sorted(
         (t for t in range(ZERO_MASK + 1, len(sets)) if t not in forced_set),
@@ -185,27 +174,24 @@ def _build(
     )
 
     def materialize(solution: tuple[tuple[int, int], ...]):
-        vertex_of = {ZERO_MASK: 0}
+        name = {ZERO_MASK: "v0"}  # label mask -> vertex name
         for s in forced:
-            vertex_of[s] = len(vertex_of)
-        trace = [(s, 0, vertex_of[s]) for s in forced]
+            name[s] = f"v{len(name)}"
+        trace = [(s, ("v0", name[s])) for s in forced]
         for t, (a, b) in zip(order, solution):
             for lab in (a, b):
-                if lab not in vertex_of:
-                    vertex_of[lab] = len(vertex_of)
-            # Ordered as the names v<u>, v<w> sort.
-            u, w = sorted((vertex_of[a], vertex_of[b]), key=str)
-            trace.append((t, u, w))
+                if lab not in name:
+                    name[lab] = f"v{len(name)}"
+            trace.append((t, tuple(sorted((name[a], name[b])))))
         trace.sort(key=lambda step: (len(sets[step[0]]), sets[step[0]]))
-        names = [f"v{i}" for i in range(len(vertex_of))]
-        graph = Graph.from_edges(names, [(names[u], names[w]) for _, u, w in trace])
-        return tuple(vertex_of), tuple(trace), not is_bipartite(graph)
+        graph = Graph.from_edges(name.values(), [e for _, e in trace])
+        return graph, tuple(zip(name.values(), name)), tuple(trace), not is_bipartite(graph)
 
     result = None
     scanned = 0
     for sol in _solutions(alg, sets, order, {ZERO_MASK, *forced}):
         built = materialize(sol)
-        non_bipartite = built[2]
+        non_bipartite = built[3]
         if result is None or non_bipartite:
             result = built
         if not prefer_nonbipartite or non_bipartite:

@@ -170,6 +170,9 @@ SEARCH_CACHE_SIZE = 128
 
 #: (graph, config, type) -> (status, each witness's label masks in
 #: ``g.vertex_ids`` order, nodes, prunes), least recently used first.
+#: Kept by hand, not by ``lru_cache``: an outcome that a budget stopped
+#: must not be kept, and the first X's gate and leaf verification run
+#: inside its time budget, so the decision takes X, which the key omits.
 _outcomes: OrderedDict = OrderedDict()
 
 
@@ -194,14 +197,15 @@ class _Layout:
 def _graph_layout(g: Graph) -> _Layout:
     """Compute (or fetch from a small LRU cache) the DFS layout of g.
 
-    False twins share N(v), true twins share N[v]. A vertex is never in
+    False twins share N(v), true twins share N[v]; both are found on
+    vertex ids, before the order is fixed. A vertex is never in
     non-trivial classes of both kinds: if u, v are false twins and u, w
     true twins, then w is adjacent to v, so v lies in N[w] = N[u]. So
     each vertex has one twin class, of size 1 when it has no twin.
 
-    The DFS order is (-degree, size of the twin class, id): among
-    vertices of one degree, the less symmetric ones are decided first
-    (fail first). The twin cursor makes a class of k vertices cost
+    The DFS order is one sort by (-degree, size of the twin class, id):
+    among vertices of one degree, the less symmetric ones are decided
+    first (fail first). The twin cursor makes a class of k vertices cost
     C(m, k) label choices rather than m^k, but a vertex without twins
     placed after the class is decided again under each of them; placed
     first, P3 and P4 cut its branch before that fan-out. The members of
@@ -209,50 +213,32 @@ def _graph_layout(g: Graph) -> _Layout:
     and every rule holds for any order that lists each class's members
     in DFS order: only node and prune counts depend on the order.
     """
-    order = tuple(sorted(g.vertex_ids, key=lambda v: (-g.degree(v), v)))
-    index = {v: i for i, v in enumerate(order)}
-    neighbors = tuple(tuple(index[w] for w in g.neighbors(v)) for v in order)
-    degree = tuple(map(len, neighbors))
-
-    false_twins: dict[frozenset[int], list[int]] = {}
-    true_twins: dict[frozenset[int], list[int]] = {}
-    for v, nbrs in enumerate(neighbors):
-        key = frozenset(nbrs)
-        false_twins.setdefault(key, []).append(v)
-        true_twins.setdefault(key | {v}, []).append(v)
+    false_twins: dict[tuple[str, ...], list[str]] = {}
+    true_twins: dict[tuple[str, ...], list[str]] = {}
+    for v in g.vertex_ids:
+        nbrs = g.neighbors(v)
+        false_twins.setdefault(nbrs, []).append(v)
+        true_twins.setdefault(tuple(sorted((v, *nbrs))), []).append(v)
     classes = [
         members
         for kind in (false_twins, true_twins)
         for members in kind.values()
         if len(members) > 1
     ]
+    size = {v: len(members) for members in classes for v in members}
 
-    # Stable-sort that (-degree, id) order by class size and renumber,
-    # unless it is sorted already (as for a star). Vertices move only
-    # within a degree, so ``degree`` holds for the new numbering too.
-    nv = len(order)
-    size = [1] * nv
-    for members in classes:
-        k = len(members)
-        for v in members:
-            size[v] = k
-    if any(d0 == d1 and s0 > s1 for d0, d1, s0, s1 in zip(degree, degree[1:], size, size[1:])):
-        perm = sorted(range(nv), key=lambda i: (-degree[i], size[i]))
-        rank = [0] * nv
-        for i, old in enumerate(perm):
-            rank[old] = i
-        order = tuple(order[old] for old in perm)
-        neighbors = tuple(tuple(rank[w] for w in neighbors[old]) for old in perm)
-        # Renumbering keeps each class's members in ascending order.
-        classes = [[rank[v] for v in members] for members in classes]
-    twin_classes = tuple(map(tuple, classes))
-    twin_prev: list[int | None] = [None] * nv
+    order = tuple(sorted(g.vertex_ids, key=lambda v: (-g.degree(v), size.get(v, 1), v)))
+    index = {v: i for i, v in enumerate(order)}
+    neighbors = tuple(tuple(index[w] for w in g.neighbors(v)) for v in order)
+    # Members were listed in id order, which is their DFS order.
+    twin_classes = tuple(tuple(index[v] for v in members) for members in classes)
+    twin_prev: list[int | None] = [None] * len(order)
     for members in twin_classes:
         for prev, v in zip(members, members[1:]):
             twin_prev[v] = prev
     return _Layout(
         order=order,
-        degree=degree,
+        degree=tuple(map(len, neighbors)),
         neighbors=neighbors,
         earlier=tuple(tuple(w for w in nbrs if w < i) for i, nbrs in enumerate(neighbors)),
         twin_classes=twin_classes,

@@ -132,7 +132,7 @@ def clear_result_caches() -> None:
     """Empty the per-type caches of ``search_iasgl`` and
     ``build_realisation``, so the next call of each decides afresh."""
     iasgl.search._outcomes.clear()
-    iasgl.realisation._built.clear()
+    iasgl.realisation._build.cache_clear()
 
 
 @pytest.fixture(autouse=True)

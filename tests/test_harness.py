@@ -185,15 +185,16 @@ class TestRunAll:
     def test_one_decision_per_type(self, monkeypatch):
         # The theorems-breadth input (n = 2..5, max 10): every search and
         # realisation of one (graph, config, type) after the first is
-        # mapped from the kept result. Counted at the uncached cores, so
-        # a cache that is too small or wrongly keyed fails here.
+        # mapped from the kept result. Counted as calls of the search's
+        # uncached core and as misses of the build's cache (emptied
+        # before each test), so a cache that is too small or wrongly
+        # keyed fails here.
         import iasgl.realisation
 
         searches = count_calls(monkeypatch, iasgl.search, "_decide")
-        builds = count_calls(monkeypatch, iasgl.realisation, "_build")
         report = run_all(HarnessConfig(n_range=(2, 5), max_element=10))
         assert all(c.status == CONFIRMED for c in report.checks)
-        assert (searches[0], builds[0]) == (74, 47)
+        assert (searches[0], iasgl.realisation._build.cache_info().misses) == (74, 47)
 
     def test_report_determinism(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6)

@@ -173,6 +173,19 @@ class TestBuildRealisation:
         assert a.labeling == b.labeling
         assert a.assignment_trace == b.assignment_trace
 
+    def test_one_build_per_additive_type(self, x0123):
+        import iasgl.realisation
+
+        x0246 = GroundSet.of(0, 2, 4, 6)
+        a, b = build_realisation(x0123), build_realisation(x0246)
+        assert iasgl.realisation._build.cache_info().misses == 1
+        assert a.graph is b.graph
+        for x, r in ((x0123, a), (x0246, b)):
+            assert r.labeling.ground == x
+            assert verify_iasgl(r.graph, r.labeling).passed
+        for v in a.graph.vertex_ids:
+            assert b.labeling.label_of(v) == iset(*(2 * e for e in a.labeling.label_of(v)))
+
     def test_construct_output_pinned(self):
         """The CLI construct JSON for every canonical X with n <= 5 and
         max <= 8, preference off then on, hashes to a pinned digest, so
