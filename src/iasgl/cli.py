@@ -276,7 +276,7 @@ def cmd_construct(args, parser) -> int:
 
     ground = _parse_ground_set(args.ground_set, parser)
     try:
-        result = build_realisation(ground, args.prefer_nonbipartite)
+        result = build_realisation(ground)
     except ValueError as exc:
         parser.error(str(exc))
     graph, labeling = result.graph, result.labeling
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common], help="build a graceful graph-realisation")
     p.add_argument("--ground-set", required=True, metavar="0,1,2")
-    p.add_argument("--prefer-nonbipartite", action="store_true")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--dot", metavar="PATH")
     p.set_defaults(func=cmd_construct)

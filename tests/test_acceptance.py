@@ -203,7 +203,7 @@ def _collect_witnesses() -> list[tuple[GroundSet, object, Labeling]]:
             witnesses.append((x, star, outcome.witnesses[0]))
     for n in (2, 3, 4):
         for x in enumerate_canonical_ground_sets(n, 8):
-            r = build_realisation(x, prefer_nonbipartite=True)
+            r = build_realisation(x)
             witnesses.append((x, r.graph, r.labeling))
     return witnesses
 
@@ -237,7 +237,7 @@ def test_criterion_7_builder_soundness():
                 r = build_realisation(x)
                 assert verify_iasgl(r.graph, r.labeling).passed
                 assert r.graph.edge_count() == 2 ** n - 2
-        r4 = build_realisation(GroundSet.of(0, 1, 2, 3), prefer_nonbipartite=True)
+        r4 = build_realisation(GroundSet.of(0, 1, 2, 3))
         assert r4.non_bipartite
         by_label = {r4.labeling.label_of(v): v for v in r4.graph.vertex_ids}
         tri = [by_label[iset(0)], by_label[iset(1)], by_label[iset(2)]]
@@ -248,7 +248,7 @@ def test_criterion_7_builder_soundness():
         # realisation exists and the builder must report it truthfully.
         bip_exists, nonbip_exists = oracle_all_realisations((0, 1, 2))
         assert nonbip_exists
-        r3 = build_realisation(GroundSet.of(0, 1, 2), prefer_nonbipartite=True)
+        r3 = build_realisation(GroundSet.of(0, 1, 2))
         assert r3.non_bipartite == nonbip_exists
         assert verify_iasgl(r3.graph, r3.labeling).passed
         print("note: exhaustive assignment enumeration at X={0,1,2} finds a "
@@ -256,7 +256,7 @@ def test_criterion_7_builder_soundness():
         # A genuine infeasibility, recorded rather than hidden: at
         # X = {0,1} every target is forced onto the hub, so only the
         # bipartite K(1,2) exists.
-        r2 = build_realisation(GroundSet.of(0, 1), prefer_nonbipartite=True)
+        r2 = build_realisation(GroundSet.of(0, 1))
         assert not r2.non_bipartite
 
 

@@ -93,7 +93,7 @@ class TestDot:
         assert "--" in dot
 
     def test_braces_balanced(self, x0123):
-        r = build_realisation(x0123, prefer_nonbipartite=True)
+        r = build_realisation(x0123)
         dot = to_dot(r.graph, r.labeling)
         assert dot.count("{") == dot.count("}")
         lines = dot.strip().splitlines()
@@ -322,8 +322,7 @@ class TestCli:
 
     def test_verify_builder_output(self, tmp_path, capsys):
         out = tmp_path / "doc.json"
-        assert main(["construct", "--ground-set", "0,1,2,3",
-                     "--prefer-nonbipartite", "--out", str(out)]) == 0
+        assert main(["construct", "--ground-set", "0,1,2,3", "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["verify", str(out)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -471,12 +470,21 @@ class TestCli:
         assert text.count('" -- "') == 2
 
     def test_construct_x0123_summary(self, capsys):
-        assert main(["construct", "--ground-set", "0,1,2,3",
-                     "--prefer-nonbipartite"]) == 0
+        assert main(["construct", "--ground-set", "0,1,2,3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["vertices"] == 9
         assert payload["edges"] == 14
         assert payload["bipartite"] is False
+
+    def test_construct_rejects_removed_prefer_nonbipartite_flag(self, capsys):
+        # The realisation is non-bipartite whenever X has a sum, so the
+        # flag is gone; passing it is a usage error, not silently ignored.
+        with pytest.raises(SystemExit) as err:
+            main(["construct", "--ground-set", "0,1,2,3", "--prefer-nonbipartite"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --prefer-nonbipartite" in captured.err
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_construct_deeper_than_recursion_limit(self, n, tmp_path, capsys):

@@ -263,7 +263,7 @@ class TestGateSoundness:
         from iasgl.sets import enumerate_canonical_ground_sets
 
         for x in enumerate_canonical_ground_sets(4, 8):
-            r = build_realisation(x, prefer_nonbipartite=True)
+            r = build_realisation(x)
             assert verify_iasgl(r.graph, r.labeling).passed
             assert structural_gate(r.graph, x).passed
 

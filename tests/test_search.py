@@ -815,17 +815,13 @@ class TestTypeMemo:
         family = [x for n in (3, 4, 5) for x in enumerate_canonical_ground_sets(n, 10)]
         # Type by type, so that each type's realisations stay cached
         # until its last ground set.
-        warm = {
-            (x, prefer): build_realisation(x, prefer)
-            for x in sorted(family, key=additive_type)
-            for prefer in (False, True)
-        }
-        # 345 ground sets of 2 + 7 + 37 additive types, 2 builds each.
+        warm = {x: build_realisation(x) for x in sorted(family, key=additive_type)}
+        # 345 ground sets of 2 + 7 + 37 additive types, one build each.
         assert len(family) == 345
-        assert iasgl.realisation._build.cache_info().misses == 2 * 46
-        for (x, prefer), built in warm.items():
+        assert iasgl.realisation._build.cache_info().misses == 46
+        for x, built in warm.items():
             clear_result_caches()
-            assert build_realisation(x, prefer) == built
+            assert build_realisation(x) == built
         # Each classification through the kernel its type shares, against
         # a cold call.
         shared = {(x, mode): classify_ground_set(x, mode) for x in family for mode in SummandMode}
