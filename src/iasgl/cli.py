@@ -124,9 +124,11 @@ def _unwritable(path: str, exc: OSError, parser: argparse.ArgumentParser) -> Non
     parser.error(f"cannot write {path!r}: {exc.strerror or exc}")
 
 
-def _emit(payload: dict, args, table: list[str]) -> None:
+def _emit(payload: dict, args, table) -> None:
+    """Print the payload as JSON, or under ``--format table`` the lines
+    that the callable ``table`` returns; it is called only then."""
     if args.format == "table":
-        print("\n".join(table))
+        print("\n".join(table()))
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -154,14 +156,13 @@ def cmd_classify(args, parser) -> int:
             "neither": len(cls.neither),
         },
     }
-    table = [
+    _emit(payload, args, lambda: [
         f"ground set    {ground}",
         f"mode          {cls.mode.value}",
         f"non-sumsets   ({len(cls.non_sumsets)})  " + " ".join(str(s) for s in cls.non_sumsets),
         f"non-summands  ({len(cls.non_summands)})  " + " ".join(str(s) for s in cls.non_summands),
         f"neither       ({len(cls.neither)})  " + " ".join(str(s) for s in cls.neither),
-    ]
-    _emit(payload, args, table)
+    ])
     return 0
 
 
@@ -206,12 +207,11 @@ def cmd_search(args, parser) -> int:
                 "found": sum(1 for o in outcomes.values() if o.found),
             },
         }
-        table = [
+        witness = next((o.witnesses[0] for o in outcomes.values() if o.found), None)
+        _emit(payload, args, lambda: [
             f"{str(x):16s} {o.status.value:16s} nodes={o.stats.nodes}"
             for x, o in outcomes.items()
-        ]
-        witness = next((o.witnesses[0] for o in outcomes.values() if o.found), None)
-        _emit(payload, args, table)
+        ])
         if args.out and witness is not None:
             _write_document(graph, witness, args.out, parser)
         if any(o.found for o in outcomes.values()):
@@ -226,14 +226,13 @@ def cmd_search(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = _outcome_obj(outcome)
-    table = [
+    _emit(payload, args, lambda: [
         f"status   {outcome.status.value}",
         f"nodes    {outcome.stats.nodes}",
         f"prunes   {outcome.stats.prunes}",
         f"witnesses {len(outcome.witnesses)}",
         f"budget   {outcome.budget_stop or 'none'}",
-    ]
-    _emit(payload, args, table)
+    ])
     if args.out and outcome.witnesses:
         _write_document(graph, outcome.witnesses[0], args.out, parser)
     return _EXIT_BY_STATUS[outcome.status.value]
@@ -263,10 +262,9 @@ def cmd_verify(args, parser) -> int:
         "highest": highest,
         "violations": violations,
     }
-    table = [f"highest rung  {highest}"] + [
+    _emit(payload, args, lambda: [f"highest rung  {highest}"] + [
         f"violation     [{v['rule']}] {v['detail']}" for v in violations
-    ]
-    _emit(payload, args, table)
+    ])
     return 0 if highest == "IASGL" else 1
 
 
@@ -288,13 +286,12 @@ def cmd_construct(args, parser) -> int:
         "non_bipartite": result.non_bipartite,
         "trace": {str(t): list(e) for t, e in result.assignment_trace},
     }
-    table = [
+    _emit(payload, args, lambda: [
         f"vertices   {payload['vertices']}",
         f"edges      {payload['edges']}",
         f"pendants   {payload['pendants']}",
         f"bipartite  {payload['bipartite']}",
-    ]
-    _emit(payload, args, table)
+    ])
     if args.out:
         _write_document(graph, labeling, args.out, parser)
     if args.dot:
@@ -317,10 +314,9 @@ def cmd_theorems(args, parser) -> int:
         parser.error(str(exc))
     report = run_all(config)
     payload = report.to_obj()
-    table = [f"{c.status:16s} {c.check_id:34s} {c.evidence}" for c in report.checks] + [
-        f"totals: {report.totals}"
-    ]
-    _emit(payload, args, table)
+    _emit(payload, args, lambda: [
+        f"{c.status:16s} {c.check_id:34s} {c.evidence}" for c in report.checks
+    ] + [f"totals: {report.totals}"])
     if args.report:
         from datetime import datetime, timezone
 

@@ -24,7 +24,15 @@ def _norm_edge(u: str, v: str) -> Edge:
 
 
 class Graph(Record):
-    __slots__ = ("vertex_ids", "edges", "_adj")
+    """An immutable simple graph; equality, hash and repr read only
+    ``vertex_ids`` and ``edges``.
+
+    The adjacency, the sorted edge list and the pendant vertices are
+    derived once, when the graph is built, and kept in slots of their
+    own; ``sorted_edges`` and ``pendant_vertices`` hand out fresh lists.
+    """
+
+    __slots__ = ("vertex_ids", "edges", "_adj", "_sorted_edges", "_pendants")
     _fields = ("vertex_ids", "edges")
 
     def __init__(self, vertex_ids: tuple[str, ...], edges: frozenset[Edge]) -> None:
@@ -52,6 +60,8 @@ class Graph(Record):
         object.__setattr__(self, "vertex_ids", ids)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
+        object.__setattr__(self, "_sorted_edges", tuple(sorted(norm)))
+        object.__setattr__(self, "_pendants", tuple(v for v in ids if len(adj[v]) == 1))
 
     @classmethod
     def from_edges(cls, vertices, edges) -> "Graph":
@@ -67,7 +77,7 @@ class Graph(Record):
         return len(self.edges)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(self._sorted_edges)
 
 
 def generate(kind: str, size: int) -> Graph:
@@ -119,7 +129,7 @@ def family_edge_count(kind: str, size: int) -> int:
 
 def pendant_vertices(g: Graph) -> list[str]:
     """Vertices of degree exactly 1, in id order."""
-    return [v for v in g.vertex_ids if g.degree(v) == 1]
+    return list(g._pendants)
 
 
 def is_bipartite(g: Graph) -> bool:

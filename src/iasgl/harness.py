@@ -200,15 +200,17 @@ def _pendant_violation(
     v0 = zero_vertex(graph, labeling)
     if v0 is None:
         return f"witness over {x} has no {{0}}-labeled vertex"
-    neither = set(neither)
+    forced = {s.elements for s in neither}
+    top = x.max_element
     pendants = set(pendant_vertices(graph))
-    hosted = sum(1 for w in graph.neighbors(v0) if w in pendants)
+    # The pendants on v0: exactly the vertices whose one neighbour is v0.
+    hosted = pendants.intersection(graph.neighbors(v0))
     forced_on_v0 = all(
-        vid in pendants and graph.neighbors(vid) == (v0,)
+        vid in hosted
         for vid, lab in labeling.assignment
-        if vid != v0 and (lab in neither or x.max_element in lab)
+        if vid != v0 and (lab.elements in forced or top in lab.elements)
     )
-    if len(pendants) >= len(neither) and hosted >= len(neither) and forced_on_v0:
+    if len(pendants) >= len(neither) and len(hosted) >= len(neither) and forced_on_v0:
         return None
     return f"witness over {x} violates a pendant bound"
 
@@ -227,15 +229,18 @@ class WitnessTally:
     pendant_violation: str | None = None
     edge_violation: str | None = None
 
-    def add_ground_set(self, x: GroundSet) -> None:
-        """Check |neither| >= n - 1 on one canonical ground set."""
+    def add_ground_set(self, x: GroundSet, neither: tuple[IntegerSet, ...]) -> None:
+        """Check |neither| >= n - 1 on one canonical ground set, given
+        the neither family of its classification."""
         self.ground_sets += 1
-        neither = len(classify_ground_set(x).neither)
-        if neither < x.n - 1 and self.neither_violation is None:
-            self.neither_violation = f"|neither| = {neither} < {x.n - 1} at X = {x}"
+        if len(neither) < x.n - 1 and self.neither_violation is None:
+            self.neither_violation = f"|neither| = {len(neither)} < {x.n - 1} at X = {x}"
 
-    def add_witness(self, x: GroundSet, graph: Graph, labeling: Labeling) -> None:
-        """Check one witness against the pendant and edge-count bounds.
+    def add_witness(
+        self, x: GroundSet, neither: tuple[IntegerSet, ...], graph: Graph, labeling: Labeling
+    ) -> None:
+        """Check one witness over X, whose classification has the given
+        neither family, against the pendant and edge-count bounds.
 
         |E| = 2^n - 2 and n = log2(|E| + 2) are the same condition, so
         one comparison decides both.
@@ -247,7 +252,6 @@ class WitnessTally:
                 f"witness over {x} has {edges} edges, expected {_star_order(x.n)}"
             )
         if self.pendant_violation is None:
-            neither = classify_ground_set(x).neither
             self.pendant_violation = _pendant_violation(x, neither, graph, labeling)
 
 
@@ -267,8 +271,9 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     ``structural_gate`` applies R1. No other star is built.
 
     The forward loop is the harness's one pass over the canonical
-    ground sets: each X is also classified and realised there, and the
-    star witness and the realisation go to the tally.
+    ground sets: each X is also classified (once, for the tally's three
+    checks) and realised there, and the star witness and the
+    realisation go to the tally.
     """
     cfg = _search_config(gate=True)
     results = []
@@ -280,13 +285,14 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         statuses = []
         family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
-            tally.add_ground_set(x)
+            neither = classify_ground_set(x).neither
+            tally.add_ground_set(x, neither)
             outcome = search_iasgl(star, x, cfg)
             if outcome.found:
-                tally.add_witness(x, star, outcome.witnesses[0])
+                tally.add_witness(x, neither, star, outcome.witnesses[0])
             statuses.append((outcome.status, True))
             built = build_realisation(x)
-            tally.add_witness(x, built.graph, built.labeling)
+            tally.add_witness(x, neither, built.graph, built.labeling)
         status, found, budget = _verdict(statuses)
         evidence = {
             CONFIRMED: f"K(1,{_star_order(n)}) found for all {len(family)} canonical ground sets",
@@ -361,7 +367,8 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             for x in family:
                 outcome = search_iasgl(tree, x, cfg if is_star else nogate)
                 if outcome.found and is_star:
-                    tally.add_witness(x, tree, outcome.witnesses[0])
+                    neither = classify_ground_set(x).neither
+                    tally.add_witness(x, neither, tree, outcome.witnesses[0])
                 statuses.append((outcome.status, is_star))
 
         status, found, budget = _verdict(statuses)

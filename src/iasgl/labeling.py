@@ -11,28 +11,32 @@ Three nested properties are checked, each implying the previous:
 
 All three are conditions on one induced map f+(uv) = f(u) + f(v), so
 ``verify_ladder`` computes each edge label once and checks the rungs in
-order; the three ``verify_*`` functions read their report off it. Edge
-labels are summed from the endpoint elements into plain sets
-(``edge_sums``) and tested against one set of X; ``IntegerSet``s are
-built only for the labels a ``Violation`` reports. Once IASL and IASI
-hold, the IASGL rung is a count: the |E| edge labels are distinct
-members of the target family, so they are all of it iff |E| is its
-size (2^n - 2 when 0 is in X). The target family is enumerated only to
-name what is missing. Nothing here reads the subset-algebra kernel of
-``sets``, so every verdict the kernel leads to is re-checked by an
-independent route.
+order; the three ``verify_*`` functions read their report off it. It
+reads each vertex label's element tuple once and compares labels by
+those tuples. Edge labels are summed from the endpoint elements into
+plain sets (``edge_sums``) and tested against one frozenset of X;
+``IntegerSet``s are built only for the labels a ``Violation`` reports.
+Once IASL and IASI hold, the IASGL rung is a count: the |E| edge labels
+are distinct members of the target family, so they are all of it iff
+|E| is its size (2^n - 2 when 0 is in X). The target family is
+enumerated only to name what is missing. The ladder reads nothing of
+the subset-algebra kernel of ``sets``, so every witness and realisation
+the kernel leads to is re-checked by an independent route.
 
 ``structural_gate`` bundles the necessary conditions that can be read
-off the graph shape alone (edge count, a high-degree host for {0},
-pendant supply). Passing the gate never asserts existence; failing it
-refutes existence without any search.
+off the graph shape and X's classification (edge count, a high-degree
+host for {0}, pendant supply). Passing the gate never asserts
+existence; failing it refutes existence without any search. The gate is
+not independent of the kernel: it reads ``classify_ground_set``, whose
+families are the kernel's classification masks, so a gate rejection
+rests on the kernel being right.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .graphs import Graph, pendant_vertices
+from .graphs import Edge, Graph, pendant_vertices
 from .sets import (
     ZERO_SET,
     GroundSet,
@@ -100,18 +104,19 @@ class Labeling(Record):
 
     def __init__(self, ground: GroundSet, assignment: tuple[tuple[str, IntegerSet], ...]) -> None:
         pairs = tuple(sorted(assignment))
-        ids = [vid for vid, _ in pairs]
-        if len(set(ids)) != len(ids):
+        by_id = dict(pairs)
+        if len(by_id) != len(pairs):
             raise ValueError("duplicate vertex id in labeling")
-        base = set(ground.base.elements)
+        base = frozenset(ground.base.elements)
         for vid, s in pairs:
-            if s.is_empty():
+            elements = s.elements
+            if not elements:
                 raise ValueError(f"empty set-label at {vid!r}")
-            if not base.issuperset(s.elements):
+            if not base.issuperset(elements):
                 raise ValueError(f"label {s} at {vid!r} is not a subset of ground set")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "assignment", pairs)
-        object.__setattr__(self, "_by_id", dict(pairs))
+        object.__setattr__(self, "_by_id", by_id)
 
     @classmethod
     def from_mapping(cls, ground: GroundSet, mapping: Mapping[str, IntegerSet]) -> "Labeling":
@@ -132,13 +137,14 @@ def induced_edge_label(f: Labeling, u: str, v: str) -> IntegerSet:
     return sumset(f.label_of(u), f.label_of(v))
 
 
-def edge_sums(a: IntegerSet, b: IntegerSet) -> frozenset[int]:
-    """The sumset A + B as a plain set of element sums (never truncated)."""
-    return frozenset([x + y for x in a.elements for y in b.elements])
+def edge_sums(a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[int]:
+    """The sumset A + B of two element tuples as a plain set of element
+    sums (never truncated)."""
+    return frozenset([x + y for x in a for y in b])
 
 
 def _require_coverage(g: Graph, f: Labeling) -> None:
-    if set(f.vertex_ids()) != set(g.vertex_ids):
+    if f._by_id.keys() != set(g.vertex_ids):
         raise ValueError("labeling does not cover the graph's vertex set exactly")
 
 
@@ -149,60 +155,70 @@ def graceful_targets(x: GroundSet) -> list[IntegerSet]:
 
 def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
     """Check the IASL, IASI and IASGL rungs in order, computing each edge
-    label once; the reports end at the first rung that fails."""
+    label once; the reports end at the first rung that fails.
+
+    Labels are read as element tuples, one dict lookup per endpoint, and
+    compared by those tuples; ``IntegerSet``s are built only for the
+    labels a violation reports.
+    """
     _require_coverage(g, f)
-    label_of = f.label_of
-    edges = [(u, v, edge_sums(label_of(u), label_of(v))) for u, v in g.sorted_edges()]
+    # With the coverage checked, the assignment lists g's vertices in id
+    # order. Each rule is first tested in one pass of built-in set
+    # operations; its loop runs only to report what that test found.
+    elements = {vid: s.elements for vid, s in f.assignment}
+    edges = g.sorted_edges()
+    labels = [edge_sums(elements[u], elements[v]) for u, v in edges]
+    base = frozenset(f.ground.base.elements)
 
     # IASL: injective vertex labels, every edge label inside X.
     violations: list[Violation] = []
-    owner: dict[IntegerSet, str] = {}
-    for vid in g.vertex_ids:
-        s = label_of(vid)
-        if s in owner:
-            violations.append(
-                Violation(
-                    rule="injectivity",
-                    detail=f"vertices {owner[s]!r} and {vid!r} share the label {s}",
-                    vertex_ids=(owner[s], vid),
-                    sets=(s,),
+    if len(set(elements.values())) < len(elements):
+        owner: dict[tuple[int, ...], str] = {}
+        for vid, s in f.assignment:
+            first = owner.setdefault(s.elements, vid)
+            if first != vid:
+                violations.append(
+                    Violation(
+                        rule="injectivity",
+                        detail=f"vertices {first!r} and {vid!r} share the label {s}",
+                        vertex_ids=(first, vid),
+                        sets=(s,),
+                    )
                 )
-            )
-        else:
-            owner[s] = vid
-    base = set(f.ground.base.elements)
-    for u, v, lab in edges:
-        if not base.issuperset(lab):
-            lab_set = IntegerSet.from_iterable(lab)
-            violations.append(
-                Violation(
-                    rule="edge-escape",
-                    detail=f"edge {u!r}-{v!r} has label {lab_set} outside ground set {f.ground}",
-                    vertex_ids=(u, v),
-                    sets=(lab_set,),
+    if not all(map(base.issuperset, labels)):
+        for (u, v), lab in zip(edges, labels):
+            if not base.issuperset(lab):
+                lab_set = IntegerSet.from_iterable(lab)
+                violations.append(
+                    Violation(
+                        rule="edge-escape",
+                        detail=f"edge {u!r}-{v!r} has label {lab_set} outside ground set {f.ground}",
+                        vertex_ids=(u, v),
+                        sets=(lab_set,),
+                    )
                 )
-            )
     iasl = GateReport(tuple(violations))
     if not iasl:
         return (iasl,)
 
     # IASI: distinct edges carry distinct labels.
     violations = []
-    carrier: dict[frozenset[int], tuple[str, str]] = {}
-    for u, v, lab in edges:
-        if lab in carrier:
-            pu, pv = carrier[lab]
-            lab_set = IntegerSet.from_iterable(lab)
-            violations.append(
-                Violation(
-                    rule="edge-collision",
-                    detail=f"edges {pu!r}-{pv!r} and {u!r}-{v!r} share the label {lab_set}",
-                    vertex_ids=(pu, pv, u, v),
-                    sets=(lab_set,),
+    distinct = set(labels)
+    if len(distinct) < len(labels):
+        carrier: dict[frozenset[int], Edge] = {}
+        for edge, lab in zip(edges, labels):
+            first = carrier.setdefault(lab, edge)
+            if first != edge:
+                (pu, pv), (u, v) = first, edge
+                lab_set = IntegerSet.from_iterable(lab)
+                violations.append(
+                    Violation(
+                        rule="edge-collision",
+                        detail=f"edges {pu!r}-{pv!r} and {u!r}-{v!r} share the label {lab_set}",
+                        vertex_ids=(pu, pv, u, v),
+                        sets=(lab_set,),
+                    )
                 )
-            )
-        else:
-            carrier[lab] = (u, v)
     iasi = GateReport(tuple(violations))
     if not iasi:
         return (iasl, iasi)
@@ -213,10 +229,10 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
     # labels are distinct. So they are |E| distinct members of the family
     # (2^n - 2 sets, or 2^n - 1 when 0 is not in X), and cover it iff |E|
     # equals its size; only a target can be missing, never an extra label.
-    if len(carrier) == (1 << f.ground.n) - 1 - f.ground.contains_zero():
+    if len(distinct) == (1 << len(base)) - 1 - (0 in base):
         return (iasl, iasi, GateReport())
     missing = sorted(
-        (s for s in graceful_targets(f.ground) if frozenset(s.elements) not in carrier),
+        (s for s in graceful_targets(f.ground) if frozenset(s.elements) not in distinct),
         key=lambda s: (len(s), s.elements),
     )
     violation = Violation(

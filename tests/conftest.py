@@ -185,13 +185,13 @@ def star_witness(n: int) -> tuple[Graph, Labeling]:
 
 
 @pytest.fixture
-def sumset_calls(monkeypatch) -> list[tuple[IntegerSet, IntegerSet]]:
+def sumset_calls(monkeypatch) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Record every edge label the verification ladder computes (its
-    ``edge_sums`` calls)."""
-    calls: list[tuple[IntegerSet, IntegerSet]] = []
+    ``edge_sums`` calls, on the endpoint labels' element tuples)."""
+    calls: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     edge_sums = iasgl.labeling.edge_sums
 
-    def counted(a: IntegerSet, b: IntegerSet) -> frozenset[int]:
+    def counted(a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[int]:
         calls.append((a, b))
         return edge_sums(a, b)
 

@@ -26,12 +26,12 @@ from iasgl.harness import (
     diophantine_solutions,
     run_all,
 )
-from iasgl.graphs import FREE_TREE_CAP, generate
+from iasgl.graphs import FREE_TREE_CAP, Graph, generate
 from iasgl.labeling import GateReport, Labeling
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
-from iasgl.sets import GroundSet, subset_algebra
+from iasgl.sets import GroundSet, classify_ground_set, subset_algebra
 
-from conftest import count_calls, iset
+from conftest import count_calls, iset, star_witness
 
 
 class TestDiophantine:
@@ -151,8 +151,9 @@ class TestChecks:
             x01, {"v0": iset(1), "v1": iset(1), "v2": iset(0, 1)}
         )
         tally = WitnessTally()
-        tally.add_witness(x01, star, labels)
-        tally.add_witness(GroundSet.of(0, 1, 2), star, labels)
+        x012 = GroundSet.of(0, 1, 2)
+        tally.add_witness(x01, classify_ground_set(x01).neither, star, labels)
+        tally.add_witness(x012, classify_ground_set(x012).neither, star, labels)
         (pendant,) = [
             r for r in check_pendant_bounds(tally) if r.check_id == "pendant-bounds/witnesses"
         ]
@@ -161,6 +162,24 @@ class TestChecks:
         (edges,) = check_edge_count(tally)
         assert edges.status == REFUTED
         assert edges.evidence == "witness over {0,1,2} has 2 edges, expected 6"
+
+
+    def test_pendant_violation_checks_placement_on_the_zero_vertex(self):
+        # K(1,6) over {0,1,2}: v6 carries {0,1,2}, which holds max X, so
+        # it must be a pendant on the {0}-vertex v0.
+        g, f = star_witness(3)
+        x = f.ground
+        neither = classify_ground_set(x).neither
+        assert harness._pendant_violation(x, neither, g, f) is None
+        edges = g.sorted_edges()
+        moved = Graph.from_edges(
+            g.vertex_ids, [e for e in edges if e != ("v0", "v6")] + [("v1", "v6")]
+        )
+        joined = Graph.from_edges(g.vertex_ids, [*edges, ("v1", "v6")])
+        for graph in (moved, joined):  # pendant on v1; on v0 but not pendant
+            assert harness._pendant_violation(x, neither, graph, f) == (
+                "witness over {0,1,2} violates a pendant bound"
+            )
 
 
 class TestRunAll:

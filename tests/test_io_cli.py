@@ -1,6 +1,7 @@
 """Document round-trips, DOT output, and the CLI exit-code contract."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -25,8 +26,9 @@ from iasgl.io import (
 from iasgl.graphs import generate
 from iasgl.labeling import verify_iasgl
 from iasgl.realisation import build_realisation
+from iasgl.sets import IntegerSet
 
-from conftest import iset, star_witness
+from conftest import count_calls, iset, star_witness
 
 
 #: K(1,2) over {0,1}, a valid IASGL document.
@@ -550,6 +552,62 @@ class TestCli:
         assert main(["classify", "--ground-set", "0,1,2", "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "non-sumsets" in out and "{0,1,2}" in out
+
+    #: (exit code, first 16 hex digits of the SHA-256 of stdout) of each
+    #: command under --format json and --format table, recorded when every
+    #: command still built its table lines under either format.
+    FORMAT_DIGESTS = {
+        ("classify", "json"): (0, "2f5c0099678fdb7e"),
+        ("classify", "table"): (0, "0d6dceb33f4ff0eb"),
+        ("classify-allow-equal", "json"): (0, "2e598dc5c5217431"),
+        ("classify-allow-equal", "table"): (0, "d8dedd5e67a467e1"),
+        ("search", "json"): (0, "429bffbc9b581140"),
+        ("search", "table"): (0, "d1fd75c5097bf547"),
+        ("sweep", "json"): (0, "c745f7c81f1d3386"),
+        ("sweep", "table"): (0, "a98ccab0006a8a67"),
+        ("verify", "json"): (1, "aa5bfea9fd56dd1b"),
+        ("verify", "table"): (1, "e64e6a2dbdedc7d8"),
+        ("construct", "json"): (0, "145e72e4909bef76"),
+        ("construct", "table"): (0, "c1fb733413293c24"),
+        ("theorems", "json"): (0, "4d5431a418cf3491"),
+        ("theorems", "table"): (0, "0477d9b6addcfd6b"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_both_formats_are_byte_identical(self, fmt, tmp_path, capsys):
+        # P_4 over {0,1,2,3} whose outer edges both induce {1,2}.
+        collide = tmp_path / "collide.json"
+        collide.write_text(json.dumps({
+            "vertices": [{"id": "v0", "label": [1]}, {"id": "v1", "label": [0, 1]},
+                         {"id": "v2", "label": [0]}, {"id": "v3", "label": [1, 2]}],
+            "edges": [["v0", "v1"], ["v1", "v2"], ["v2", "v3"]],
+            "ground_set": [0, 1, 2, 3],
+        }))
+        commands = {
+            "classify": ["classify", "--ground-set", "0,1,2,3,4,5"],
+            "classify-allow-equal": ["classify", "--ground-set", "0,1,3,7",
+                                     "--allow-equal-summands"],
+            "search": ["search", "--graph", "star:6", "--ground-set", "0,1,2"],
+            "sweep": ["search", "--graph", "star:6", "--ground-set", "sweep:n=3,max=6"],
+            "verify": ["verify", str(collide)],
+            "construct": ["construct", "--ground-set", "0,1,2,3"],
+            "theorems": ["theorems", "--n-max", "3", "--max-element", "4"],
+        }
+        for name, argv in commands.items():
+            code = main([*argv, "--format", fmt])
+            digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+            assert (code, digest) == self.FORMAT_DIGESTS[name, fmt], name
+
+    def test_json_output_formats_no_set(self, monkeypatch, capsys):
+        # The table lines print each set with IntegerSet.__str__; JSON
+        # output never builds them.
+        calls = count_calls(monkeypatch, IntegerSet, "__str__")
+        assert main(["classify", "--ground-set", ",".join(map(str, range(10)))]) == 0
+        capsys.readouterr()
+        assert calls[0] == 0
+        assert main(["classify", "--ground-set", "0,1,2", "--format", "table"]) == 0
+        assert "{0,1,2}" in capsys.readouterr().out
+        assert calls[0] > 0
 
 
 class TestHugeElements:

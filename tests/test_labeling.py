@@ -1,10 +1,14 @@
 """Verification ladder and the structural gate."""
 
+import random
+
 import pytest
 
-from iasgl.graphs import generate
+from iasgl.graphs import Graph, generate
 from iasgl.labeling import (
+    GateReport,
     Labeling,
+    Violation,
     graceful_targets,
     induced_edge_label,
     structural_gate,
@@ -14,9 +18,177 @@ from iasgl.labeling import (
     verify_ladder,
     zero_vertex,
 )
-from iasgl.sets import GroundSet, subset_algebra
+from iasgl.realisation import build_realisation
+from iasgl.sets import GroundSet, IntegerSet, enumerate_canonical_ground_sets, subset_algebra
 
 from conftest import iset, star_witness
+
+
+# The ladder as it was before it read labels as element tuples: each
+# label looked up as an IntegerSet, injectivity keyed by IntegerSet, the
+# escape test against a set of X. Kept verbatim (helpers renamed) as the
+# reference that the current ladder's reports must equal.
+
+
+def reference_edge_sums(a: IntegerSet, b: IntegerSet) -> frozenset[int]:
+    """The sumset A + B as a plain set of element sums (never truncated)."""
+    return frozenset([x + y for x in a.elements for y in b.elements])
+
+
+def reference_require_coverage(g: Graph, f: Labeling) -> None:
+    if set(f.vertex_ids()) != set(g.vertex_ids):
+        raise ValueError("labeling does not cover the graph's vertex set exactly")
+
+
+def reference_verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
+    """Check the IASL, IASI and IASGL rungs in order, computing each edge
+    label once; the reports end at the first rung that fails."""
+    reference_require_coverage(g, f)
+    label_of = f.label_of
+    edges = [(u, v, reference_edge_sums(label_of(u), label_of(v))) for u, v in g.sorted_edges()]
+
+    # IASL: injective vertex labels, every edge label inside X.
+    violations: list[Violation] = []
+    owner: dict[IntegerSet, str] = {}
+    for vid in g.vertex_ids:
+        s = label_of(vid)
+        if s in owner:
+            violations.append(
+                Violation(
+                    rule="injectivity",
+                    detail=f"vertices {owner[s]!r} and {vid!r} share the label {s}",
+                    vertex_ids=(owner[s], vid),
+                    sets=(s,),
+                )
+            )
+        else:
+            owner[s] = vid
+    base = set(f.ground.base.elements)
+    for u, v, lab in edges:
+        if not base.issuperset(lab):
+            lab_set = IntegerSet.from_iterable(lab)
+            violations.append(
+                Violation(
+                    rule="edge-escape",
+                    detail=f"edge {u!r}-{v!r} has label {lab_set} outside ground set {f.ground}",
+                    vertex_ids=(u, v),
+                    sets=(lab_set,),
+                )
+            )
+    iasl = GateReport(tuple(violations))
+    if not iasl:
+        return (iasl,)
+
+    # IASI: distinct edges carry distinct labels.
+    violations = []
+    carrier: dict[frozenset[int], tuple[str, str]] = {}
+    for u, v, lab in edges:
+        if lab in carrier:
+            pu, pv = carrier[lab]
+            lab_set = IntegerSet.from_iterable(lab)
+            violations.append(
+                Violation(
+                    rule="edge-collision",
+                    detail=f"edges {pu!r}-{pv!r} and {u!r}-{v!r} share the label {lab_set}",
+                    vertex_ids=(pu, pv, u, v),
+                    sets=(lab_set,),
+                )
+            )
+        else:
+            carrier[lab] = (u, v)
+    iasi = GateReport(tuple(violations))
+    if not iasi:
+        return (iasl, iasi)
+
+    # IASGL: the edge labels are exactly the target family. After IASL
+    # every label is a non-empty subset of X, and none is {0}: A + B = {0}
+    # needs A = B = {0}, which injectivity rules out. After IASI the
+    # labels are distinct. So they are |E| distinct members of the family
+    # (2^n - 2 sets, or 2^n - 1 when 0 is not in X), and cover it iff |E|
+    # equals its size; only a target can be missing, never an extra label.
+    if len(carrier) == (1 << f.ground.n) - 1 - f.ground.contains_zero():
+        return (iasl, iasi, GateReport())
+    missing = sorted(
+        (s for s in graceful_targets(f.ground) if frozenset(s.elements) not in carrier),
+        key=lambda s: (len(s), s.elements),
+    )
+    violation = Violation(
+        rule="target-missing",
+        detail=f"{len(missing)} required edge labels never realized",
+        sets=tuple(missing),
+    )
+    return (iasl, iasi, GateReport((violation,)))
+
+
+def _random_label(rng: random.Random, elements: tuple[int, ...]) -> IntegerSet:
+    return IntegerSet.from_iterable(rng.sample(elements, rng.randint(1, len(elements))))
+
+
+def _random_graph(rng: random.Random, m: int) -> Graph:
+    """A random simple graph on v0..v{m-1} with no isolated vertex."""
+    ids = [f"v{i}" for i in range(m)]
+    edges = {(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < 0.4}
+    for u in ids:
+        if not any(u in e for e in edges):
+            v = rng.choice([w for w in ids if w != u])
+            edges.add((u, v))
+    return Graph.from_edges(ids, edges)
+
+
+def _scaled(x: GroundSet, f: Labeling, factor: int) -> tuple[GroundSet, Labeling]:
+    big = GroundSet.of(*(factor * e for e in x.base.elements))
+    return big, Labeling(big, tuple(
+        (vid, IntegerSet.from_iterable(factor * e for e in s.elements)) for vid, s in f.assignment
+    ))
+
+
+def verifier_corpus(seed: int):
+    """Seeded (graph, labeling) pairs covering every report the ladder
+    makes: passing labelings, injectivity, edge escape, edge collision
+    and missing targets, over ground sets with and without 0 and with
+    elements up to 10^12."""
+    rng = random.Random(seed)
+    witnesses = [star_witness(n) for n in (2, 3, 4)]
+    for n in (2, 3, 4, 5):
+        for x in enumerate_canonical_ground_sets(n, 7)[::3]:
+            r = build_realisation(x)
+            witnesses.append((r.graph, r.labeling))
+    for g, f in witnesses:
+        x = f.ground
+        elements = x.base.elements
+        yield g, f
+        yield (g, *_scaled(x, f, 10**12)[1:])
+        # Replace one label: a duplicate (injectivity), or a random
+        # subset (escape, collision or a missing target).
+        for _ in range(6):
+            vid = rng.choice(g.vertex_ids)
+            labels = dict(f.assignment)
+            labels[vid] = (
+                labels[rng.choice(g.vertex_ids)] if rng.random() < 0.3
+                else _random_label(rng, elements)
+            )
+            mutated = Labeling.from_mapping(x, labels)
+            yield g, mutated
+            yield (g, *_scaled(x, mutated, 999_999_937)[1:])
+        # Drop one edge: the rest still passes IASL and IASI.
+        if g.edge_count() > 2:
+            edges = g.sorted_edges()
+            del edges[rng.randrange(len(edges))]
+            sub = Graph.from_edges({v for e in edges for v in e}, edges)
+            yield sub, Labeling(x, tuple((v, s) for v, s in f.assignment if v in sub.vertex_ids))
+    # Random graphs over random ground sets, some without 0, some with
+    # large elements.
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        top = rng.choice([8, 20, 10**9])
+        x = GroundSet(IntegerSet.from_iterable(
+            ([0] if rng.random() < 0.7 else []) + rng.sample(range(1, top + 1), n)
+        ))
+        g = _random_graph(rng, rng.randint(2, 7))
+        f = Labeling.from_mapping(
+            x, {v: _random_label(rng, x.base.elements) for v in g.vertex_ids}
+        )
+        yield g, f
 
 
 def star2_labeling(x01):
@@ -105,6 +277,31 @@ class TestLadder:
         report = verify_iasi(g, f)
         assert not report.passed
         assert {v.rule for v in report.violations} == {"edge-collision"}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reports_equal_the_reference_ladder(self, seed):
+        seen = set()
+        for g, f in verifier_corpus(seed):
+            got = verify_ladder(g, f)
+            assert got == reference_verify_ladder(g, f)
+            assert repr(got) == repr(reference_verify_ladder(g, f))
+            seen.update(v.rule for r in got for v in r.violations)
+            if len(got) == 3 and got[-1].passed:
+                seen.add("passed")
+            if not f.ground.contains_zero():
+                seen.add("no zero")
+            if f.ground.max_element >= 10**9:
+                seen.add("large")
+        assert seen == {
+            "passed", "injectivity", "edge-escape", "edge-collision", "target-missing",
+            "no zero", "large",
+        }
+
+    def test_coverage_mismatch_matches_the_reference(self, x012):
+        f = Labeling.from_mapping(x012, {"v0": iset(0), "v1": iset(1), "v9": iset(2)})
+        for ladder in (verify_ladder, reference_verify_ladder):
+            with pytest.raises(ValueError, match="cover"):
+                ladder(generate("star", 2), f)
 
     def test_one_pass_computes_each_edge_label_once(self, sumset_calls):
         g, f = star_witness(9)

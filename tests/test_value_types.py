@@ -3,7 +3,7 @@ and the checks their constructors make."""
 
 import pytest
 
-from iasgl.graphs import Graph, generate
+from iasgl.graphs import Graph, generate, pendant_vertices
 from iasgl.io import Document
 from iasgl.labeling import GateReport, Labeling, Violation, structural_gate
 from iasgl.realisation import build_realisation
@@ -117,6 +117,60 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             delattr(value, field)
         assert getattr(value, field) is before
+
+
+class TestDerivedSlots:
+    """What a graph or ground set derives once (sorted edges, pendants,
+    the additive type) is kept outside the compared fields: it never
+    shows in equality, hash or repr, cannot be reassigned, and is handed
+    out as fresh lists."""
+
+    def test_eq_hash_repr_ignore_derived_values(self):
+        g = generate("star", 3)
+        x = GroundSet.of(0, 1, 3)
+        fresh_g = Graph.from_edges(
+            ["v0", "v1", "v2", "v3"], [("v0", "v3"), ("v0", "v1"), ("v2", "v0")]
+        )
+        fresh_x = GroundSet(IntegerSet.of(3, 1, 0))
+        assert g.sorted_edges() == [("v0", "v1"), ("v0", "v2"), ("v0", "v3")]
+        assert pendant_vertices(g) == ["v1", "v2", "v3"]
+        assert additive_type(x) == (3, ((0, 0, 0), (0, 1, 1), (0, 2, 2)))
+        assert g == fresh_g and hash(g) == hash(fresh_g)
+        assert x == fresh_x and hash(x) == hash(fresh_x) and repr(x) == repr(fresh_x)
+        assert hash(g) == hash((g.vertex_ids, g.edges))
+        assert hash(x) == hash((x.base,))
+        # A frozenset's repr order depends on how it was built, so the
+        # graph's repr is checked against its fields, not another graph.
+        assert repr(g) == f"Graph(vertex_ids={g.vertex_ids!r}, edges={g.edges!r})"
+        assert repr(x) == "GroundSet(base=IntegerSet(elements=(0, 1, 3)))"
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: generate("path", 4), "_sorted_edges"),
+        (lambda: generate("path", 4), "_pendants"),
+        (lambda: GroundSet.of(0, 1, 2), "_additive_type"),
+    ])
+    def test_assignment_and_deletion_raise(self, make, field):
+        value = make()
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+    def test_additive_type_is_kept_per_ground_set(self):
+        x = GroundSet.of(0, 1, 2)
+        assert additive_type(x) is additive_type(x)
+        assert additive_type(GroundSet.of(0, 2, 4)) == additive_type(x)
+
+    def test_returned_lists_are_fresh(self):
+        g = generate("path", 4)
+        edges, pendants = g.sorted_edges(), pendant_vertices(g)
+        edges.clear()
+        pendants.append("v9")
+        assert g.sorted_edges() == [("v0", "v1"), ("v1", "v2"), ("v2", "v3")]
+        assert pendant_vertices(g) == ["v0", "v3"]
+        assert g.sorted_edges() is not g.sorted_edges()
 
 
 class TestValidation:
