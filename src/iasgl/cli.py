@@ -174,12 +174,17 @@ def _outcome_obj(outcome) -> dict:
         "witnesses": [labeling_to_obj(w) for w in outcome.witnesses],
         "stats": outcome.stats.to_obj(),
         "budget_stop": outcome.budget_stop,
+        "labelings": outcome.labelings,
     }
 
 
 def cmd_search(args, parser) -> int:
     from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 
+    # An orbit count such as 2046! has more digits than the interpreter
+    # converts to decimal by default (4,300 where the limit exists).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     graph = _parse_graph(args.graph, parser)
     try:
         cfg = SearchConfig(
@@ -231,6 +236,7 @@ def cmd_search(args, parser) -> int:
         f"nodes    {outcome.stats.nodes}",
         f"prunes   {outcome.stats.prunes}",
         f"witnesses {len(outcome.witnesses)}",
+        f"labelings {outcome.labelings}",
         f"budget   {outcome.budget_stop or 'none'}",
     ])
     if args.out and outcome.witnesses:

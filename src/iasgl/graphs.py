@@ -25,7 +25,7 @@ def _norm_edge(u: str, v: str) -> Edge:
 
 class Graph(Record):
     """An immutable simple graph; equality, hash and repr read only
-    ``vertex_ids`` and ``edges``.
+    ``vertex_ids`` and ``edges``, and repr lists the edges sorted.
 
     The adjacency, the sorted edge list and the pendant vertices are
     derived once, when the graph is built, and kept in slots of their
@@ -78,6 +78,12 @@ class Graph(Record):
 
     def sorted_edges(self) -> list[Edge]:
         return list(self._sorted_edges)
+
+    def __repr__(self) -> str:
+        # A frozenset prints in an order that depends on how it was
+        # built; listing the sorted edges gives equal graphs one repr.
+        edges = ", ".join(map(repr, self._sorted_edges))
+        return f"Graph(vertex_ids={self.vertex_ids!r}, edges=frozenset({{{edges}}}))"
 
 
 def generate(kind: str, size: int) -> Graph:

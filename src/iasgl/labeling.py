@@ -128,9 +128,6 @@ class Labeling(Record):
         except KeyError:
             raise ValueError(f"vertex {vid!r} has no label") from None
 
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(vid for vid, _ in self.assignment)
-
 
 def induced_edge_label(f: Labeling, u: str, v: str) -> IntegerSet:
     """Sumset of the endpoint labels; not truncated to the ground set."""

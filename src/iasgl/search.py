@@ -21,9 +21,10 @@ twins
     closed neighbourhood (true twins) are interchangeable: swapping
     their labels is a graph automorphism. Within each twin class the
     label masks must increase in DFS order, so the search visits one
-    labeling per orbit. Under find_all every verified canonical leaf is
-    expanded lazily over the label permutations within each class; each
-    extra labeling is verified and ticks the node budget.
+    labeling per orbit. Under find_all the outcome lists the verified
+    canonical leaves only and counts the labelings they stand for: each
+    leaf's orbit has prod |C|! members over g's twin classes C, every one
+    an IASGL labeling once the leaf is one, so none is listed.
 
 P1 and P2 are applied to the candidate lists, never to a node. P1 and
 the degree test of P2 depend only on the vertex, so each vertex draws
@@ -81,7 +82,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from math import factorial, prod
 
 from .graphs import Graph
 from .labeling import Labeling, structural_gate, verify_iasgl
@@ -146,12 +147,19 @@ class SearchOutcome:
     ``budget_stop`` names the budget that ended the search ("node" or
     "time"), or is None when it ran to its end; a FOUND search under
     find_all can carry one too.
+
+    Under the twin rule the witnesses are canonical, one per twin orbit,
+    and ``labelings`` counts the labelings they stand for (see
+    ``_labelings``); without it, ``labelings`` is ``len(witnesses)``.
+    Under find_all with ``budget_stop`` None it is the exact number of
+    IASGL labelings of the graph over X.
     """
 
     status: SearchStatus
     witnesses: list[Labeling]
     stats: SearchStats
     budget_stop: str | None = None
+    labelings: int = 0
 
     @property
     def found(self) -> bool:
@@ -287,10 +295,7 @@ class _State:
 
         self.candidates, self.summand_only = self._candidate_lists()
 
-        if cfg.enabled("twins"):
-            self.twin_classes, self.twin_prev = layout.twin_classes, layout.twin_prev
-        else:
-            self.twin_classes, self.twin_prev = (), (None,) * len(self.order)
+        self.twin_prev = layout.twin_prev if cfg.enabled("twins") else (None,) * len(self.order)
 
         nv = len(self.order)
         self.assigned: list[int | None] = [None] * nv
@@ -337,8 +342,7 @@ class _State:
         return lists, summand_only
 
     def tick(self) -> None:
-        """Count one node and apply the node and time budgets: the one
-        budget rule, for the DFS and the twin expansion alike."""
+        """Count one node and apply the node and time budgets."""
         stats = self.stats
         stats.nodes += 1
         if stats.nodes > self.cfg.node_budget:
@@ -412,27 +416,6 @@ class _State:
             return True
         return False
 
-    def expand_twins(self, k: int, identity: bool) -> None:
-        """Record the leaf's relabelings that permute labels within twin
-        classes k.., except the all-identity one (the leaf itself).
-
-        Permutations are generated lazily and each one ticks, so the
-        node and time budgets bound the expansion.
-        """
-        if k == len(self.twin_classes):
-            if not identity:
-                self.tick()
-                self.record()
-            return
-        members = self.twin_classes[k]
-        masks = [self.assigned[v] for v in members]
-        for j, perm in enumerate(permutations(masks)):
-            for v, m in zip(members, perm):
-                self.assigned[v] = m
-            self.expand_twins(k + 1, identity and j == 0)
-        for v, m in zip(members, masks):
-            self.assigned[v] = m
-
     def search(self, vi: int) -> bool:
         """Depth-first over vertex vi; returns True to stop the search.
 
@@ -445,12 +428,7 @@ class _State:
         the state as it is: the search is over.
         """
         if vi == len(self.order):
-            if not self.record():
-                return False
-            if not self.cfg.find_all:
-                return True
-            self.expand_twins(0, True)
-            return False
+            return self.record() and not self.cfg.find_all
 
         assigned = self.assigned
         candidates = self.candidates[vi]
@@ -576,12 +554,23 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
             details = "; ".join(v.detail for v in check.violations)
             raise RuntimeError(f"mapped witness over {x} failed re-verification: {details}")
         witnesses.append(f)
-    return SearchOutcome(status, witnesses, SearchStats(nodes, dict(prunes)))
+    stats = SearchStats(nodes, dict(prunes))
+    return SearchOutcome(status, witnesses, stats, labelings=_labelings(g, cfg, len(witnesses)))
 
 
 def _labeling(g: Graph, x: GroundSet, labels: tuple[int, ...]) -> Labeling:
     """The labeling over X with label masks in ``g.vertex_ids`` order."""
     return Labeling(x, tuple(zip(g.vertex_ids, map(subsets_by_mask(x).__getitem__, labels))))
+
+
+def _labelings(g: Graph, cfg: SearchConfig, witnesses: int) -> int:
+    """The labelings that many witnesses stand for: under the twin rule
+    each is the canonical member of an orbit of prod |C|! labelings over
+    g's twin classes C, else it stands for itself. The classes belong to
+    g, so every witness has the same orbit size."""
+    if not witnesses or not cfg.enabled("twins"):
+        return witnesses
+    return witnesses * prod(factorial(len(c)) for c in _graph_layout(g).twin_classes)
 
 
 def _decide(
@@ -608,9 +597,7 @@ def _decide(
     if time.monotonic() > deadline:
         return out_of_time
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(
-        limit + len(state.order) + len(state.twin_classes) + _STACK_HEADROOM
-    )
+    sys.setrecursionlimit(limit + len(state.order) + _STACK_HEADROOM)
     budget_stop = None
     try:
         state.search(0)
@@ -626,7 +613,9 @@ def _decide(
         status = SearchStatus.EXHAUSTED_NONE
     else:
         status = SearchStatus.BUDGET_EXCEEDED
-    outcome = SearchOutcome(status, [f for f, _ in found], stats, budget_stop)
+    outcome = SearchOutcome(
+        status, [f for f, _ in found], stats, budget_stop, _labelings(g, cfg, len(found))
+    )
     return outcome, tuple(labels for _, labels in found)
 
 

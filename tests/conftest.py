@@ -7,7 +7,7 @@ fast paths, so oracle agreement is a genuine dual-route check.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ import iasgl.labeling
 import iasgl.realisation
 import iasgl.search
 from iasgl.graphs import Graph, generate
-from iasgl.labeling import Labeling
+from iasgl.labeling import Labeling, verify_iasgl
 from iasgl.sets import GroundSet, IntegerSet
 
 
@@ -97,6 +97,44 @@ def oracle_search_all(graph: Graph, ground_elements) -> list[dict[str, frozenset
         if oracle_is_iasgl(graph, ground, labels):
             witnesses.append(labels)
     return witnesses
+
+
+def twin_classes(graph: Graph) -> list[list[str]]:
+    """The classes of two or more vertices with one open neighbourhood
+    (false twins) or one closed neighbourhood (true twins), read off the
+    edge set in plain sets."""
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertex_ids}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    classes = []
+    for closed in (False, True):
+        groups: dict[frozenset[str], list[str]] = {}
+        for v in graph.vertex_ids:
+            groups.setdefault(frozenset(adj[v] | ({v} if closed else set())), []).append(v)
+        classes += [members for members in groups.values() if len(members) > 1]
+    return classes
+
+
+def expand_orbits(graph: Graph, outcome) -> list[Labeling]:
+    """Every labeling that a search outcome's canonical witnesses stand
+    for, sorted by assignment: each witness with its labels permuted
+    within each twin class of the graph in every way. Each labeling is
+    verified, all are distinct, and their number is ``outcome.labelings``.
+    """
+    classes = twin_classes(graph)
+    expanded = []
+    for w in outcome.witnesses:
+        labels = dict(w.assignment)
+        for perms in product(*(permutations([labels[v] for v in c]) for c in classes)):
+            relabeled = dict(labels)
+            for members, perm in zip(classes, perms):
+                relabeled.update(zip(members, perm))
+            f = Labeling.from_mapping(w.ground, relabeled)
+            assert verify_iasgl(graph, f), relabeled
+            expanded.append(f)
+    assert len(set(expanded)) == len(expanded) == outcome.labelings
+    return sorted(expanded, key=lambda f: f.assignment)
 
 
 def prufer_trees(m: int):

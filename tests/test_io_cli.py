@@ -163,8 +163,8 @@ class TestCli:
         assert code == 2
 
     def test_search_names_the_budget_that_stopped_it(self, capsys):
-        # K(1,14) over {0,1,2,3} has 14! labelings: 100 nodes find some
-        # of them, and the node budget ends the listing.
+        # K(1,14) over {0,1,2,3}: 100 nodes find its canonical witness,
+        # and the node budget ends the DFS (16,422 nodes in all) early.
         argv = ["search", "--graph", "star:14", "--ground-set", "0,1,2,3", "--find-all"]
         assert main([*argv, "--node-budget", "100"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -195,8 +195,24 @@ class TestCli:
                      "--find-all"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        # K(1,2) over {0,1}: center {0}, leaves {1} and {0,1} in either order.
-        assert len(payload["witnesses"]) == 2
+        # K(1,2) over {0,1}: center {0}, leaves {1} and {0,1} in either
+        # order. The leaves are twins: one witness stands for both.
+        assert len(payload["witnesses"]) == 1
+        assert payload["labelings"] == 2
+        assert main(["search", "--graph", "star:2", "--ground-set", "0,1", "--find-all",
+                     "--format", "table"]) == 0
+        assert "labelings 2" in capsys.readouterr().out.splitlines()
+
+    def test_search_prints_orbit_counts_of_any_size(self, capsys):
+        # 2046! has 5,888 digits, past the interpreter's default limit
+        # for converting an int to decimal.
+        from math import factorial
+
+        argv = ["search", "--graph", "star:2046", "--ground-set", ",".join(map(str, range(11)))]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["labelings"] == factorial(2046)
+        assert main([*argv, "--format", "table"]) == 0
+        assert f"labelings {factorial(2046)}" in capsys.readouterr().out.splitlines()
 
     def test_search_file_graph(self, tmp_path, capsys):
         k4 = tmp_path / "k4.json"
@@ -561,9 +577,9 @@ class TestCli:
         ("classify", "table"): (0, "0d6dceb33f4ff0eb"),
         ("classify-allow-equal", "json"): (0, "2e598dc5c5217431"),
         ("classify-allow-equal", "table"): (0, "d8dedd5e67a467e1"),
-        ("search", "json"): (0, "429bffbc9b581140"),
-        ("search", "table"): (0, "d1fd75c5097bf547"),
-        ("sweep", "json"): (0, "c745f7c81f1d3386"),
+        ("search", "json"): (0, "fa06aeb84e3d27b0"),
+        ("search", "table"): (0, "652a116b477d22e7"),
+        ("sweep", "json"): (0, "8731a21e8b96d2be"),
         ("sweep", "table"): (0, "a98ccab0006a8a67"),
         ("verify", "json"): (1, "aa5bfea9fd56dd1b"),
         ("verify", "table"): (1, "e64e6a2dbdedc7d8"),

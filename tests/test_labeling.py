@@ -36,7 +36,7 @@ def reference_edge_sums(a: IntegerSet, b: IntegerSet) -> frozenset[int]:
 
 
 def reference_require_coverage(g: Graph, f: Labeling) -> None:
-    if set(f.vertex_ids()) != set(g.vertex_ids):
+    if set(tuple(v for v, _ in f.assignment)) != set(g.vertex_ids):
         raise ValueError("labeling does not cover the graph's vertex set exactly")
 
 
@@ -214,7 +214,7 @@ class TestLabelingType:
 
     def test_hashable_and_ordered_storage(self, x01):
         f = Labeling.from_mapping(x01, {"v1": iset(1), "v0": iset(0)})
-        assert f.vertex_ids() == ("v0", "v1")
+        assert tuple(v for v, _ in f.assignment) == ("v0", "v1")
         assert hash(f) == hash(Labeling.from_mapping(x01, {"v0": iset(0), "v1": iset(1)}))
 
 
