@@ -126,11 +126,23 @@ def _unwritable(path: str, exc: OSError, parser: argparse.ArgumentParser) -> Non
 
 def _emit(payload: dict, args, table) -> None:
     """Print the payload as JSON, or under ``--format table`` the lines
-    that the callable ``table`` returns; it is called only then."""
+    that the callable ``table`` returns; it is called only then.
+
+    All input is parsed by now, under the interpreter's int-to-decimal
+    digit limit (4,300 by default, where it exists), its guard against
+    quadratic int parsing. The limit is lifted only while the output is
+    formatted: a search's orbit count such as 2046! has more digits.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     if args.format == "table":
-        print("\n".join(table()))
+        text = "\n".join(table())
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    if limit:
+        sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _sets_arr(family) -> list[list[int]]:
@@ -181,10 +193,6 @@ def _outcome_obj(outcome) -> dict:
 def cmd_search(args, parser) -> int:
     from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 
-    # An orbit count such as 2046! has more digits than the interpreter
-    # converts to decimal by default (4,300 where the limit exists).
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     graph = _parse_graph(args.graph, parser)
     try:
         cfg = SearchConfig(

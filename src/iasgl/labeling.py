@@ -23,13 +23,19 @@ enumerated only to name what is missing. The ladder reads nothing of
 the subset-algebra kernel of ``sets``, so every witness and realisation
 the kernel leads to is re-checked by an independent route.
 
+A result kept per additive type (see ``sets``) is a tuple of label
+masks; ``mapped_labeling`` is the one step that maps such a result onto
+X's own subsets and re-verifies it there, for the search's kept
+outcomes and the realisation builder alike. A labeling that fails is a
+RuntimeError, never a fallback.
+
 ``structural_gate`` bundles the necessary conditions that can be read
 off the graph shape and X's classification (edge count, a high-degree
 host for {0}, pendant supply). Passing the gate never asserts
 existence; failing it refutes existence without any search. The gate is
-not independent of the kernel: it reads ``classify_ground_set``, whose
-families are the kernel's classification masks, so a gate rejection
-rests on the kernel being right.
+not independent of the kernel: it counts the kernel's classification
+masks (``SubsetAlgebra.class_masks``) and builds no subset of X, so a
+gate rejection rests on the kernel being right.
 """
 
 from __future__ import annotations
@@ -42,8 +48,11 @@ from .sets import (
     GroundSet,
     IntegerSet,
     Record,
-    classify_ground_set,
+    SummandMode,
+    additive_type,
     enumerate_nonempty_subsets,
+    subset_algebra,
+    subsets_by_mask,
     sumset,
 )
 
@@ -255,6 +264,19 @@ def verify_iasgl(g: Graph, f: Labeling) -> GateReport:
     return verify_ladder(g, f)[-1]
 
 
+def mapped_labeling(g: Graph, x: GroundSet, masks: tuple[int, ...]) -> Labeling:
+    """The labeling over X of a result kept per additive type: g's
+    vertices, in ``g.vertex_ids`` order, take the subsets of X with these
+    masks. It is verified again, and one that is not an IASGL labeling of
+    g is a RuntimeError."""
+    f = Labeling(x, tuple(zip(g.vertex_ids, map(subsets_by_mask(x).__getitem__, masks))))
+    check = verify_iasgl(g, f)
+    if not check:
+        details = "; ".join(v.detail for v in check.violations)
+        raise RuntimeError(f"mapped witness over {x} failed re-verification: {details}")
+    return f
+
+
 def zero_vertex(g: Graph, f: Labeling) -> str | None:
     """The vertex labeled {0}, if any."""
     for vid in g.vertex_ids:
@@ -272,7 +294,8 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
     R4: some single vertex has >= |neither| pendant neighbors.
 
     R2-R4 are evaluated only when R1 holds, so a graph with the wrong
-    edge count is rejected without classifying X. Otherwise every
+    edge count is rejected without classifying X; they count the
+    kernel's DISTINCT_LABELS classification masks. Otherwise every
     violated rule is reported; passing proves nothing.
     """
     if not x.contains_zero():
@@ -291,24 +314,25 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
         return GateReport()
 
     violations: list[Violation] = []
-    cls = classify_ground_set(x)
+    masks = subset_algebra(additive_type(x)).class_masks(SummandMode.DISTINCT_LABELS)
+    non_sumsets, neither = len(masks[0]), len(masks[2])
     max_degree = max(g.degree(v) for v in g.vertex_ids)
-    if max_degree < len(cls.non_sumsets):
+    if max_degree < non_sumsets:
         violations.append(
             Violation(
                 rule="R2",
-                detail=f"no vertex of degree >= {len(cls.non_sumsets)} to host {{0}} "
+                detail=f"no vertex of degree >= {non_sumsets} to host {{0}} "
                 f"(max degree {max_degree})",
             )
         )
     pendants = pendant_vertices(g)
-    needed = max(len(cls.neither), x.n - 1)
+    needed = max(neither, x.n - 1)
     if len(pendants) < needed:
         violations.append(
             Violation(
                 rule="R3",
                 detail=f"{len(pendants)} pendant vertices but at least {needed} required "
-                f"(|neither| = {len(cls.neither)}, n - 1 = {x.n - 1})",
+                f"(|neither| = {neither}, n - 1 = {x.n - 1})",
             )
         )
     pendant_set = set(pendants)
@@ -316,11 +340,11 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
         (sum(1 for w in g.neighbors(v) if w in pendant_set) for v in g.vertex_ids),
         default=0,
     )
-    if best_host < len(cls.neither):
+    if best_host < neither:
         violations.append(
             Violation(
                 rule="R4",
-                detail=f"no single vertex has {len(cls.neither)} pendant neighbors "
+                detail=f"no single vertex has {neither} pendant neighbors "
                 f"(best is {best_host})",
             )
         )

@@ -16,7 +16,8 @@ The builder's choices depend on X only through its additive type (see
 ``sets``): ``_build`` takes that type, works over the index set
 {0..n-1} (index to element is increasing, so every order it uses is the
 order of X's own subsets) and is memoised per type. Every call of
-``build_realisation`` takes the same path: it maps the built graph's
+``build_realisation`` takes the same path: ``labeling.mapped_labeling``,
+the step the search's kept outcomes take too, maps the built graph's
 label masks onto X's own subsets and verifies the realisation there.
 
 No choice is ever undone: a label pair determines its sumset, so it is
@@ -34,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Edge, Graph, is_bipartite
-from .labeling import Labeling, verify_iasgl
+from .labeling import Labeling, mapped_labeling
 from .sets import (
     ZERO_MASK,
     GroundSet,
@@ -76,18 +77,11 @@ def build_realisation(x: GroundSet) -> RealisationResult:
         raise ValueError("realisation needs a ground set with at least 2 elements")
 
     graph, labels, trace, non_bipartite = _build(additive_type(x))
+    mask_of = dict(labels)
+    labeling = mapped_labeling(graph, x, tuple(map(mask_of.__getitem__, graph.vertex_ids)))
     sets = subsets_by_mask(x)
-    result = RealisationResult(
-        graph=graph,
-        labeling=Labeling(x, tuple((v, sets[m]) for v, m in labels)),
-        non_bipartite=non_bipartite,
-        assignment_trace=tuple((sets[t], e) for t, e in trace),
-    )
-    check = verify_iasgl(result.graph, result.labeling)
-    if not check:
-        details = "; ".join(v.detail for v in check.violations)
-        raise RuntimeError(f"realisation failed re-verification: {details}")
-    return result
+    trace = tuple((sets[t], e) for t, e in trace)
+    return RealisationResult(graph, labeling, non_bipartite, trace)
 
 
 @lru_cache(maxsize=32)

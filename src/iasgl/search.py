@@ -53,10 +53,11 @@ subsets (``subsets_by_mask``) are read only to build a witness.
 
 A search is a function of X's additive type (see ``sets``), so
 ``search_iasgl`` keeps each outcome in subset masks per (graph, config,
-type) in a bounded LRU and hands it to every X of the type, its
-witnesses mapped onto X and verified again: any caller that loops over
-ground sets, a sweep or the theorem harness alike, runs the DFS once
-per type.
+type) in a bounded LRU and hands it to every X of the type, each
+witness mapped onto X and verified again by ``mapped_labeling``, the
+one mapping step that the realisation builder uses too: any caller that
+loops over ground sets, a sweep or the theorem harness alike, runs the
+DFS once per type.
 
 The twin rule is a cursor, not a filter: the candidate lists are
 strictly ascending, so a vertex's scan starts by bisection just past
@@ -70,7 +71,9 @@ the search, so the graph's size, not that limit, bounds the depth.
 All rules are sound (they never discard a completable branch, up to
 twin symmetry), so a fully explored tree with no accepted leaf is a
 proof of nonexistence. Witnesses are re-verified by the independent
-checker before they are reported; search state is never trusted.
+checker before they are reported; search state is never trusted. The
+DFS leaf's check is a filter, not an assertion: a leaf that fails it
+is dropped and the search goes on within its budgets.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .graphs import Graph
-from .labeling import Labeling, structural_gate, verify_iasgl
+from .labeling import Labeling, mapped_labeling, structural_gate, verify_iasgl
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     ZERO_MASK,
@@ -410,7 +413,8 @@ class _State:
         label masks in ``g.vertex_ids`` order, if it passes."""
         mask_of = dict(zip(self.order, self.assigned))
         labels = tuple(map(mask_of.__getitem__, self.g.vertex_ids))
-        labeling = _labeling(self.g, self.x, labels)
+        sets = subsets_by_mask(self.x)
+        labeling = Labeling(self.x, tuple(zip(self.g.vertex_ids, map(sets.__getitem__, labels))))
         if verify_iasgl(self.g, labeling):
             self.witnesses.append((labeling, labels))
             return True
@@ -524,10 +528,10 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     g is searched once per additive type of X under cfg: the outcome is
     kept, as label masks and counters, in an LRU of
     ``SEARCH_CACHE_SIZE`` entries, and a later X of the type gets it
-    with each witness mapped onto X's own subsets and verified again; a
-    mapped witness that fails is a RuntimeError, never a fallback. An
-    outcome that a budget stopped is never kept, so every X spends its
-    own budget on it.
+    with each witness mapped onto X's own subsets and verified again by
+    ``mapped_labeling``: a mapped witness that fails is a RuntimeError,
+    never a fallback. An outcome that a budget stopped is never kept, so
+    every X spends its own budget on it.
     """
     cfg = cfg or SearchConfig()
     if not x.contains_zero():
@@ -546,21 +550,9 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
         return outcome
     _outcomes.move_to_end(key)
     status, masks, nodes, prunes = stored
-    witnesses = []
-    for labels in masks:
-        f = _labeling(g, x, labels)
-        check = verify_iasgl(g, f)
-        if not check:
-            details = "; ".join(v.detail for v in check.violations)
-            raise RuntimeError(f"mapped witness over {x} failed re-verification: {details}")
-        witnesses.append(f)
+    witnesses = [mapped_labeling(g, x, labels) for labels in masks]
     stats = SearchStats(nodes, dict(prunes))
     return SearchOutcome(status, witnesses, stats, labelings=_labelings(g, cfg, len(witnesses)))
-
-
-def _labeling(g: Graph, x: GroundSet, labels: tuple[int, ...]) -> Labeling:
-    """The labeling over X with label masks in ``g.vertex_ids`` order."""
-    return Labeling(x, tuple(zip(g.vertex_ids, map(subsets_by_mask(x).__getitem__, labels))))
 
 
 def _labelings(g: Graph, cfg: SearchConfig, witnesses: int) -> int:

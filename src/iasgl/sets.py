@@ -25,7 +25,11 @@ types), so every X of one type shares one kernel and a sweep over
 hundreds of ground sets holds a bounded amount of memory. X's own
 subsets, as ``IntegerSet``s indexed by subset mask, come from
 ``subsets_by_mask(X)``, cached per X; only the readers that print labels
-(classification, witnesses, realisations) build them.
+(classification, witnesses, realisations) build them. The structural
+gate reads the classification masks' sizes only, and
+``classify_ground_set``, which turns the masks into X's subsets for
+its callers (the CLI and the theorem harness, once per X each), keeps
+no cache.
 
 Additive type. T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k} is the
 sum-triple set, and ``additive_type(X)`` = (n, sorted T(X)) an O(n^2)
@@ -43,7 +47,8 @@ lexicographic order of element tuples rank subsets the same way for
 both. A result computed over one X therefore maps onto another X of its
 type through that X's own index -> element map, where it is verified
 again: ``search_iasgl`` and ``build_realisation`` keep their results per
-type this way.
+type this way, each through the one mapping step
+``labeling.mapped_labeling``.
 
 Verification (``sumset`` here, and the ladder in ``labeling``) never
 reads the kernel: it recomputes every sum from the elements as a plain
@@ -51,7 +56,7 @@ set, builds ``IntegerSet``s only for the labels a report names, and
 decides the graceful rung by counting distinct edge labels, so each
 witness and realisation the kernel leads to is checked by an
 independent route. The structural gate in ``labeling`` does read the
-kernel, through ``classify_ground_set``.
+kernel, through ``class_masks``.
 """
 
 from __future__ import annotations
@@ -460,16 +465,14 @@ def subset_algebra(key: tuple[int, tuple[tuple[int, int, int], ...]]) -> SubsetA
     return SubsetAlgebra(key)
 
 
-@lru_cache(maxsize=32)
 def classify_ground_set(
     x: GroundSet, mode: SummandMode = SummandMode.DISTINCT_LABELS
 ) -> Classification:
     """Classify every non-empty subset of X except {0}.
 
     The families are the kernel's ``class_masks`` for X's additive type,
-    turned into X's own subsets by ``subsets_by_mask``. Results are kept
-    per (X, mode) in a small LRU cache, so repeated calls return the
-    same instance while X stays cached.
+    turned into X's own subsets by ``subsets_by_mask``. Nothing is kept:
+    each call builds a new, equal ``Classification``.
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")

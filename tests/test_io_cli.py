@@ -1,6 +1,7 @@
 """Document round-trips, DOT output, and the CLI exit-code contract."""
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -29,6 +30,25 @@ from iasgl.realisation import build_realisation
 from iasgl.sets import IntegerSet
 
 from conftest import count_calls, iset, star_witness
+
+
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-decimal digit limit"
+)
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int-to-decimal digit limit, where it exists,
+    for the block: reading an orbit count of more than 4,300 digits."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 #: K(1,2) over {0,1}, a valid IASGL document.
@@ -205,14 +225,53 @@ class TestCli:
 
     def test_search_prints_orbit_counts_of_any_size(self, capsys):
         # 2046! has 5,888 digits, past the interpreter's default limit
-        # for converting an int to decimal.
+        # for converting an int to decimal: the CLI lifts it while it
+        # prints and restores it, and a reader must lift it too.
         from math import factorial
 
         argv = ["search", "--graph", "star:2046", "--ground-set", ",".join(map(str, range(11)))]
+        limit = getattr(sys, "get_int_max_str_digits", int)()
         assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["labelings"] == factorial(2046)
+        out = capsys.readouterr().out
         assert main([*argv, "--format", "table"]) == 0
-        assert f"labelings {factorial(2046)}" in capsys.readouterr().out.splitlines()
+        table = capsys.readouterr().out.splitlines()
+        assert getattr(sys, "get_int_max_str_digits", int)() == limit
+        with unlimited_int_digits():
+            assert json.loads(out)["labelings"] == factorial(2046)
+            assert f"labelings {factorial(2046)}" in table
+
+    @needs_int_digit_limit
+    def test_search_file_graph_with_oversized_int_is_usage_error(self, tmp_path, capsys):
+        # K2 whose one vertex id is an integer of 300,000 digits: rejected
+        # by the digit limit as the document is parsed, as ``verify``
+        # rejects it, not converted at quadratic cost and then gated.
+        big = "1" + "0" * 299_999
+        path = tmp_path / "big-id.json"
+        path.write_text(f'{{"vertices": [{{"id": {big}}}, "b"], "edges": [["{big}", "b"]]}}')
+        with pytest.raises(SystemExit) as err:
+            main(["verify", str(path)])
+        assert err.value.code == 2
+        detail = capsys.readouterr().err.partition(f"cannot verify {str(path)!r}: ")[2]
+        assert "300000 digits" in detail
+        start = time.process_time()
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", f"file:{path}", "--ground-set", "0,1",
+                  "--time-budget-ms", "100"])
+        assert time.process_time() - start < 1.0
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"cannot read graph file {str(path)!r}: {detail}")
+
+    @needs_int_digit_limit
+    def test_search_ground_set_with_oversized_int_is_usage_error(self, capsys):
+        ground_set = "0,1" + "0" * 5_000  # an element of 5,001 digits
+        errors = []
+        for argv in (["classify", "--ground-set", ground_set],
+                     ["search", "--graph", "star:2", "--ground-set", ground_set]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1] == f"iasgl: error: malformed ground set: {ground_set!r}"
 
     def test_search_file_graph(self, tmp_path, capsys):
         k4 = tmp_path / "k4.json"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from iasgl.graphs import Graph, generate
+from iasgl.graphs import Graph, generate, pendant_vertices
 from iasgl.labeling import (
     GateReport,
     Labeling,
@@ -19,7 +19,13 @@ from iasgl.labeling import (
     zero_vertex,
 )
 from iasgl.realisation import build_realisation
-from iasgl.sets import GroundSet, IntegerSet, enumerate_canonical_ground_sets, subset_algebra
+from iasgl.sets import (
+    GroundSet,
+    IntegerSet,
+    classify_ground_set,
+    enumerate_canonical_ground_sets,
+    subset_algebra,
+)
 
 from conftest import iset, star_witness
 
@@ -360,7 +366,61 @@ class TestLadder:
             assert not verify_iasgl(g, f).passed
 
 
+def classified_gate(g: Graph, x: GroundSet) -> list[tuple[str, str]]:
+    """The structural gate's (rule, detail) list, from the family sizes of
+    ``classify_ground_set(x)``: the formula the gate must keep."""
+    required = (1 << x.n) - 2
+    if g.edge_count() != required:
+        return [("R1", f"|E| = {g.edge_count()} but a ground set of size {x.n} "
+                       f"needs exactly {required} edges")]
+    cls = classify_ground_set(x)
+    non_sumsets, neither = len(cls.non_sumsets), len(cls.neither)
+    out = []
+    max_degree = max(g.degree(v) for v in g.vertex_ids)
+    if max_degree < non_sumsets:
+        out.append(("R2", f"no vertex of degree >= {non_sumsets} to host {{0}} "
+                          f"(max degree {max_degree})"))
+    pendants = set(pendant_vertices(g))
+    needed = max(neither, x.n - 1)
+    if len(pendants) < needed:
+        out.append(("R3", f"{len(pendants)} pendant vertices but at least {needed} required "
+                          f"(|neither| = {neither}, n - 1 = {x.n - 1})"))
+    best = max(sum(w in pendants for w in g.neighbors(v)) for v in g.vertex_ids)
+    if best < neither:
+        out.append(("R4", f"no single vertex has {neither} pendant neighbors (best is {best})"))
+    return out
+
+
+def broom(edges: int, tail: int) -> Graph:
+    """A tree of the given size: hub h with a path of tail edges, h-t1-...,
+    and leaves on every other edge."""
+    path = [f"t{i}" for i in range(1, tail + 1)]
+    leaves = [f"l{i}" for i in range(edges - tail)]
+    return Graph.from_edges(
+        ["h", *path, *leaves], [("h", v) for v in leaves] + list(zip(["h", *path], path))
+    )
+
+
 class TestStructuralGate:
+    def test_verdicts_match_the_classification_formula(self):
+        # Every canonical X with n = 2..5 and max <= 10, against stars,
+        # paths, brooms and the builder's graphs of every such n, so that
+        # each rule fires: the gate's violations are the formula's, read
+        # off the DISTINCT_LABELS families.
+        grounds = [x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 10)]
+        graphs = {build_realisation(x).graph for x in grounds}
+        for n in range(2, 6):
+            edges = (1 << n) - 2
+            graphs |= {generate("star", edges), generate("path", edges + 1)}
+            graphs |= {broom(edges, tail) for tail in range(2, edges)}
+        fired = set()
+        for g in graphs:
+            for x in grounds:
+                want = classified_gate(g, x)
+                assert [(v.rule, v.detail) for v in structural_gate(g, x).violations] == want
+                fired.update(rule for rule, _ in want)
+        assert fired == {"R1", "R2", "R3", "R4"}
+
     def test_c6_fails_pendant_rules(self, x012):
         report = structural_gate(generate("cycle", 6), x012)
         rules = {v.rule for v in report.violations}

@@ -857,7 +857,6 @@ class TestTypeMemo:
         # a cold call.
         shared = {(x, mode): classify_ground_set(x, mode) for x in family for mode in SummandMode}
         for (x, mode), cls in shared.items():
-            classify_ground_set.cache_clear()
             subset_algebra.cache_clear()
             assert classify_ground_set(x, mode) == cls
 
@@ -933,6 +932,9 @@ class TestTypeMemo:
         assert mapped.witnesses == search_iasgl(star, x0246, cfg).witnesses
 
     def test_mapped_witness_failing_verification_is_internal_error(self, monkeypatch, capsys):
+        # The search's kept outcomes and the realisation builder map their
+        # per-type label masks onto X through one step, which raises.
+        import iasgl.realisation
         import iasgl.search
         from iasgl.cli import EXIT_INTERNAL_ERROR, main
 
@@ -951,3 +953,18 @@ class TestTypeMemo:
         code = main(["search", "--graph", "star:6", "--ground-set", "sweep:n=3,max=6"])
         assert code == EXIT_INTERNAL_ERROR
         assert "RuntimeError: mapped witness" in capsys.readouterr().err
+
+        build = iasgl.realisation._build
+
+        def corrupted(key):
+            # The built realisation with one label, the hub's {0},
+            # replaced by the whole ground set.
+            graph, ((hub, _), *labels), trace, non_bipartite = build(key)
+            return graph, ((hub, (1 << key[0]) - 1), *labels), trace, non_bipartite
+
+        monkeypatch.setattr(iasgl.realisation, "_build", corrupted)
+        with pytest.raises(RuntimeError, match="mapped witness over .* failed re-verification"):
+            build_realisation(GroundSet.of(0, 1, 2, 3))
+        assert main(["construct", "--ground-set", "0,1,2,3"]) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: mapped witness over {0,1,2,3}" in err

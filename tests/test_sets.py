@@ -247,8 +247,12 @@ class TestClassification:
             classify_ground_set(GroundSet.of(1, 2))
 
     def test_cached_instance_reused(self, x0123):
-        assert classify_ground_set(x0123) is classify_ground_set(x0123)
+        # The kernel is cached per additive type; a classification is
+        # built afresh, equal, on every call.
+        key = additive_type(x0123)
+        assert subset_algebra(key) is subset_algebra(key)
         assert subset_algebra.cache_info().maxsize is not None
+        assert classify_ground_set(x0123) == classify_ground_set(x0123)
 
     def test_family_order_up_to_n10(self):
         # {0} with powers of 3 has only the sums 0 + x: every subset but
