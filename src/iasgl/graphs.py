@@ -170,10 +170,6 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def _tree_certificate(adj: dict[int, list[int]]) -> str:
-    n = len(adj)
-    if n == 1:
-        return "()"
-
     def rooted(root: int, parent: int) -> str:
         parts = sorted(rooted(c, root) for c in adj[root] if c != parent)
         return "(" + "".join(parts) + ")"

@@ -23,11 +23,11 @@ enumerated only to name what is missing. The ladder reads nothing of
 the subset-algebra kernel of ``sets``, so every witness and realisation
 the kernel leads to is re-checked by an independent route.
 
-A result kept per additive type (see ``sets``) is a tuple of label
-masks; ``mapped_labeling`` is the one step that maps such a result onto
-X's own subsets and re-verifies it there, for the search's kept
-outcomes and the realisation builder alike. A labeling that fails is a
-RuntimeError, never a fallback.
+A result in subset masks (see ``sets``) is a tuple of label masks;
+``mapped_labeling`` is the one step that maps such a result onto X's
+own subsets and re-verifies it there, for the search's DFS leaves and
+kept outcomes and the realisation builder alike. A labeling that fails
+is a RuntimeError, never a fallback.
 
 ``structural_gate`` bundles the necessary conditions that can be read
 off the graph shape and X's classification (edge count, a high-degree
@@ -265,9 +265,9 @@ def verify_iasgl(g: Graph, f: Labeling) -> GateReport:
 
 
 def mapped_labeling(g: Graph, x: GroundSet, masks: tuple[int, ...]) -> Labeling:
-    """The labeling over X of a result kept per additive type: g's
-    vertices, in ``g.vertex_ids`` order, take the subsets of X with these
-    masks. It is verified again, and one that is not an IASGL labeling of
+    """The labeling over X of a result in subset masks (a DFS leaf, or a
+    result kept per additive type): g's vertices, in ``g.vertex_ids``
+    order, take the subsets of X with these masks. It is verified again, and one that is not an IASGL labeling of
     g is a RuntimeError."""
     f = Labeling(x, tuple(zip(g.vertex_ids, map(subsets_by_mask(x).__getitem__, masks))))
     check = verify_iasgl(g, f)

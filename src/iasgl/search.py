@@ -49,15 +49,15 @@ X, pays each part once per type or graph. The pair-sum table maps a
 label mask to {partner mask: target mask} for every pair summing inside
 X, so P3 costs one dict lookup per edge and a missing key is a sum that
 escapes X; its values for a label are the targets P4 rechecks. X's own
-subsets (``subsets_by_mask``) are read only to build a witness.
+subsets are read only to build a witness.
 
 A search is a function of X's additive type (see ``sets``), so
 ``search_iasgl`` keeps each outcome in subset masks per (graph, config,
 type) in a bounded LRU and hands it to every X of the type, each
 witness mapped onto X and verified again by ``mapped_labeling``, the
-one mapping step that the realisation builder uses too: any caller that
-loops over ground sets, a sweep or the theorem harness alike, runs the
-DFS once per type.
+one mapping step that DFS leaves and the realisation builder use too:
+any caller that loops over ground sets, a sweep or the theorem harness
+alike, runs the DFS once per type.
 
 The twin rule is a cursor, not a filter: the candidate lists are
 strictly ascending, so a vertex's scan starts by bisection just past
@@ -70,10 +70,15 @@ the search, so the graph's size, not that limit, bounds the depth.
 
 All rules are sound (they never discard a completable branch, up to
 twin symmetry), so a fully explored tree with no accepted leaf is a
-proof of nonexistence. Witnesses are re-verified by the independent
-checker before they are reported; search state is never trusted. The
-DFS leaf's check is a filter, not an assertion: a leaf that fails it
-is dropped and the search goes on within its budgets.
+proof of nonexistence. A leaf, a complete injective assignment, is
+accepted when no target is missing and |E| = 2^n - 2: then each target
+is carried by exactly one edge and no edge label escapes X, which is
+the paper's graceful condition, with P3 and P4 on or off. An accepted
+leaf is mapped onto X and verified by the independent checker at once,
+inside the DFS and its budgets, through ``mapped_labeling``, the step
+that kept outcomes use too; search state is never trusted. A leaf that
+fails there is a RuntimeError (the CLI's exit 70), never a dropped leaf
+that could end in a false "exhausted-none".
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .graphs import Graph
-from .labeling import Labeling, mapped_labeling, structural_gate, verify_iasgl
+from .labeling import Labeling, mapped_labeling, structural_gate
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     ZERO_MASK,
@@ -97,7 +102,6 @@ from .sets import (
     additive_type,
     enumerate_canonical_ground_sets,
     subset_algebra,
-    subsets_by_mask,
 )
 
 PRUNE_RULES = ("gate", "P1", "P2", "P3", "P4", "twins")
@@ -261,7 +265,8 @@ class _State:
     """Mutable backtracking state over subset masks.
 
     Labels, targets and the classification's families are handled as
-    subset masks; X's ``IntegerSet``s are read only to build a witness. An
+    subset masks; X's ``IntegerSet``s are read only when an accepted
+    leaf is mapped onto X (``mapped_labeling``). An
     edge's label is one lookup in the kernel's pair-sum table
     (``pair_sums``): the partner's entry under the vertex's label,
     absent when the sum escapes the ground set.
@@ -408,18 +413,6 @@ class _State:
                     return False
         return True
 
-    def record(self) -> bool:
-        """Verify the full assignment independently; keep it, with its
-        label masks in ``g.vertex_ids`` order, if it passes."""
-        mask_of = dict(zip(self.order, self.assigned))
-        labels = tuple(map(mask_of.__getitem__, self.g.vertex_ids))
-        sets = subsets_by_mask(self.x)
-        labeling = Labeling(self.x, tuple(zip(self.g.vertex_ids, map(sets.__getitem__, labels))))
-        if verify_iasgl(self.g, labeling):
-            self.witnesses.append((labeling, labels))
-            return True
-        return False
-
     def search(self, vi: int) -> bool:
         """Depth-first over vertex vi; returns True to stop the search.
 
@@ -432,7 +425,12 @@ class _State:
         the state as it is: the search is over.
         """
         if vi == len(self.order):
-            return self.record() and not self.cfg.find_all
+            if self.missing or self.edge_count != len(self.targets):
+                return False
+            mask_of = dict(zip(self.order, self.assigned))
+            labels = tuple(map(mask_of.__getitem__, self.g.vertex_ids))
+            self.witnesses.append((mapped_labeling(self.g, self.x, labels), labels))
+            return not self.cfg.find_all
 
         assigned = self.assigned
         candidates = self.candidates[vi]
@@ -530,8 +528,9 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     ``SEARCH_CACHE_SIZE`` entries, and a later X of the type gets it
     with each witness mapped onto X's own subsets and verified again by
     ``mapped_labeling``: a mapped witness that fails is a RuntimeError,
-    never a fallback. An outcome that a budget stopped is never kept, so
-    every X spends its own budget on it.
+    never a fallback, and so is a DFS leaf that fails, which keeps
+    nothing, so every later X of the type raises too. An outcome that a
+    budget stopped is never kept, so every X spends its own budget on it.
     """
     cfg = cfg or SearchConfig()
     if not x.contains_zero():
@@ -541,18 +540,19 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     key = (g, cfg, additive_type(x))
     stored = _outcomes.get(key)
     if stored is None:
-        outcome, masks = _decide(g, x, cfg)
-        if outcome.budget_stop is None:
-            stats = outcome.stats
-            _outcomes[key] = (outcome.status, masks, stats.nodes, tuple(stats.prunes.items()))
+        status, found, stats, budget_stop = _decide(g, x, cfg)
+        witnesses = [f for f, _ in found]
+        if budget_stop is None:
+            masks = tuple(labels for _, labels in found)
+            _outcomes[key] = (status, masks, stats.nodes, tuple(stats.prunes.items()))
             if len(_outcomes) > SEARCH_CACHE_SIZE:
                 _outcomes.popitem(last=False)
-        return outcome
-    _outcomes.move_to_end(key)
-    status, masks, nodes, prunes = stored
-    witnesses = [mapped_labeling(g, x, labels) for labels in masks]
-    stats = SearchStats(nodes, dict(prunes))
-    return SearchOutcome(status, witnesses, stats, labelings=_labelings(g, cfg, len(witnesses)))
+    else:
+        _outcomes.move_to_end(key)
+        status, masks, nodes, prunes = stored
+        witnesses = [mapped_labeling(g, x, labels) for labels in masks]
+        stats, budget_stop = SearchStats(nodes, dict(prunes)), None
+    return SearchOutcome(status, witnesses, stats, budget_stop, _labelings(g, cfg, len(witnesses)))
 
 
 def _labelings(g: Graph, cfg: SearchConfig, witnesses: int) -> int:
@@ -567,22 +567,20 @@ def _labelings(g: Graph, cfg: SearchConfig, witnesses: int) -> int:
 
 def _decide(
     g: Graph, x: GroundSet, cfg: SearchConfig
-) -> tuple[SearchOutcome, tuple[tuple[int, ...], ...]]:
-    """Run the gate and the DFS: the outcome, and each witness's label
-    masks in ``g.vertex_ids`` order."""
+) -> tuple[SearchStatus, list[tuple[Labeling, tuple[int, ...]]], SearchStats, str | None]:
+    """Run the gate and the DFS: the status, each witness with its label
+    masks in ``g.vertex_ids`` order, the counters and the budget stop."""
     deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
     stats = SearchStats()
-    if cfg.enabled("gate"):
-        gate = structural_gate(g, x)
-        if not gate:
-            stats.bump("gate")
-            return SearchOutcome(SearchStatus.GATE_REJECTED, [], stats), ()
+    if cfg.enabled("gate") and not structural_gate(g, x):
+        stats.bump("gate")
+        return SearchStatus.GATE_REJECTED, [], stats, None
 
     if len(g.vertex_ids) > (1 << x.n) - 1:
         # More vertices than available labels: no injective assignment.
-        return SearchOutcome(SearchStatus.EXHAUSTED_NONE, [], stats), ()
+        return SearchStatus.EXHAUSTED_NONE, [], stats, None
 
-    out_of_time = SearchOutcome(SearchStatus.BUDGET_EXCEEDED, [], stats, "time"), ()
+    out_of_time = SearchStatus.BUDGET_EXCEEDED, [], stats, "time"
     if time.monotonic() > deadline:
         return out_of_time
     state = _State(g, x, cfg, stats, deadline)
@@ -605,10 +603,7 @@ def _decide(
         status = SearchStatus.EXHAUSTED_NONE
     else:
         status = SearchStatus.BUDGET_EXCEEDED
-    outcome = SearchOutcome(
-        status, [f for f, _ in found], stats, budget_stop, _labelings(g, cfg, len(found))
-    )
-    return outcome, tuple(labels for _, labels in found)
+    return status, found, stats, budget_stop
 
 
 def sweep_ground_sets(

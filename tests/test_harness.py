@@ -164,6 +164,28 @@ class TestChecks:
         assert edges.evidence == "witness over {0,1,2} has 2 edges, expected 6"
 
 
+    def test_tally_refutes_a_ground_set_short_of_neither(self):
+        tally = WitnessTally()
+        tally.add_ground_set(GroundSet.of(0, 1, 2), ())
+        (result,) = check_pendant_bounds(tally)
+        assert (result.check_id, result.status) == ("pendant-bounds/classification", REFUTED)
+        assert result.evidence == "|neither| = 0 < 2 at X = {0,1,2}"
+
+    def test_tree_theorem_refuted_without_a_star(self, monkeypatch):
+        trees = harness.enumerate_free_trees
+
+        def starless(m):
+            return [t for t in trees(m) if max(map(t.degree, t.vertex_ids)) < m - 1]
+
+        monkeypatch.setattr(harness, "enumerate_free_trees", starless)
+        (result,) = check_tree_theorem(
+            HarnessConfig(tree_sizes=(7,), max_element=6), WitnessTally()
+        )
+        assert (result.check_id, result.status) == ("tree-theorem/m=7", REFUTED)
+        assert result.evidence.startswith(
+            "tree family on 7 vertices violated the star characterization (stars=0, found=0/"
+        )
+
     def test_pendant_violation_checks_placement_on_the_zero_vertex(self):
         # K(1,6) over {0,1,2}: v6 carries {0,1,2}, which holds max X, so
         # it must be a pendant on the {0}-vertex v0.

@@ -303,6 +303,22 @@ class TestCli:
                 main(argv)
             assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["classify", "--ground-set", ","], "empty ground set"),
+        (["classify", "--ground-set", "0,-1"], "ground set elements must be non-negative"),
+        (["search", "--graph", "cycle:2", "--ground-set", "0,1"], "cycle size must be >= 3"),
+        (["search", "--graph", "star:0", "--ground-set", "0,1"], "star size must be >= 1"),
+        (["search", "--graph", "star:2", "--ground-set", "sweep:n=1,max=5"],
+         "ground set cardinality must be at least 2"),
+    ], ids=["empty", "negative", "cycle-2", "star-0", "sweep-n-1"])
+    def test_malformed_argument_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"iasgl: error: {message}\n" in stderr
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("flag", [["--node-budget", "0"], ["--time-budget-ms", "-5"]])
     def test_search_bad_budget_is_usage_error(self, flag, capsys):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from iasgl.graphs import Graph, enumerate_free_trees, generate
-from iasgl.labeling import Labeling, verify_iasgl, zero_vertex
+from iasgl.labeling import GateReport, Labeling, Violation, verify_iasgl, zero_vertex
 from iasgl.realisation import build_realisation
 from iasgl.search import (
     PRUNE_RULES,
@@ -191,6 +191,49 @@ class TestCompleteness:
             assert out.status is SearchStatus.FOUND
         else:
             assert out.status is SearchStatus.EXHAUSTED_NONE
+
+
+class TestLeafAcceptance:
+    def test_realized_target_count_alone_matches_oracle(self, monkeypatch, x01, x012):
+        # With the gate, P3, P4 and twins off, complete assignments whose
+        # edge labels escape X, collide or miss a target reach the leaf,
+        # where the realized-target count alone must reject them.
+        leaves = [0]
+        search = _State.search
+
+        def counted(state, vi):
+            leaves[0] += vi == len(state.order)
+            return search(state, vi)
+
+        monkeypatch.setattr(_State, "search", counted)
+        cfg = SearchConfig(disabled_rules=frozenset({"gate", "P3", "P4", "twins"}), find_all=True)
+        found = 0
+        for graph, x in [(g, x01) for g in CORPUS_N2] + [(g, x012) for g in CORPUS_N3]:
+            out = search_iasgl(graph, x, cfg)
+            assert out.budget_stop is None
+            assert_same_labelings(out.witnesses, oracle_search_all(graph, x.base.elements))
+            found += len(out.witnesses)
+        assert leaves[0] > found  # the reject branch ran
+
+    def test_failing_leaf_is_internal_error_for_every_x_of_the_type(self, monkeypatch, capsys):
+        # A leaf the count accepts goes through the one mapping step: if
+        # the checker disagrees with the kernel, the search raises rather
+        # than report a false "exhausted-none", and nothing is kept.
+        import iasgl.labeling
+        from iasgl.cli import EXIT_INTERNAL_ERROR, main
+
+        rejected = GateReport((Violation("injected", "injected rejection"),))
+        monkeypatch.setattr(iasgl.labeling, "verify_iasgl", lambda g, f: rejected)
+        star = generate("star", 6)
+        # {0,2,4} has {0,1,2}'s additive type.
+        for x in (GroundSet.of(0, 1, 2), GroundSet.of(0, 2, 4)):
+            with pytest.raises(RuntimeError, match="failed re-verification: injected rejection"):
+                search_iasgl(star, x)
+        for ground_set in ("0,1,2", "sweep:n=3,max=6"):
+            code = main(["search", "--graph", "star:6", "--ground-set", ground_set])
+            assert code == EXIT_INTERNAL_ERROR
+            err = capsys.readouterr().err
+            assert "Traceback" in err and "RuntimeError: mapped witness over {0,1,2}" in err
 
 
 class TestPruneSafety:
@@ -571,6 +614,19 @@ class TestDeadline:
             SearchStatus.BUDGET_EXCEEDED, 0, "time"
         )
 
+    def test_leaf_verification_spends_the_time_budget(self, x0123):
+        # Without the twin rule every one of K(1,14)'s 14! labelings is a
+        # leaf that is mapped and verified inside the DFS, so the time
+        # budget, not the number of leaves, ends the search.
+        cfg = SearchConfig(
+            disabled_rules=frozenset({"twins"}), find_all=True, time_budget_ms=500
+        )
+        start = time.process_time()
+        out = search_iasgl(generate("star", 14), x0123, cfg)
+        assert out.budget_stop == "time"
+        assert out.status is SearchStatus.FOUND
+        assert time.process_time() - start < 1.5
+
     def test_node_budget_stop_is_named(self, x0123):
         out = search_iasgl(BROOM15, x0123, nogate(node_budget=10))
         assert (out.status, out.budget_stop) == (SearchStatus.BUDGET_EXCEEDED, "node")
@@ -943,9 +999,9 @@ class TestTypeMemo:
         def swapped(g, x, cfg):
             # The real witness's masks with v0's and v1's swapped: a
             # well-formed labeling that is not graceful, kept for the type.
-            out, (masks, *rest) = real(g, x, cfg)
+            status, [(f, masks), *rest], stats, budget_stop = real(g, x, cfg)
             masks = (masks[1], masks[0], *masks[2:])
-            return out, (masks, *rest)
+            return status, [(f, masks), *rest], stats, budget_stop
 
         monkeypatch.setattr(iasgl.search, "_decide", swapped)
         with pytest.raises(RuntimeError, match="mapped witness over .* failed re-verification"):
