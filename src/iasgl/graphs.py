@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .sets import Record
+from .sets import KeyRecord
 
 FREE_TREE_CAP = 10
 
@@ -23,13 +23,14 @@ def _norm_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-class Graph(Record):
+class Graph(KeyRecord):
     """An immutable simple graph; equality, hash and repr read only
     ``vertex_ids`` and ``edges``, and repr lists the edges sorted.
 
     The adjacency, the sorted edge list and the pendant vertices are
     derived once, when the graph is built, and kept in slots of their
-    own; ``sorted_edges`` and ``pendant_vertices`` hand out fresh lists.
+    own, as is the hash once first computed; ``sorted_edges`` and
+    ``pendant_vertices`` hand out fresh lists.
     """
 
     __slots__ = ("vertex_ids", "edges", "_adj", "_sorted_edges", "_pendants")

@@ -22,12 +22,15 @@ Confirmed. So a budget stop never hides a counterexample, and a check
 is never Confirmed from a budget-exceeded search.
 
 The canonical ground sets of ``n_range`` are walked once, in the star
-check: each X is classified for the |neither| >= n - 1 bound, searched
-with K(1, 2^n - 2) and realised, one after another. Every witness (the
-star's, the tree star's, the realisation) is checked against the
-pendant and edge-count bounds as soon as it is made; a ``WitnessTally``
-keeps only counts and the first violation, which the pendant and
-edge-count checks then report.
+check: each X gets its neither family for the |neither| >= n - 1 bound,
+is searched with K(1, 2^n - 2) and realised, one after another. The
+neither family is read off the kernel's classification masks for X's
+additive type and mapped onto X's own subsets (``_neither``): the
+family ``classify_ground_set`` reports, without building the rest of
+the classification. Every witness (the star's, the tree star's, the
+realisation) is checked against the pendant and edge-count bounds as
+soon as it is made; a ``WitnessTally`` keeps only counts and the first
+violation, which the pendant and edge-count checks then report.
 
 The checks call ``search_iasgl``, ``sweep_ground_sets`` and
 ``build_realisation`` once per X, as any caller does. Those decide each
@@ -43,24 +46,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import (
-    FREE_TREE_CAP,
-    Graph,
-    enumerate_free_trees,
-    family_edge_count,
-    generate,
-    pendant_vertices,
-)
-from .labeling import Labeling, structural_gate, zero_vertex
+from .graphs import FREE_TREE_CAP, Graph, enumerate_free_trees, family_edge_count, generate
+from .labeling import Labeling, structural_gate
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
     IntegerSet,
+    SummandMode,
+    additive_type,
     check_ground_set_family,
-    classify_ground_set,
     enumerate_canonical_ground_sets,
+    subset_algebra,
+    subsets_by_mask,
 )
 
 CONFIRMED = "Confirmed"
@@ -191,26 +190,40 @@ def _star_order(n: int) -> int:
     return (1 << n) - 2
 
 
+def _neither(x: GroundSet) -> tuple[IntegerSet, ...]:
+    """The neither family of X's classification, as
+    ``classify_ground_set(x).neither`` holds it: the kernel's
+    DISTINCT_LABELS neither masks mapped onto X's own subsets."""
+    masks = subset_algebra(additive_type(x)).class_masks(SummandMode.DISTINCT_LABELS)[2]
+    return tuple(map(subsets_by_mask(x).__getitem__, masks))
+
+
 def _pendant_violation(
     x: GroundSet, neither: tuple[IntegerSet, ...], graph: Graph, labeling: Labeling
 ) -> str | None:
     """Why a witness breaks a pendant bound: a {0}-vertex hosting at
     least |neither| pendants, with every neither-labeled and
     max-element-labeled vertex pendant on it."""
-    v0 = zero_vertex(graph, labeling)
-    if v0 is None:
-        return f"witness over {x} has no {{0}}-labeled vertex"
     forced = {s.elements for s in neither}
     top = x.max_element
-    pendants = set(pendant_vertices(graph))
+    v0 = None  # the first {0}-labeled vertex in id order
+    placed = []  # the vertices that must be pendant on v0
+    for vid, lab in labeling.assignment:
+        elements = lab.elements
+        if elements == (0,) and v0 is None:
+            v0 = vid
+        elif elements in forced or top in elements:
+            placed.append(vid)
+    if v0 is None:
+        return f"witness over {x} has no {{0}}-labeled vertex"
+    pendants = graph._pendants
     # The pendants on v0: exactly the vertices whose one neighbour is v0.
-    hosted = pendants.intersection(graph.neighbors(v0))
-    forced_on_v0 = all(
-        vid in hosted
-        for vid, lab in labeling.assignment
-        if vid != v0 and (lab.elements in forced or top in lab.elements)
-    )
-    if len(pendants) >= len(neither) and len(hosted) >= len(neither) and forced_on_v0:
+    hosted = set(pendants).intersection(graph.neighbors(v0))
+    if (
+        len(pendants) >= len(neither)
+        and len(hosted) >= len(neither)
+        and hosted.issuperset(placed)
+    ):
         return None
     return f"witness over {x} violates a pendant bound"
 
@@ -271,9 +284,9 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     ``structural_gate`` applies R1. No other star is built.
 
     The forward loop is the harness's one pass over the canonical
-    ground sets: each X is also classified (once, for the tally's three
-    checks) and realised there, and the star witness and the
-    realisation go to the tally.
+    ground sets: each X's neither family is also read there (once, for
+    the tally's three checks) and X is realised, and the star witness
+    and the realisation go to the tally.
     """
     cfg = _search_config(gate=True)
     results = []
@@ -285,7 +298,7 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         statuses = []
         family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
-            neither = classify_ground_set(x).neither
+            neither = _neither(x)
             tally.add_ground_set(x, neither)
             outcome = search_iasgl(star, x, cfg)
             if outcome.found:
@@ -367,7 +380,7 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             for x in family:
                 outcome = search_iasgl(tree, x, cfg if is_star else nogate)
                 if outcome.found and is_star:
-                    neither = classify_ground_set(x).neither
+                    neither = _neither(x)
                     tally.add_witness(x, neither, tree, outcome.witnesses[0])
                 statuses.append((outcome.status, is_star))
 

@@ -14,8 +14,10 @@ All three are conditions on one induced map f+(uv) = f(u) + f(v), so
 order; the three ``verify_*`` functions read their report off it. It
 reads each vertex label's element tuple once and compares labels by
 those tuples. Edge labels are summed from the endpoint elements into
-plain sets (``edge_sums``) and tested against one frozenset of X;
-``IntegerSet``s are built only for the labels a ``Violation`` reports.
+plain sets (``edge_sums``; an edge at a {0}-labeled vertex takes the
+other endpoint's elements unsummed, since {0} + A = A) and tested
+against one frozenset of X; ``IntegerSet``s are built only for the
+labels a ``Violation`` reports.
 Once IASL and IASI hold, the IASGL rung is a count: the |E| edge labels
 are distinct members of the target family, so they are all of it iff
 |E| is its size (2^n - 2 when 0 is in X). The target family is
@@ -145,7 +147,12 @@ def induced_edge_label(f: Labeling, u: str, v: str) -> IntegerSet:
 
 def edge_sums(a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[int]:
     """The sumset A + B of two element tuples as a plain set of element
-    sums (never truncated)."""
+    sums (never truncated). {0} + B = B, so a {0} operand returns the
+    other one's elements without summing."""
+    if a == (0,):
+        return frozenset(b)
+    if b == (0,):
+        return frozenset(a)
     return frozenset([x + y for x in a for y in b])
 
 

@@ -57,7 +57,9 @@ type) in a bounded LRU and hands it to every X of the type, each
 witness mapped onto X and verified again by ``mapped_labeling``, the
 one mapping step that DFS leaves and the realisation builder use too:
 any caller that loops over ground sets, a sweep or the theorem harness
-alike, runs the DFS once per type.
+alike, runs the DFS once per type. The kept outcome carries its orbit
+size (the labelings each witness stands for), so a mapped X multiplies
+it by its witness count and reads nothing of the graph's layout.
 
 The twin rule is a cursor, not a filter: the candidate lists are
 strictly ascending, so a vertex's scan starts by bisection just past
@@ -157,7 +159,7 @@ class SearchOutcome:
 
     Under the twin rule the witnesses are canonical, one per twin orbit,
     and ``labelings`` counts the labelings they stand for (see
-    ``_labelings``); without it, ``labelings`` is ``len(witnesses)``.
+    ``_orbit_size``); without it, ``labelings`` is ``len(witnesses)``.
     Under find_all with ``budget_stop`` None it is the exact number of
     IASGL labelings of the graph over X.
     """
@@ -184,7 +186,8 @@ _STACK_HEADROOM = 100
 SEARCH_CACHE_SIZE = 128
 
 #: (graph, config, type) -> (status, each witness's label masks in
-#: ``g.vertex_ids`` order, nodes, prunes), least recently used first.
+#: ``g.vertex_ids`` order, nodes, prunes, labelings per witness), least
+#: recently used first.
 #: Kept by hand, not by ``lru_cache``: an outcome that a budget stopped
 #: must not be kept, and the first X's gate and leaf verification run
 #: inside its time budget, so the decision takes X, which the key omits.
@@ -542,27 +545,30 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     if stored is None:
         status, found, stats, budget_stop = _decide(g, x, cfg)
         witnesses = [f for f, _ in found]
+        # With no witness there is nothing to count, and a gate-rejected
+        # g has no layout to read the twin classes from.
+        orbit = _orbit_size(g, cfg) if found else 0
         if budget_stop is None:
             masks = tuple(labels for _, labels in found)
-            _outcomes[key] = (status, masks, stats.nodes, tuple(stats.prunes.items()))
+            _outcomes[key] = (status, masks, stats.nodes, tuple(stats.prunes.items()), orbit)
             if len(_outcomes) > SEARCH_CACHE_SIZE:
                 _outcomes.popitem(last=False)
     else:
         _outcomes.move_to_end(key)
-        status, masks, nodes, prunes = stored
+        status, masks, nodes, prunes, orbit = stored
         witnesses = [mapped_labeling(g, x, labels) for labels in masks]
         stats, budget_stop = SearchStats(nodes, dict(prunes)), None
-    return SearchOutcome(status, witnesses, stats, budget_stop, _labelings(g, cfg, len(witnesses)))
+    return SearchOutcome(status, witnesses, stats, budget_stop, len(witnesses) * orbit)
 
 
-def _labelings(g: Graph, cfg: SearchConfig, witnesses: int) -> int:
-    """The labelings that many witnesses stand for: under the twin rule
-    each is the canonical member of an orbit of prod |C|! labelings over
-    g's twin classes C, else it stands for itself. The classes belong to
-    g, so every witness has the same orbit size."""
-    if not witnesses or not cfg.enabled("twins"):
-        return witnesses
-    return witnesses * prod(factorial(len(c)) for c in _graph_layout(g).twin_classes)
+def _orbit_size(g: Graph, cfg: SearchConfig) -> int:
+    """The labelings each witness stands for: under the twin rule it is
+    the canonical member of an orbit of prod |C|! labelings over g's
+    twin classes C, else it stands for itself. The classes belong to g,
+    so every witness has the same orbit size."""
+    if not cfg.enabled("twins"):
+        return 1
+    return prod(factorial(len(c)) for c in _graph_layout(g).twin_classes)
 
 
 def _decide(

@@ -28,8 +28,8 @@ subsets, as ``IntegerSet``s indexed by subset mask, come from
 (classification, witnesses, realisations) build them. The structural
 gate reads the classification masks' sizes only, and
 ``classify_ground_set``, which turns the masks into X's subsets for
-its callers (the CLI and the theorem harness, once per X each), keeps
-no cache.
+the ``classify`` command, keeps no cache; the theorem harness maps
+only the neither masks onto X, once per X.
 
 Additive type. T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k} is the
 sum-triple set, and ``additive_type(X)`` = (n, sorted T(X)) an O(n^2)
@@ -135,6 +135,23 @@ class Record(Immutable):
         return f"{type(self).__name__}({args})"
 
 
+class KeyRecord(Record):
+    """A record that cache keys hold (``Graph``, ``GroundSet``): its
+    hash, ``hash(self._values())`` as for any record, is computed on
+    first use and kept in a slot outside ``_fields``, so a cache lookup
+    does not hash the fields again."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
 class IntegerSet(Record):
     """A finite set of non-negative integers, stored strictly ascending.
 
@@ -197,11 +214,12 @@ class IntegerSet(Record):
 ZERO_SET = IntegerSet.of(0)
 
 
-class GroundSet(Record):
+class GroundSet(KeyRecord):
     """The finite set X of non-negative integers supplying all labels.
 
-    Equality, hash and repr read ``base`` alone; ``additive_type(X)``,
-    computed on first use, is kept in a slot of its own.
+    Equality, hash and repr read ``base`` alone; ``additive_type(X)``
+    and the hash, each computed on first use, are kept in slots of
+    their own.
     """
 
     __slots__ = ("base", "_additive_type")

@@ -1,5 +1,8 @@
 """Theorem harness: statuses, evidence, determinism, budgets."""
 
+import contextlib
+import hashlib
+import io
 import math
 
 import pytest
@@ -29,7 +32,13 @@ from iasgl.harness import (
 from iasgl.graphs import FREE_TREE_CAP, Graph, generate
 from iasgl.labeling import GateReport, Labeling
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
-from iasgl.sets import GroundSet, classify_ground_set, subset_algebra
+from iasgl.cli import main
+from iasgl.sets import (
+    GroundSet,
+    classify_ground_set,
+    enumerate_canonical_ground_sets,
+    subset_algebra,
+)
 
 from conftest import count_calls, iset, star_witness
 
@@ -186,6 +195,30 @@ class TestChecks:
             "tree family on 7 vertices violated the star characterization (stars=0, found=0/"
         )
 
+    def test_neither_is_the_classification_family(self):
+        # Every neither family the star and tree checks hand the tally is
+        # the one classify_ground_set reports for that X.
+        tally = WitnessTally()
+        seen = []
+        add_ground_set, add_witness = tally.add_ground_set, tally.add_witness
+
+        def record_ground_set(x, neither):
+            seen.append((x, neither))
+            add_ground_set(x, neither)
+
+        def record_witness(x, neither, graph, labeling):
+            seen.append((x, neither))
+            add_witness(x, neither, graph, labeling)
+
+        tally.add_ground_set, tally.add_witness = record_ground_set, record_witness
+        config = HarnessConfig(n_range=(2, 5), max_element=10)
+        check_star_theorem(config, tally)
+        check_tree_theorem(config, tally)
+        family = [x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 10)]
+        assert {x for x, _ in seen} == set(family) and len(family) == 346
+        for x, neither in seen:
+            assert neither == classify_ground_set(x).neither
+
     def test_pendant_violation_checks_placement_on_the_zero_vertex(self):
         # K(1,6) over {0,1,2}: v6 carries {0,1,2}, which holds max X, so
         # it must be a pendant on the {0}-vertex v0.
@@ -236,6 +269,19 @@ class TestRunAll:
         report = run_all(HarnessConfig(n_range=(2, 5), max_element=10))
         assert all(c.status == CONFIRMED for c in report.checks)
         assert (searches[0], iasgl.realisation._build.cache_info().misses) == (74, 47)
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", "5282b7edaae35f5e5ea3714db6ccef71108047a3183f26a9c631015c626597f3"),
+        ("table", "82515c4251dbb9b949cc2b6cdac4686caf7c7904ba17d6b8177f60ed602bcfc5"),
+    ])
+    def test_theorems_output_pinned(self, fmt, expected):
+        """The CLI theorems report at the benchmark's bounds (n = 2..5,
+        max 10) hashes to a pinned digest in each format, so any change
+        to a check, its evidence or its order shows."""
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["theorems", "--n-max", "5", "--max-element", "10", "--format", fmt]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected
 
     def test_report_determinism(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6)

@@ -9,6 +9,7 @@ from iasgl.labeling import (
     GateReport,
     Labeling,
     Violation,
+    edge_sums,
     graceful_targets,
     induced_edge_label,
     structural_gate,
@@ -222,6 +223,35 @@ class TestLabelingType:
         f = Labeling.from_mapping(x01, {"v1": iset(1), "v0": iset(0)})
         assert tuple(v for v, _ in f.assignment) == ("v0", "v1")
         assert hash(f) == hash(Labeling.from_mapping(x01, {"v0": iset(0), "v1": iset(1)}))
+
+    @pytest.mark.parametrize("labels,error", [
+        # Lowest id first, whichever order the labels are given in.
+        ({"v2": iset(), "v1": iset(5), "v3": iset(0, 7)},
+         "label {5} at 'v1' is not a subset of ground set"),
+        ({"v3": iset(9), "v1": iset(), "v2": iset(0, 1)}, "empty set-label at 'v1'"),
+        # Valid labels before the first bad one change nothing.
+        ({"v0": iset(0), "v1": iset(0, 1), "v2": iset(), "v3": iset(4)},
+         "empty set-label at 'v2'"),
+        ({"v0": iset(0), "v1": iset(0, 2), "v2": iset(), "v3": iset(4)},
+         "label {0,2} at 'v1' is not a subset of ground set"),
+    ])
+    def test_first_bad_label_is_the_error(self, x01, labels, error):
+        with pytest.raises(ValueError) as caught:
+            Labeling.from_mapping(x01, labels)
+        assert str(caught.value) == error
+
+
+class TestEdgeSums:
+    def test_equals_the_double_loop_sum(self):
+        rng = random.Random(0)
+        # {0} on either side, other singletons, and longer labels.
+        labels = [(0,), (1,), (7,), (0, 1), (0, 3, 10**9)]
+        labels += [tuple(sorted(rng.sample(range(30), rng.randint(1, 5)))) for _ in range(40)]
+        for a in labels:
+            for b in labels:
+                got = edge_sums(a, b)
+                assert type(got) is frozenset
+                assert got == frozenset([x + y for x in a for y in b])
 
 
 class TestInducedEdgeLabel:

@@ -895,6 +895,9 @@ class TestTypeMemo:
                 assert out.witnesses == fresh.witnesses
                 assert out.stats.to_obj() == fresh.stats.to_obj()
                 assert out.budget_stop == fresh.budget_stop
+                assert out.labelings == fresh.labelings
+                if not twins:
+                    assert out.labelings == len(out.witnesses)
 
     def test_realisations_and_classifications_match_direct_calls(self):
         import iasgl.realisation

@@ -2,6 +2,7 @@
 and the checks their constructors make."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -127,9 +128,9 @@ class TestImmutability:
 
 class TestDerivedSlots:
     """What a graph or ground set derives once (sorted edges, pendants,
-    the additive type) is kept outside the compared fields: it never
-    shows in equality, hash or repr, cannot be reassigned, and is handed
-    out as fresh lists."""
+    the additive type, the hash) is kept outside the compared fields: it
+    never shows in equality, hash or repr, cannot be reassigned, and is
+    handed out as fresh lists."""
 
     def test_eq_hash_repr_ignore_derived_values(self):
         g = generate("star", 3)
@@ -193,6 +194,38 @@ class TestDerivedSlots:
         x = GroundSet.of(0, 1, 2)
         assert additive_type(x) is additive_type(x)
         assert additive_type(GroundSet.of(0, 2, 4)) == additive_type(x)
+
+    def test_hash_is_computed_once_and_kept(self, monkeypatch):
+        rng = random.Random(0)
+        edges = [("v0", f"v{i}") for i in range(1, 6)] + [("v5", "v6"), ("v6", "v7")]
+        vertices = sorted({v for e in edges for v in e})
+        graphs = []
+        for _ in range(5):
+            rng.shuffle(edges)
+            rng.shuffle(vertices)
+            flipped = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+            graphs.append(Graph.from_edges(vertices, flipped))
+        grounds = [GroundSet.of(0, 1, 3), GroundSet(IntegerSet.of(3, 1, 0, 1))]
+        for values in (graphs, grounds):
+            assert len(set(values)) == 1
+            assert len({hash(v) for v in values}) == 1
+            for v in values:
+                assert hash(v) == hash(v._values()) == v._hash
+                with pytest.raises(AttributeError):
+                    v._hash = 0
+                assert hash(v) == hash(v._values())
+        computed = []
+        values = Graph._values
+
+        def counted(self):
+            computed.append(self)
+            return values(self)
+
+        monkeypatch.setattr(Graph, "_values", counted)
+        g = generate("star", 4)
+        for key in (g, g, (g, 1)):
+            hash(key)
+        assert computed == [g]
 
     def test_returned_lists_are_fresh(self):
         g = generate("path", 4)
