@@ -29,7 +29,6 @@ needs ``sets`` alone (ground-set parsing and ``classify``), and each
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .sets import SUBSET_ENUMERATION_CAP, GroundSet, IntegerSet, SummandMode, classify_ground_set
@@ -67,7 +66,7 @@ def _parse_graph(spec: str, parser: argparse.ArgumentParser):
 
         try:
             return load_document(arg).to_graph()
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot read graph file {arg!r}: {exc}")
     if kind in {"star", "path", "cycle", "complete"}:
         try:
@@ -128,18 +127,26 @@ def _emit(payload: dict, args, table) -> None:
     """Print the payload as JSON, or under ``--format table`` the lines
     that the callable ``table`` returns; it is called only then.
 
+    The JSON text is ``json.dumps(payload, indent=2, sort_keys=True)``
+    byte for byte, written by ``_jsonout.dumps`` (imported here, so that
+    importing this module still loads only ``sets``), which formats
+    huge ints such as a search's orbit count 65534! in subquadratic
+    time.
+
     All input is parsed by now, under the interpreter's int-to-decimal
     digit limit (4,300 by default, where it exists), its guard against
     quadratic int parsing. The limit is lifted only while the output is
     formatted: a search's orbit count such as 2046! has more digits.
     """
+    from ._jsonout import dumps
+
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)
     if args.format == "table":
         text = "\n".join(table())
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = dumps(payload)
     if limit:
         sys.set_int_max_str_digits(limit)
     print(text)
@@ -191,6 +198,7 @@ def _outcome_obj(outcome) -> dict:
 
 
 def cmd_search(args, parser) -> int:
+    from ._jsonout import dumps
     from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 
     graph = _parse_graph(args.graph, parser)
@@ -244,7 +252,8 @@ def cmd_search(args, parser) -> int:
         f"nodes    {outcome.stats.nodes}",
         f"prunes   {outcome.stats.prunes}",
         f"witnesses {len(outcome.witnesses)}",
-        f"labelings {outcome.labelings}",
+        # JSON text of an int is its decimal digits, huge counts included.
+        f"labelings {dumps(outcome.labelings)}",
         f"budget   {outcome.budget_stop or 'none'}",
     ])
     if args.out and outcome.witnesses:
@@ -260,7 +269,7 @@ def cmd_verify(args, parser) -> int:
         doc = load_document(args.document)
         graph = doc.to_graph()
         labeling = doc.to_labeling()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot verify {args.document!r}: {exc}")
     # Naming missing targets enumerates every subset of X.
     if labeling.ground.n > SUBSET_ENUMERATION_CAP:
@@ -334,9 +343,11 @@ def cmd_theorems(args, parser) -> int:
     if args.report:
         from datetime import datetime, timezone
 
+        from ._jsonout import dumps
+
         # Timestamp lives outside the deterministic body of the report.
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.report, parser)
+        _write_text(dumps(payload) + "\n", args.report, parser)
     return 0 if report.refuted == 0 else 1
 
 

@@ -43,7 +43,6 @@ give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import FREE_TREE_CAP, Graph, enumerate_free_trees, family_edge_count, generate
@@ -54,6 +53,7 @@ from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
     IntegerSet,
+    Record,
     SummandMode,
     additive_type,
     check_ground_set_family,
@@ -108,12 +108,14 @@ def _verdict(searches: Iterable[tuple[SearchStatus, bool]]) -> tuple[str, int, i
     return status, found, budget
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    anchor: str
-    status: str
-    evidence: str
+class CheckResult(Record):
+    __slots__ = _fields = ("check_id", "anchor", "status", "evidence")
+
+    def __init__(self, check_id: str, anchor: str, status: str, evidence: str) -> None:
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "evidence", evidence)
 
     def to_obj(self) -> dict:
         return {
@@ -124,21 +126,26 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    n_range: tuple[int, int] = (2, 4)
-    max_element: int = 8
-    tree_sizes: tuple[int, ...] = (3, 7)
+class HarnessConfig(Record):
+    __slots__ = _fields = ("n_range", "max_element", "tree_sizes")
 
-    def __post_init__(self) -> None:
-        n_lo, n_hi = self.n_range
+    def __init__(
+        self,
+        n_range: tuple[int, int] = (2, 4),
+        max_element: int = 8,
+        tree_sizes: tuple[int, ...] = (3, 7),
+    ) -> None:
+        n_lo, n_hi = n_range
         if not 2 <= n_lo <= n_hi <= SUBSET_ENUMERATION_CAP:
             raise ValueError(f"need 2 <= n-min <= n-max <= {SUBSET_ENUMERATION_CAP}")
-        if any(m < 2 for m in self.tree_sizes):
+        if any(m < 2 for m in tree_sizes):
             raise ValueError("tree sizes must be at least 2")
         # n = 2, also swept outside n_range, passes whenever n = 3 does.
         for n in (*range(n_lo, n_hi + 1), FIXED_SWEEP_N):
-            check_ground_set_family(n, self.max_element)
+            check_ground_set_family(n, max_element)
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "max_element", max_element)
+        object.__setattr__(self, "tree_sizes", tree_sizes)
 
     def bounds_obj(self) -> dict:
         return {
@@ -151,18 +158,17 @@ class HarnessConfig:
         }
 
 
-@dataclass
 class TheoremReport:
-    checks: list[CheckResult]
-    bounds: dict
-    totals: dict[str, int] = field(init=False)
+    __slots__ = ("checks", "bounds", "totals")
 
-    def __post_init__(self) -> None:
-        ids = [c.check_id for c in self.checks]
+    def __init__(self, checks: list[CheckResult], bounds: dict) -> None:
+        ids = [c.check_id for c in checks]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate check id in report")
+        self.checks = checks
+        self.bounds = bounds
         self.totals = {
-            status: sum(1 for c in self.checks if c.status == status)
+            status: sum(1 for c in checks if c.status == status)
             for status in (CONFIRMED, REFUTED, UNKNOWN)
         }
 
@@ -228,7 +234,6 @@ def _pendant_violation(
     return f"witness over {x} violates a pendant bound"
 
 
-@dataclass
 class WitnessTally:
     """Bounds evidence gathered while the checks run.
 
@@ -236,11 +241,19 @@ class WitnessTally:
     witness is checked when it is made and then dropped.
     """
 
-    ground_sets: int = 0
-    witnesses: int = 0
-    neither_violation: str | None = None
-    pendant_violation: str | None = None
-    edge_violation: str | None = None
+    def __init__(
+        self,
+        ground_sets: int = 0,
+        witnesses: int = 0,
+        neither_violation: str | None = None,
+        pendant_violation: str | None = None,
+        edge_violation: str | None = None,
+    ) -> None:
+        self.ground_sets = ground_sets
+        self.witnesses = witnesses
+        self.neither_violation = neither_violation
+        self.pendant_violation = pendant_violation
+        self.edge_violation = edge_violation
 
     def add_ground_set(self, x: GroundSet, neither: tuple[IntegerSet, ...]) -> None:
         """Check |neither| >= n - 1 on one canonical ground set, given

@@ -7,14 +7,18 @@ Three wire formats:
 * document: the full form with per-vertex label objects and an optional
   derived edge-label map, round-tripping losslessly.
 
-Set-labels serialize as ascending integer arrays everywhere.
+Set-labels serialize as ascending integer arrays everywhere. A document
+is written as the text of ``json.dumps(obj, indent=2, sort_keys=True)``
+and a newline, byte for byte, by the CLI's one JSON writer
+(``_jsonout.dumps``) in one write; ``json`` itself is imported only to
+read a document.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
+from ._jsonout import dumps
 from .graphs import Edge, Graph
 from .labeling import Labeling, induced_edge_label
 from .sets import GroundSet, IntegerSet, sumset
@@ -169,14 +173,18 @@ def labeling_to_obj(f: Labeling) -> dict:
 
 
 def load_document(path: str | os.PathLike) -> Document:
+    import json  # only here: writing needs no json, so start-up skips it
+
     with open(path, encoding="utf-8") as fh:
         return parse_document(json.load(fh))
 
 
 def dump_document(doc: Document, path: str | os.PathLike) -> None:
+    """Write ``json.dump(doc.to_obj(), fh, indent=2, sort_keys=True)``'s
+    text and a newline, byte for byte, in one write."""
+    text = dumps(doc.to_obj())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc.to_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _dot_escape(text: str) -> str:

@@ -8,7 +8,7 @@ is a sumset, and drawing every compatible edge would duplicate labels,
 so each remaining target gets exactly one label pair from the subset
 algebra's pair table, in one greedy pass over the subset masks: targets
 with fewer pairs first, and for each the pair that adds the fewest new
-vertices (then the operands as ``IntegerSet``s, lexicographic, which is
+vertices (then the operands' element tuples, lexicographic, which is
 not mask order), which keeps vertex growth lazy and the output
 deterministic.
 
@@ -94,7 +94,8 @@ def _build(
     order, and whether the graph has an odd cycle. Memoised per key."""
     alg = subset_algebra(key)
     forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
-    sets = subsets_by_mask(GroundSet.of(*range(key[0])))
+    # Element tuples sort as their IntegerSets do, without Python-level __lt__.
+    sets = [s.elements for s in subsets_by_mask(GroundSet.of(*range(key[0])))]
     rank = [0] * len(sets)
     for r, m in enumerate(sorted(range(1, len(sets)), key=sets.__getitem__)):
         rank[m] = r

@@ -89,7 +89,7 @@ import sys
 import time
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import factorial, prod
@@ -100,6 +100,7 @@ from .sets import (
     SUBSET_ENUMERATION_CAP,
     ZERO_MASK,
     GroundSet,
+    Record,
     SummandMode,
     additive_type,
     enumerate_canonical_ground_sets,
@@ -137,10 +138,14 @@ class SearchConfig:
         return rule not in self.disabled_rules
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    prunes: dict[str, int] = field(default_factory=dict)
+    """Nodes visited and prunes per rule; a search updates them in place."""
+
+    __slots__ = ("nodes", "prunes")
+
+    def __init__(self, nodes: int = 0, prunes: dict[str, int] | None = None) -> None:
+        self.nodes = nodes
+        self.prunes = {} if prunes is None else prunes
 
     def bump(self, rule: str) -> None:
         self.prunes[rule] = self.prunes.get(rule, 0) + 1
@@ -149,7 +154,6 @@ class SearchStats:
         return {"nodes": self.nodes, "prunes": dict(sorted(self.prunes.items()))}
 
 
-@dataclass
 class SearchOutcome:
     """Status, verified witnesses and counters of one search.
 
@@ -164,11 +168,21 @@ class SearchOutcome:
     IASGL labelings of the graph over X.
     """
 
-    status: SearchStatus
-    witnesses: list[Labeling]
-    stats: SearchStats
-    budget_stop: str | None = None
-    labelings: int = 0
+    __slots__ = ("status", "witnesses", "stats", "budget_stop", "labelings")
+
+    def __init__(
+        self,
+        status: SearchStatus,
+        witnesses: list[Labeling],
+        stats: SearchStats,
+        budget_stop: str | None = None,
+        labelings: int = 0,
+    ) -> None:
+        self.status = status
+        self.witnesses = witnesses
+        self.stats = stats
+        self.budget_stop = budget_stop
+        self.labelings = labelings
 
     @property
     def found(self) -> bool:
@@ -194,8 +208,7 @@ SEARCH_CACHE_SIZE = 128
 _outcomes: OrderedDict = OrderedDict()
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """The graph-only part of the DFS set-up, shared by every search of
     one graph: vertices in DFS order (descending degree, then ascending
     twin-class size, then id), and
@@ -203,12 +216,23 @@ class _Layout:
     plus the non-trivial twin classes (members in DFS order) and each
     member's predecessor in its class."""
 
-    order: tuple[str, ...]
-    degree: tuple[int, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    earlier: tuple[tuple[int, ...], ...]
-    twin_classes: tuple[tuple[int, ...], ...]
-    twin_prev: tuple[int | None, ...]
+    __slots__ = _fields = ("order", "degree", "neighbors", "earlier", "twin_classes", "twin_prev")
+
+    def __init__(
+        self,
+        order: tuple[str, ...],
+        degree: tuple[int, ...],
+        neighbors: tuple[tuple[int, ...], ...],
+        earlier: tuple[tuple[int, ...], ...],
+        twin_classes: tuple[tuple[int, ...], ...],
+        twin_prev: tuple[int | None, ...],
+    ) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "neighbors", neighbors)
+        object.__setattr__(self, "earlier", earlier)
+        object.__setattr__(self, "twin_classes", twin_classes)
+        object.__setattr__(self, "twin_prev", twin_prev)
 
 
 @lru_cache(maxsize=32)

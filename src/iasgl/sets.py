@@ -52,8 +52,9 @@ type this way, each through the one mapping step
 
 Verification (``sumset`` here, and the ladder in ``labeling``) never
 reads the kernel: it recomputes every sum from the elements as a plain
-set, builds ``IntegerSet``s only for the labels a report names, and
-decides the graceful rung by counting distinct edge labels, so each
+set (a {0} operand gives the other operand, since {0} + A = A), builds
+``IntegerSet``s only for the labels a report names, and decides the
+graceful rung by counting distinct edge labels, so each
 witness and realisation the kernel leads to is checked by an
 independent route. The structural gate in ``labeling`` does read the
 kernel, through ``class_masks``.
@@ -290,9 +291,14 @@ class Classification(Record):
 
 
 def sumset(a: IntegerSet, b: IntegerSet) -> IntegerSet:
-    """Return {x + y : x in a, y in b}, never truncated to a ground set."""
+    """Return {x + y : x in a, y in b}, never truncated to a ground set.
+    {0} + A = A, so a {0} operand returns the other one unsummed."""
     if a.is_empty() or b.is_empty():
         raise ValueError("empty set-label")
+    if a.elements == (0,):
+        return b
+    if b.elements == (0,):
+        return a
     return IntegerSet.from_iterable(x + y for x in a for y in b)
 
 

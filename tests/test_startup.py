@@ -39,7 +39,7 @@ EXPORTED = {
 #: Runs the CLI in this process, then prints what it loaded as JSON on
 #: stderr (stdout carries the command's output).
 PROBE = """
-import json, sys
+import sys
 code = 0
 if sys.argv[1:]:
     from iasgl.cli import main
@@ -47,8 +47,10 @@ if sys.argv[1:]:
 else:
     import iasgl.cli
 loaded = sorted(m for m in sys.modules if m == "iasgl" or m.startswith("iasgl."))
-print(json.dumps({"code": code, "iasgl": loaded, "dataclasses": "dataclasses" in sys.modules}),
-      file=sys.stderr)
+got = {"code": code, "iasgl": loaded, "dataclasses": "dataclasses" in sys.modules,
+       "decimal": "decimal" in sys.modules, "json": "json" in sys.modules}
+import json
+print(json.dumps(got), file=sys.stderr)
 """
 
 
@@ -65,12 +67,16 @@ class TestLoadedLayers:
         got = loads()
         assert got["iasgl"] == ["iasgl", "iasgl.cli", "iasgl.sets"]
         assert not got["dataclasses"]
+        assert not got["json"]
 
     def test_classify(self):
         got = loads("classify", "--ground-set", "0,1,2,3")
         assert got["code"] == 0
-        assert got["iasgl"] == ["iasgl", "iasgl.cli", "iasgl.sets"]
+        assert got["iasgl"] == ["iasgl", "iasgl._jsonout", "iasgl.cli", "iasgl.sets"]
         assert not got["dataclasses"]
+        # Output is written without the json package; only reading a
+        # document imports it.
+        assert not got["json"]
 
     def test_construct(self, tmp_path):
         got = loads("construct", "--ground-set", "0,1,2", "--out", str(tmp_path / "r.json"),
@@ -79,6 +85,7 @@ class TestLoadedLayers:
         assert "iasgl.search" not in got["iasgl"]
         assert "iasgl.harness" not in got["iasgl"]
         assert not got["dataclasses"]
+        assert not got["json"]
 
     def test_verify(self, tmp_path):
         doc = tmp_path / "r.json"
@@ -95,11 +102,32 @@ class TestLoadedLayers:
         assert "iasgl.search" in got["iasgl"]
         assert "iasgl.realisation" not in got["iasgl"]
         assert "iasgl.harness" not in got["iasgl"]
+        assert not got["json"]
 
     def test_theorems(self):
         got = loads("theorems", "--n-max", "3", "--max-element", "4", "--trees", "3")
         assert got["code"] == 0
         assert {"iasgl.harness", "iasgl.search", "iasgl.realisation"} <= set(got["iasgl"])
+
+
+def test_benchmark_commands_load_no_decimal(tmp_path):
+    """``decimal`` is imported only to format an int of more than
+    ``_jsonout.BIG_INT_BITS`` bits; no benchmark command prints one."""
+    edges = [["v0", f"v{i}"] for i in range(1, 14)] + [["v13", "v14"]]
+    broom = tmp_path / "broom.json"
+    broom.write_text(json.dumps({"vertices": [f"v{i}" for i in range(15)], "edges": edges}))
+    x10, x9 = ",".join(map(str, range(10))), ",".join(map(str, range(9)))
+    witness, realisation = str(tmp_path / "w.json"), str(tmp_path / "r.json")
+    for argv, code in [
+        (("search", "--graph", f"file:{broom}", "--ground-set", "sweep:n=4,max=5"), 1),
+        (("classify", "--ground-set", x10), 0),
+        (("search", "--graph", "star:510", "--ground-set", x9, "--out", witness), 0),
+        (("verify", witness), 0),
+        (("construct", "--ground-set", x9, "--out", realisation), 0),
+        (("theorems", "--n-max", "5", "--max-element", "10"), 0),
+    ]:
+        got = loads(*argv)
+        assert (got["code"], got["decimal"]) == (code, False), argv
 
 
 class TestLazyExports:
