@@ -52,7 +52,6 @@ from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
-    IntegerSet,
     Record,
     SummandMode,
     additive_type,
@@ -196,21 +195,23 @@ def _star_order(n: int) -> int:
     return (1 << n) - 2
 
 
-def _neither(x: GroundSet) -> tuple[IntegerSet, ...]:
-    """The neither family of X's classification, as
-    ``classify_ground_set(x).neither`` holds it: the kernel's
-    DISTINCT_LABELS neither masks mapped onto X's own subsets."""
+def _neither(x: GroundSet) -> frozenset[tuple[int, ...]]:
+    """The neither family of X's classification, as the element tuples
+    of ``classify_ground_set(x).neither``: the kernel's DISTINCT_LABELS
+    neither masks mapped onto X's own subsets. Read once per X, and
+    handed to every bound check of X's witnesses."""
     masks = subset_algebra(additive_type(x)).class_masks(SummandMode.DISTINCT_LABELS)[2]
-    return tuple(map(subsets_by_mask(x).__getitem__, masks))
+    subsets = subsets_by_mask(x)
+    return frozenset([subsets[m].elements for m in masks])
 
 
 def _pendant_violation(
-    x: GroundSet, neither: tuple[IntegerSet, ...], graph: Graph, labeling: Labeling
+    x: GroundSet, neither: frozenset[tuple[int, ...]], graph: Graph, labeling: Labeling
 ) -> str | None:
     """Why a witness breaks a pendant bound: a {0}-vertex hosting at
     least |neither| pendants, with every neither-labeled and
-    max-element-labeled vertex pendant on it."""
-    forced = {s.elements for s in neither}
+    max-element-labeled vertex pendant on it. ``neither`` holds the
+    element tuples of X's neither family."""
     top = x.max_element
     v0 = None  # the first {0}-labeled vertex in id order
     placed = []  # the vertices that must be pendant on v0
@@ -218,7 +219,7 @@ def _pendant_violation(
         elements = lab.elements
         if elements == (0,) and v0 is None:
             v0 = vid
-        elif elements in forced or top in elements:
+        elif elements in neither or top in elements:
             placed.append(vid)
     if v0 is None:
         return f"witness over {x} has no {{0}}-labeled vertex"
@@ -255,18 +256,23 @@ class WitnessTally:
         self.pendant_violation = pendant_violation
         self.edge_violation = edge_violation
 
-    def add_ground_set(self, x: GroundSet, neither: tuple[IntegerSet, ...]) -> None:
+    def add_ground_set(self, x: GroundSet, neither: frozenset[tuple[int, ...]]) -> None:
         """Check |neither| >= n - 1 on one canonical ground set, given
-        the neither family of its classification."""
+        the neither family of its classification (``_neither(x)``)."""
         self.ground_sets += 1
         if len(neither) < x.n - 1 and self.neither_violation is None:
             self.neither_violation = f"|neither| = {len(neither)} < {x.n - 1} at X = {x}"
 
     def add_witness(
-        self, x: GroundSet, neither: tuple[IntegerSet, ...], graph: Graph, labeling: Labeling
+        self,
+        x: GroundSet,
+        neither: frozenset[tuple[int, ...]],
+        graph: Graph,
+        labeling: Labeling,
     ) -> None:
         """Check one witness over X, whose classification has the given
-        neither family, against the pendant and edge-count bounds.
+        neither family (``_neither(x)``), against the pendant and
+        edge-count bounds.
 
         |E| = 2^n - 2 and n = log2(|E| + 2) are the same condition, so
         one comparison decides both.

@@ -11,19 +11,22 @@ Three nested properties are checked, each implying the previous:
 
 All three are conditions on one induced map f+(uv) = f(u) + f(v), so
 ``verify_ladder`` computes each edge label once and checks the rungs in
-order; the three ``verify_*`` functions read their report off it. It
-reads each vertex label's element tuple once and compares labels by
-those tuples. Edge labels are summed from the endpoint elements into
-plain sets (``edge_sums``; an edge at a {0}-labeled vertex takes the
-other endpoint's elements unsummed, since {0} + A = A) and tested
-against one frozenset of X; ``IntegerSet``s are built only for the
-labels a ``Violation`` reports.
-Once IASL and IASI hold, the IASGL rung is a count: the |E| edge labels
-are distinct members of the target family, so they are all of it iff
-|E| is its size (2^n - 2 when 0 is in X). The target family is
-enumerated only to name what is missing. The ladder reads nothing of
-the subset-algebra kernel of ``sets``, so every witness and realisation
-the kernel leads to is re-checked by an independent route.
+order; the three ``verify_*`` functions read their report off it. Labels
+are compared by their element tuples. An edge at a {0}-labeled vertex
+carries the other endpoint's tuple, since {0} + A = A, and that label
+is inside X because the vertex label is. Every other edge's sums are
+recomputed from the elements and tested against X's element set
+(``sum_label``), so only those edges are summed, and only their sums
+can escape X. Each rung is then a set-size or membership test on
+tuples: distinct vertex labels, no escaped edge, distinct edge labels,
+and, since the |E| edge labels are by then distinct members of the
+target family, |E| equal to its size (2^n - 2 when 0 is in X). The sums
+of an edge are built as an ``IntegerSet`` (``edge_sums``) only when a
+``Violation`` names that edge, and the target family is enumerated only
+to name what is missing. The ladder reads labels and X alone, never the
+subset-algebra kernel of ``sets``, an additive type or a pair table, so
+every witness and realisation the kernel leads to is re-checked by an
+independent route.
 
 A result in subset masks (see ``sets``) is a tuple of label masks;
 ``mapped_labeling`` is the one step that maps such a result onto X's
@@ -52,6 +55,7 @@ from .sets import (
     Record,
     SummandMode,
     additive_type,
+    element_set,
     enumerate_nonempty_subsets,
     subset_algebra,
     subsets_by_mask,
@@ -118,7 +122,7 @@ class Labeling(Record):
         by_id = dict(pairs)
         if len(by_id) != len(pairs):
             raise ValueError("duplicate vertex id in labeling")
-        base = frozenset(ground.base.elements)
+        base = element_set(ground)
         for vid, s in pairs:
             elements = s.elements
             if not elements:
@@ -156,8 +160,19 @@ def edge_sums(a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[int]:
     return frozenset([x + y for x in a for y in b])
 
 
+def sum_label(
+    a: tuple[int, ...], b: tuple[int, ...], x: frozenset[int]
+) -> tuple[int, ...] | None:
+    """The label A + B of an edge with no {0}-labeled endpoint, as the
+    sorted tuple of its element sums, given X's element set; None when
+    some sum is not in X (an escape)."""
+    sums = {p + q for p in a for q in b}
+    return tuple(sorted(sums)) if x.issuperset(sums) else None
+
+
 def _require_coverage(g: Graph, f: Labeling) -> None:
-    if f._by_id.keys() != set(g.vertex_ids):
+    # Both id lists are sorted, so they are equal iff the ids are.
+    if tuple(f._by_id) != g.vertex_ids:
         raise ValueError("labeling does not cover the graph's vertex set exactly")
 
 
@@ -170,9 +185,11 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
     """Check the IASL, IASI and IASGL rungs in order, computing each edge
     label once; the reports end at the first rung that fails.
 
-    Labels are read as element tuples, one dict lookup per endpoint, and
-    compared by those tuples; ``IntegerSet``s are built only for the
-    labels a violation reports.
+    Labels are compared by their element tuples, one dict lookup per
+    endpoint: an edge at a {0}-labeled vertex takes the other endpoint's
+    tuple, and every other edge is one ``sum_label`` call, None for an
+    escape. ``IntegerSet``s are built only for the labels a violation
+    reports. Only the labels and X are read.
     """
     _require_coverage(g, f)
     # With the coverage checked, the assignment lists g's vertices in id
@@ -180,8 +197,13 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
     # operations; its loop runs only to report what that test found.
     elements = {vid: s.elements for vid, s in f.assignment}
     edges = g.sorted_edges()
-    labels = [edge_sums(elements[u], elements[v]) for u, v in edges]
-    base = frozenset(f.ground.base.elements)
+    x = element_set(f.ground)
+    zero = (0,)
+    labels = []
+    for u, v in edges:
+        a = elements[u]
+        b = elements[v]
+        labels.append(b if a == zero else a if b == zero else sum_label(a, b, x))
 
     # IASL: injective vertex labels, every edge label inside X.
     violations: list[Violation] = []
@@ -198,10 +220,11 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
                         sets=(s,),
                     )
                 )
-    if not all(map(base.issuperset, labels)):
+    distinct = set(labels)
+    if None in distinct:
         for (u, v), lab in zip(edges, labels):
-            if not base.issuperset(lab):
-                lab_set = IntegerSet.from_iterable(lab)
+            if lab is None:
+                lab_set = IntegerSet.from_iterable(edge_sums(elements[u], elements[v]))
                 violations.append(
                     Violation(
                         rule="edge-escape",
@@ -216,14 +239,13 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
 
     # IASI: distinct edges carry distinct labels.
     violations = []
-    distinct = set(labels)
     if len(distinct) < len(labels):
-        carrier: dict[frozenset[int], Edge] = {}
+        carrier: dict[tuple[int, ...], Edge] = {}
         for edge, lab in zip(edges, labels):
             first = carrier.setdefault(lab, edge)
             if first != edge:
                 (pu, pv), (u, v) = first, edge
-                lab_set = IntegerSet.from_iterable(lab)
+                lab_set = IntegerSet(lab)
                 violations.append(
                     Violation(
                         rule="edge-collision",
@@ -242,10 +264,10 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
     # labels are distinct. So they are |E| distinct members of the family
     # (2^n - 2 sets, or 2^n - 1 when 0 is not in X), and cover it iff |E|
     # equals its size; only a target can be missing, never an extra label.
-    if len(distinct) == (1 << len(base)) - 1 - (0 in base):
+    if len(distinct) == (1 << len(x)) - 1 - (0 in x):
         return (iasl, iasi, GateReport())
     missing = sorted(
-        (s for s in graceful_targets(f.ground) if frozenset(s.elements) not in distinct),
+        (s for s in graceful_targets(f.ground) if s.elements not in distinct),
         key=lambda s: (len(s), s.elements),
     )
     violation = Violation(
@@ -274,8 +296,10 @@ def verify_iasgl(g: Graph, f: Labeling) -> GateReport:
 def mapped_labeling(g: Graph, x: GroundSet, masks: tuple[int, ...]) -> Labeling:
     """The labeling over X of a result in subset masks (a DFS leaf, or a
     result kept per additive type): g's vertices, in ``g.vertex_ids``
-    order, take the subsets of X with these masks. It is verified again, and one that is not an IASGL labeling of
-    g is a RuntimeError."""
+    order, take the subsets of X with these masks. The labeling is
+    verified again by ``verify_iasgl``, which reads its element tuples
+    and not these masks, and one that is not an IASGL labeling of g is a
+    RuntimeError."""
     f = Labeling(x, tuple(zip(g.vertex_ids, map(subsets_by_mask(x).__getitem__, masks))))
     check = verify_iasgl(g, f)
     if not check:

@@ -51,10 +51,12 @@ type this way, each through the one mapping step
 ``labeling.mapped_labeling``.
 
 Verification (``sumset`` here, and the ladder in ``labeling``) never
-reads the kernel: it recomputes every sum from the elements as a plain
-set (a {0} operand gives the other operand, since {0} + A = A), builds
-``IntegerSet``s only for the labels a report names, and decides the
-graceful rung by counting distinct edge labels, so each
+reads the kernel or the additive type. The ladder compares labels by
+their element tuples: an edge at a {0}-labeled vertex carries the other
+label ({0} + A = A), and every other edge's sums are recomputed from the
+elements and tested against X's element set (``element_set``, kept per
+X). It builds ``IntegerSet``s only for the labels a report names and
+decides the graceful rung by counting distinct edge labels, so each
 witness and realisation the kernel leads to is checked by an
 independent route. The structural gate in ``labeling`` does read the
 kernel, through ``class_masks``.
@@ -218,12 +220,12 @@ ZERO_SET = IntegerSet.of(0)
 class GroundSet(KeyRecord):
     """The finite set X of non-negative integers supplying all labels.
 
-    Equality, hash and repr read ``base`` alone; ``additive_type(X)``
-    and the hash, each computed on first use, are kept in slots of
-    their own.
+    Equality, hash and repr read ``base`` alone; ``additive_type(X)``,
+    ``element_set(X)`` and the hash, each computed on first use, are
+    kept in slots of their own.
     """
 
-    __slots__ = ("base", "_additive_type")
+    __slots__ = ("base", "_additive_type", "_element_set")
     _fields = ("base",)
 
     def __init__(self, base: IntegerSet) -> None:
@@ -231,6 +233,7 @@ class GroundSet(KeyRecord):
             raise ValueError("ground set must be non-empty")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "_additive_type", None)
+        object.__setattr__(self, "_element_set", None)
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -326,6 +329,16 @@ def subsets_by_mask(x: GroundSet) -> tuple[IntegerSet, ...]:
 def enumerate_nonempty_subsets(x: GroundSet) -> list[IntegerSet]:
     """All 2^n - 1 non-empty subsets of X, ascending by subset mask."""
     return list(subsets_by_mask(x)[1:])
+
+
+def element_set(x: GroundSet) -> frozenset[int]:
+    """X's elements as a frozenset, for membership tests; computed once
+    per X."""
+    elements = x._element_set
+    if elements is None:
+        elements = frozenset(x.base.elements)
+        object.__setattr__(x, "_element_set", elements)
+    return elements
 
 
 def additive_type(x: GroundSet) -> tuple[int, tuple[tuple[int, int, int], ...]]:

@@ -223,15 +223,30 @@ def star_witness(n: int) -> tuple[Graph, Labeling]:
 
 
 @pytest.fixture
-def sumset_calls(monkeypatch) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Record every edge label the verification ladder computes (its
-    ``edge_sums`` calls, on the endpoint labels' element tuples)."""
-    calls: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    edge_sums = iasgl.labeling.edge_sums
+def edge_steps(monkeypatch) -> dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Record the verification ladder's per-edge work, on the endpoint
+    labels' element tuples: its ``sum_label`` calls (the edges with no
+    {0}-labeled endpoint, whose sums it tests against X) and its
+    ``edge_sums`` calls (the edges a violation names)."""
+    calls: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {
+        "sum_label": [], "edge_sums": [],
+    }
+    for name, seen in calls.items():
+        fn = getattr(iasgl.labeling, name)
 
-    def counted(a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[int]:
-        calls.append((a, b))
-        return edge_sums(a, b)
+        def counted(a, b, *rest, fn=fn, seen=seen):
+            seen.append((a, b))
+            return fn(a, b, *rest)
 
-    monkeypatch.setattr(iasgl.labeling, "edge_sums", counted)
+        monkeypatch.setattr(iasgl.labeling, name, counted)
     return calls
+
+
+def summed_edges(
+    graph: Graph, labeling: Labeling
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The endpoint element tuples of the edges with no {0}-labeled
+    endpoint, in sorted edge order: the edges whose label is a sum."""
+    label = dict(labeling.assignment)
+    pairs = [(label[u].elements, label[v].elements) for u, v in graph.sorted_edges()]
+    return [(a, b) for a, b in pairs if (0,) not in (a, b)]

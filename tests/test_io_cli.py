@@ -27,9 +27,9 @@ from iasgl.io import (
 from iasgl.graphs import generate
 from iasgl.labeling import verify_iasgl
 from iasgl.realisation import build_realisation
-from iasgl.sets import IntegerSet
+from iasgl.sets import GroundSet, IntegerSet
 
-from conftest import count_calls, iset, star_witness
+from conftest import count_calls, iset, summed_edges
 
 
 needs_int_digit_limit = pytest.mark.skipif(
@@ -470,13 +470,18 @@ class TestCli:
         ]
         assert [v["rule"] for v in payload["violations"]] == rules
 
-    def test_verify_computes_each_edge_label_once(self, tmp_path, capsys, sumset_calls):
-        graph, labeling = star_witness(9)
-        path = tmp_path / "star510.json"
-        dump_document(document_from_graph(graph, labeling), path)
-        sumset_calls.clear()
+    def test_verify_computes_each_edge_label_once(self, tmp_path, capsys, edge_steps):
+        # The builder's 62-edge graph over {0..5}: each edge that is not
+        # on the {0}-vertex is summed once, and a passing document
+        # builds no sums as sets.
+        built = build_realisation(GroundSet.of(*range(6)))
+        path = tmp_path / "b6.json"
+        dump_document(document_from_graph(built.graph, built.labeling), path)
+        edge_steps["sum_label"].clear()
         assert main(["verify", str(path)]) == 0
-        assert len(sumset_calls) == graph.edge_count() == 510
+        summed = summed_edges(built.graph, built.labeling)
+        assert edge_steps["sum_label"] == summed and len(summed) == 34
+        assert edge_steps["edge_sums"] == []
 
     @pytest.mark.parametrize("command", ["verify", "search"])
     @pytest.mark.parametrize("doc", [

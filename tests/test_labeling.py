@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import iasgl.labeling
+import iasgl.sets
 from iasgl.graphs import Graph, generate, pendant_vertices
 from iasgl.labeling import (
     GateReport,
@@ -12,7 +15,9 @@ from iasgl.labeling import (
     edge_sums,
     graceful_targets,
     induced_edge_label,
+    mapped_labeling,
     structural_gate,
+    sum_label,
     verify_iasgl,
     verify_iasi,
     verify_iasl,
@@ -24,11 +29,13 @@ from iasgl.sets import (
     GroundSet,
     IntegerSet,
     classify_ground_set,
+    element_set,
     enumerate_canonical_ground_sets,
     subset_algebra,
+    subsets_by_mask,
 )
 
-from conftest import iset, star_witness
+from conftest import iset, star_witness, summed_edges
 
 
 # The ladder as it was before it read labels as element tuples: each
@@ -198,6 +205,79 @@ def verifier_corpus(seed: int):
         yield g, f
 
 
+#: Ground sets with and without 0, of small elements, of multiples of
+#: 10^18 (the sum structure of small elements at 10^18 scale), and with
+#: a free element of 10^18 or more on top.
+ladder_grounds = st.builds(
+    lambda zero, scale, rest, extra: GroundSet(IntegerSet.from_iterable(
+        ([0] if zero else []) + [scale * r for r in rest] + extra
+    )),
+    st.booleans(),
+    st.sampled_from([1, 10**18]),
+    st.sets(st.integers(1, 10), min_size=1, max_size=4),
+    st.lists(st.integers(10**18, 10**19), max_size=1),
+)
+
+
+@st.composite
+def ladder_cases(draw) -> tuple[Graph, Labeling]:
+    """A graph and a labeling over a ``ladder_grounds`` X: X's
+    realisation (a passing labeling) or random labels on a random graph,
+    then up to two labels replaced by a random subset or by another
+    vertex's label (escapes, collisions, shared labels) and perhaps one
+    edge dropped (a missing target)."""
+    x = draw(ladder_grounds)
+    subsets = st.sets(st.sampled_from(x.base.elements), min_size=1).map(
+        IntegerSet.from_iterable
+    )
+    if x.contains_zero() and x.n >= 2 and draw(st.booleans()):
+        built = build_realisation(x)
+        g, labels = built.graph, dict(built.labeling.assignment)
+    else:
+        ids = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+        pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+        edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+        g = Graph.from_edges({v for e in edges for v in e}, edges)
+        labels = {v: draw(subsets) for v in g.vertex_ids}
+    for _ in range(draw(st.integers(0, 2))):
+        vid = draw(st.sampled_from(g.vertex_ids))
+        labels[vid] = draw(st.one_of(subsets, st.sampled_from(sorted(labels.values()))))
+    if g.edge_count() > 1 and draw(st.booleans()):
+        edges = g.sorted_edges()
+        del edges[draw(st.integers(0, len(edges) - 1))]
+        g = Graph.from_edges({v for e in edges for v in e}, edges)
+    return g, Labeling.from_mapping(x, {v: labels[v] for v in g.vertex_ids})
+
+
+def _big_case(labels: dict[str, tuple[int, ...]], edges, *x: int) -> tuple[Graph, Labeling]:
+    f = Labeling.from_mapping(
+        GroundSet.of(*x), {v: IntegerSet.of(*s) for v, s in labels.items()}
+    )
+    return Graph.from_edges(labels, edges), f
+
+
+B = 10**18
+
+#: Elements of 10^18 and more, one case per report: K(1,6) over
+#: {0, B, 2B} passes; then a shared label (B + B = 2B stays in X), an
+#: escape (B + 2B is not in X), a collision ({B} + {3B} = {0} + {4B})
+#: and missing targets.
+BIG_CASES = [
+    _big_case(
+        {"c": (0,), "a": (B,), "b": (2 * B,), "d": (0, B), "e": (0, 2 * B), "f": (B, 2 * B),
+         "g": (0, B, 2 * B)},
+        [("c", v) for v in "abdefg"], 0, B, 2 * B,
+    ),
+    _big_case({"a": (B,), "b": (B,)}, [("a", "b")], 0, B, 2 * B),
+    _big_case({"a": (B,), "b": (2 * B,)}, [("a", "b")], 0, B, 2 * B),
+    _big_case(
+        {"a": (B,), "b": (3 * B,), "c": (0,), "d": (4 * B,)},
+        [("a", "b"), ("c", "d")], 0, B, 3 * B, 4 * B,
+    ),
+    _big_case({"c": (0,), "a": (B,), "b": (2 * B,)}, [("c", "a"), ("c", "b")], 0, B, 2 * B),
+]
+
+
 def star2_labeling(x01):
     return Labeling.from_mapping(
         x01, {"v0": iset(0), "v1": iset(1), "v2": iset(0, 1)}
@@ -339,13 +419,20 @@ class TestLadder:
             with pytest.raises(ValueError, match="cover"):
                 ladder(generate("star", 2), f)
 
-    def test_one_pass_computes_each_edge_label_once(self, sumset_calls):
-        g, f = star_witness(9)
-        assert verify_iasgl(g, f).passed
-        assert len(sumset_calls) == g.edge_count() == 510
-        sumset_calls.clear()
-        assert [r.passed for r in verify_ladder(g, f)] == [True, True, True]
-        assert len(sumset_calls) == 510
+    def test_one_pass_computes_each_edge_label_once(self, edge_steps):
+        # An edge at the {0}-vertex takes the other endpoint's label; every
+        # other edge is one sum_label call, in sorted edge order. A
+        # passing labeling builds no sums as sets (no edge_sums call).
+        star = star_witness(9)
+        built = build_realisation(GroundSet.of(*range(6)))
+        for g, f in (star, (built.graph, built.labeling)):
+            for calls in edge_steps.values():
+                calls.clear()
+            assert [r.passed for r in verify_ladder(g, f)] == [True, True, True]
+            assert edge_steps["sum_label"] == summed_edges(g, f)
+            assert edge_steps["edge_sums"] == []
+        assert len(summed_edges(*star)) == 0 and len(star[0].edges) == 510
+        assert len(summed_edges(g, f)) == 34 and len(g.edges) == 62
 
     def test_ladder_stops_at_first_failed_rung(self, x0123):
         g = generate("path", 4)
@@ -394,6 +481,73 @@ class TestLadder:
         for combo in permutations(subsets, 4):
             f = Labeling.from_mapping(x012, dict(zip(g.vertex_ids, combo)))
             assert not verify_iasgl(g, f).passed
+
+
+class TestTuplePass:
+    """The ladder's one pass over labels as element tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ladder_cases())
+    @example(case=BIG_CASES[0])
+    @example(case=BIG_CASES[1])
+    @example(case=BIG_CASES[2])
+    @example(case=BIG_CASES[3])
+    @example(case=BIG_CASES[4])
+    def test_reports_equal_the_former_verifier(self, case):
+        g, f = case
+        assert repr(verify_ladder(g, f)) == repr(reference_verify_ladder(g, f))
+
+    def test_big_cases_cover_every_report(self):
+        rules = [[v.rule for r in verify_ladder(g, f) for v in r.violations] for g, f in BIG_CASES]
+        assert rules == [
+            [], ["injectivity"], ["edge-escape"], ["edge-collision"],
+            ["target-missing"],
+        ]
+
+    def test_no_kernel_read(self, monkeypatch):
+        # Verification reads labels and X alone: with the subset kernel
+        # and the additive type out of reach, every report is unchanged
+        # and mapped results are still verified.
+        corpus = list(verifier_corpus(0))
+        expected = [reference_verify_ladder(g, f) for g, f in corpus]
+        built = build_realisation(GroundSet.of(0, 1, 2, 3))
+        star, star_labels = star_witness(3)
+        mask = {s: m for m, s in enumerate(subsets_by_mask(star_labels.ground))}
+        star_masks = tuple(mask[s] for _, s in star_labels.assignment)
+
+        def unreachable(*args):
+            raise AssertionError("verification read the subset kernel")
+
+        for module in (iasgl.sets, iasgl.labeling):
+            monkeypatch.setattr(module, "subset_algebra", unreachable)
+            monkeypatch.setattr(module, "additive_type", unreachable)
+        for (g, f), want in zip(corpus, expected):
+            assert repr(verify_ladder(g, f)) == repr(want)
+        assert verify_iasgl(built.graph, built.labeling)
+        assert mapped_labeling(star, star_labels.ground, star_masks) == star_labels
+
+    def test_sum_label_tests_sums_against_x(self):
+        x = GroundSet.of(0, 5, B, B + 5)
+        assert element_set(x) == {0, 5, B, B + 5}
+        assert element_set(x) is element_set(x)
+        # {0, 5} + {B} = {B, B + 5}, as a sorted element tuple. A sum
+        # outside X is an escape: None, which is no label.
+        assert sum_label((0, 5), (B,), element_set(x)) == (B, B + 5)
+        assert sum_label((5,), (5,), element_set(x)) is None
+        assert sum_label((5, B), (5,), element_set(x)) is None
+
+    def test_mapped_labeling_is_the_checked_labeling(self):
+        # A mapped labeling is the one the public constructor builds
+        # from the same pairs, and an empty label (mask 0) is refused
+        # with the constructor's message.
+        g, f = star_witness(3)
+        mask = {s: m for m, s in enumerate(subsets_by_mask(f.ground))}
+        masks = tuple(mask[s] for _, s in f.assignment)
+        mapped = mapped_labeling(g, f.ground, masks)
+        assert mapped == f and mapped.assignment == f.assignment
+        assert mapped._by_id == f._by_id
+        with pytest.raises(ValueError, match="empty set-label at 'v2'"):
+            mapped_labeling(g, f.ground, masks[:2] + (0,) + masks[3:])
 
 
 def classified_gate(g: Graph, x: GroundSet) -> list[tuple[str, str]]:

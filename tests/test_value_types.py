@@ -180,6 +180,7 @@ class TestDerivedSlots:
         (lambda: generate("path", 4), "_sorted_edges"),
         (lambda: generate("path", 4), "_pendants"),
         (lambda: GroundSet.of(0, 1, 2), "_additive_type"),
+        (lambda: GroundSet.of(0, 1, 2), "_element_set"),
     ])
     def test_assignment_and_deletion_raise(self, make, field):
         value = make()
