@@ -101,11 +101,11 @@ def _parse_sweep(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
         parser.error(f"bad sweep spec: {text!r} (use sweep:n=N,max=M)")
 
 
-def _write_document(graph, labeling, path: str, parser: argparse.ArgumentParser) -> None:
-    from .io import document_from_graph, dump_document
+def _write_document(doc, path: str, parser: argparse.ArgumentParser) -> None:
+    from .io import dump_document
 
     try:
-        dump_document(document_from_graph(graph, labeling), path)
+        dump_document(doc, path)
     except OSError as exc:
         _unwritable(path, exc, parser)
 
@@ -199,6 +199,7 @@ def _outcome_obj(outcome) -> dict:
 
 def cmd_search(args, parser) -> int:
     from ._jsonout import dumps
+    from .io import document_from_graph
     from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 
     graph = _parse_graph(args.graph, parser)
@@ -234,7 +235,7 @@ def cmd_search(args, parser) -> int:
             for x, o in outcomes.items()
         ])
         if args.out and witness is not None:
-            _write_document(graph, witness, args.out, parser)
+            _write_document(document_from_graph(graph, witness), args.out, parser)
         if any(o.found for o in outcomes.values()):
             return 0
         if any(o.status is SearchStatus.BUDGET_EXCEEDED for o in outcomes.values()):
@@ -257,7 +258,7 @@ def cmd_search(args, parser) -> int:
         f"budget   {outcome.budget_stop or 'none'}",
     ])
     if args.out and outcome.witnesses:
-        _write_document(graph, outcome.witnesses[0], args.out, parser)
+        _write_document(document_from_graph(graph, outcome.witnesses[0]), args.out, parser)
     return _EXIT_BY_STATUS[outcome.status.value]
 
 
@@ -293,6 +294,7 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_construct(args, parser) -> int:
     from .graphs import pendant_vertices
+    from .io import document_from_graph
     from .realisation import build_realisation
 
     ground = _parse_ground_set(args.ground_set, parser)
@@ -301,13 +303,17 @@ def cmd_construct(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     graph, labeling = result.graph, result.labeling
+    # The document's edge labels are the verified labeling's f(u) + f(v);
+    # each target is the label of exactly one edge, which traces it.
+    doc = document_from_graph(graph, labeling)
+    non_bipartite = result.non_bipartite
     payload = {
         "vertices": len(graph.vertex_ids),
         "edges": graph.edge_count(),
         "pendants": len(pendant_vertices(graph)),
-        "bipartite": not result.non_bipartite,
-        "non_bipartite": result.non_bipartite,
-        "trace": {str(t): list(e) for t, e in result.assignment_trace},
+        "bipartite": not non_bipartite,
+        "non_bipartite": non_bipartite,
+        "trace": {str(lab): list(e) for e, lab in doc.edge_labels.items()},
     }
     _emit(payload, args, lambda: [
         f"vertices   {payload['vertices']}",
@@ -316,7 +322,7 @@ def cmd_construct(args, parser) -> int:
         f"bipartite  {payload['bipartite']}",
     ])
     if args.out:
-        _write_document(graph, labeling, args.out, parser)
+        _write_document(doc, args.out, parser)
     if args.dot:
         from .io import to_dot
 

@@ -45,7 +45,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .graphs import FREE_TREE_CAP, Graph, enumerate_free_trees, family_edge_count, generate
+from .graphs import (
+    FREE_TREE_CAP, Graph, enumerate_free_trees, family_edge_count, generate, pendant_vertices,
+)
 from .labeling import Labeling, structural_gate
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
@@ -139,9 +141,13 @@ class HarnessConfig(Record):
             raise ValueError(f"need 2 <= n-min <= n-max <= {SUBSET_ENUMERATION_CAP}")
         if any(m < 2 for m in tree_sizes):
             raise ValueError("tree sizes must be at least 2")
-        # n = 2, also swept outside n_range, passes whenever n = 3 does.
-        for n in (*range(n_lo, n_hi + 1), FIXED_SWEEP_N):
+        for n in range(n_lo, n_hi + 1):
             check_ground_set_family(n, max_element)
+        try:  # n = 2, also swept outside n_range, passes whenever n = 3 does.
+            check_ground_set_family(FIXED_SWEEP_N, max_element)
+        except ValueError as exc:
+            sweeps = "P_7, C_6, K_4, the 7-vertex trees"
+            raise ValueError(f"{exc}, for the fixed |X| = {FIXED_SWEEP_N} sweeps ({sweeps})") from None
         object.__setattr__(self, "n_range", n_range)
         object.__setattr__(self, "max_element", max_element)
         object.__setattr__(self, "tree_sizes", tree_sizes)
@@ -223,7 +229,7 @@ def _pendant_violation(
             placed.append(vid)
     if v0 is None:
         return f"witness over {x} has no {{0}}-labeled vertex"
-    pendants = graph._pendants
+    pendants = pendant_vertices(graph)
     # The pendants on v0: exactly the vertices whose one neighbour is v0.
     hosted = set(pendants).intersection(graph.neighbors(v0))
     if (

@@ -20,13 +20,13 @@ recomputed from the elements and tested against X's element set
 can escape X. Each rung is then a set-size or membership test on
 tuples: distinct vertex labels, no escaped edge, distinct edge labels,
 and, since the |E| edge labels are by then distinct members of the
-target family, |E| equal to its size (2^n - 2 when 0 is in X). The sums
-of an edge are built as an ``IntegerSet`` (``edge_sums``) only when a
-``Violation`` names that edge, and the target family is enumerated only
-to name what is missing. The ladder reads labels and X alone, never the
-subset-algebra kernel of ``sets``, an additive type or a pair table, so
-every witness and realisation the kernel leads to is re-checked by an
-independent route.
+target family, |E| equal to its size (2^n - 2 when 0 is in X). An
+edge's label is built as an ``IntegerSet`` (``induced_edge_label``) only
+when a ``Violation`` names that edge, and the target family is
+enumerated only to name what is missing. The ladder reads labels and X
+alone, never the subset-algebra kernel of ``sets``, an additive type or
+a pair table, so every witness and realisation the kernel leads to is
+re-checked by an independent route.
 
 A result in subset masks (see ``sets``) is a tuple of label masks;
 ``mapped_labeling`` is the one step that maps such a result onto X's
@@ -149,17 +149,6 @@ def induced_edge_label(f: Labeling, u: str, v: str) -> IntegerSet:
     return sumset(f.label_of(u), f.label_of(v))
 
 
-def edge_sums(a: tuple[int, ...], b: tuple[int, ...]) -> frozenset[int]:
-    """The sumset A + B of two element tuples as a plain set of element
-    sums (never truncated). {0} + B = B, so a {0} operand returns the
-    other one's elements without summing."""
-    if a == (0,):
-        return frozenset(b)
-    if b == (0,):
-        return frozenset(a)
-    return frozenset([x + y for x in a for y in b])
-
-
 def sum_label(
     a: tuple[int, ...], b: tuple[int, ...], x: frozenset[int]
 ) -> tuple[int, ...] | None:
@@ -224,7 +213,7 @@ def verify_ladder(g: Graph, f: Labeling) -> tuple[GateReport, ...]:
     if None in distinct:
         for (u, v), lab in zip(edges, labels):
             if lab is None:
-                lab_set = IntegerSet.from_iterable(edge_sums(elements[u], elements[v]))
+                lab_set = induced_edge_label(f, u, v)
                 violations.append(
                     Violation(
                         rule="edge-escape",

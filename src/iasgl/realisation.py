@@ -15,10 +15,13 @@ deterministic.
 The builder's choices depend on X only through its additive type (see
 ``sets``): ``_build`` takes that type, works over the index set
 {0..n-1} (index to element is increasing, so every order it uses is the
-order of X's own subsets) and is memoised per type. Every call of
-``build_realisation`` takes the same path: ``labeling.mapped_labeling``,
-the step the search's kept outcomes take too, maps the built graph's
-label masks onto X's own subsets and verifies the realisation there.
+order of X's own subsets) and is memoised per type. Its result is the
+shape a kept search witness has: the graph and its vertices' label
+masks. Every call of ``build_realisation`` takes the same path:
+``labeling.mapped_labeling``, the step the search's kept outcomes take
+too, maps those masks onto X's own subsets and verifies the realisation
+there. Each target is then the label f(u) + f(v) of exactly one edge, so
+the edge labels are read off the verified labeling and never stored.
 
 No choice is ever undone: a label pair determines its sumset, so it is
 a candidate for exactly one target, and the forced pairs ({0}, s)
@@ -34,75 +37,58 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Edge, Graph, is_bipartite
+from .graphs import Graph, is_bipartite
 from .labeling import Labeling, mapped_labeling
-from .sets import (
-    ZERO_MASK,
-    GroundSet,
-    IntegerSet,
-    Record,
-    SummandMode,
-    additive_type,
-    subset_algebra,
-    subsets_by_mask,
-)
+from .sets import ZERO_MASK, GroundSet, Record, SummandMode, additive_type, subset_algebra
 
 
 class RealisationResult(Record):
-    __slots__ = _fields = ("graph", "labeling", "non_bipartite", "assignment_trace")
+    __slots__ = _fields = ("graph", "labeling")
 
-    def __init__(
-        self,
-        graph: Graph,
-        labeling: Labeling,
-        non_bipartite: bool,
-        assignment_trace: tuple[tuple[IntegerSet, Edge], ...],
-    ) -> None:
+    def __init__(self, graph: Graph, labeling: Labeling) -> None:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "non_bipartite", non_bipartite)
-        object.__setattr__(self, "assignment_trace", assignment_trace)
+
+    @property
+    def non_bipartite(self) -> bool:
+        """Whether the graph has an odd cycle, by a BFS of the graph."""
+        return not is_bipartite(self.graph)
 
 
 def build_realisation(x: GroundSet) -> RealisationResult:
     """Build and re-verify a graceful graph-realisation of X.
 
-    The returned graph always carries exactly 2^n - 2 edges, and
-    ``non_bipartite`` says whether it has an odd cycle. The build runs
-    once per additive type of X (see the module docstring).
+    The returned graph always carries exactly 2^n - 2 edges. The build
+    runs once per additive type of X (see the module docstring).
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n < 2:
         raise ValueError("realisation needs a ground set with at least 2 elements")
-
-    graph, labels, trace, non_bipartite = _build(additive_type(x))
-    mask_of = dict(labels)
-    labeling = mapped_labeling(graph, x, tuple(map(mask_of.__getitem__, graph.vertex_ids)))
-    sets = subsets_by_mask(x)
-    trace = tuple((sets[t], e) for t, e in trace)
-    return RealisationResult(graph, labeling, non_bipartite, trace)
+    graph, masks = _build(additive_type(x))
+    return RealisationResult(graph, mapped_labeling(graph, x, masks))
 
 
 @lru_cache(maxsize=32)
-def _build(
-    key: tuple[int, tuple[tuple[int, int, int], ...]]
-) -> tuple[Graph, tuple[tuple[str, int], ...], tuple[tuple[int, Edge], ...], bool]:
+def _build(key: tuple[int, tuple[tuple[int, int, int], ...]]) -> tuple[Graph, tuple[int, ...]]:
     """The builder for the additive type key, in subset masks: the graph
-    (vertices v0, v1, ... in order of creation), each vertex's (name,
-    label mask), the trace as (target mask, edge) in (|target|, target)
-    order, and whether the graph has an odd cycle. Memoised per key."""
+    (vertices v0, v1, ... in order of creation) and its vertices' label
+    masks in ``graph.vertex_ids`` order. Memoised per key."""
     alg = subset_algebra(key)
     forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
-    # Element tuples sort as their IntegerSets do, without Python-level __lt__.
-    sets = [s.elements for s in subsets_by_mask(GroundSet.of(*range(key[0])))]
+    # Each mask's index tuple, in mask order: the subsets with top bit i
+    # are those below it with i appended. Tuples sort as their
+    # IntegerSets do, without Python-level __lt__.
+    sets = [()]
+    for i in range(key[0]):
+        sets += [s + (i,) for s in sets]
     rank = [0] * len(sets)
     for r, m in enumerate(sorted(range(1, len(sets)), key=sets.__getitem__)):
         rank[m] = r
     name = {ZERO_MASK: "v0"}  # label mask -> vertex name; the labels in use
     for s in forced:
         name[s] = f"v{len(name)}"
-    trace = [(s, ("v0", name[s])) for s in forced]
+    edges = [("v0", name[s]) for s in forced]
     order = sorted(
         (t for t in range(ZERO_MASK + 1, len(sets)) if t not in name),
         key=lambda t: (len(alg.pairs[t]), len(sets[t]), sets[t]),
@@ -115,7 +101,7 @@ def _build(
         for lab in (a, b):
             if lab not in name:
                 name[lab] = f"v{len(name)}"
-        trace.append((t, tuple(sorted((name[a], name[b])))))
-    trace.sort(key=lambda step: (len(sets[step[0]]), sets[step[0]]))
-    graph = Graph.from_edges(name.values(), [e for _, e in trace])
-    return graph, tuple(zip(name.values(), name)), tuple(trace), not is_bipartite(graph)
+        edges.append((name[a], name[b]))
+    graph = Graph.from_edges(name.values(), edges)
+    mask_of = {v: m for m, v in name.items()}
+    return graph, tuple(map(mask_of.__getitem__, graph.vertex_ids))

@@ -227,18 +227,22 @@ def edge_steps(monkeypatch) -> dict[str, list[tuple[tuple[int, ...], tuple[int, 
     """Record the verification ladder's per-edge work, on the endpoint
     labels' element tuples: its ``sum_label`` calls (the edges with no
     {0}-labeled endpoint, whose sums it tests against X) and its
-    ``edge_sums`` calls (the edges a violation names)."""
+    ``induced_edge_label`` calls (the edges a violation names)."""
     calls: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {
-        "sum_label": [], "edge_sums": [],
+        "sum_label": [], "induced_edge_label": [],
     }
-    for name, seen in calls.items():
-        fn = getattr(iasgl.labeling, name)
+    sum_label, induced_edge_label = iasgl.labeling.sum_label, iasgl.labeling.induced_edge_label
 
-        def counted(a, b, *rest, fn=fn, seen=seen):
-            seen.append((a, b))
-            return fn(a, b, *rest)
+    def summed(a, b, x):
+        calls["sum_label"].append((a, b))
+        return sum_label(a, b, x)
 
-        monkeypatch.setattr(iasgl.labeling, name, counted)
+    def induced(f, u, v):
+        calls["induced_edge_label"].append((f.label_of(u).elements, f.label_of(v).elements))
+        return induced_edge_label(f, u, v)
+
+    monkeypatch.setattr(iasgl.labeling, "sum_label", summed)
+    monkeypatch.setattr(iasgl.labeling, "induced_edge_label", induced)
     return calls
 
 

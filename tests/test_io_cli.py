@@ -481,7 +481,7 @@ class TestCli:
         assert main(["verify", str(path)]) == 0
         summed = summed_edges(built.graph, built.labeling)
         assert edge_steps["sum_label"] == summed and len(summed) == 34
-        assert edge_steps["edge_sums"] == []
+        assert edge_steps["induced_edge_label"] == []
 
     @pytest.mark.parametrize("command", ["verify", "search"])
     @pytest.mark.parametrize("doc", [
@@ -638,6 +638,24 @@ class TestCli:
             main(["theorems", *flags])
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,error", [
+        # |X| = 3 is asked for only by the fixed sweeps, and the error
+        # says so; when n-max asks for it, the family check alone speaks.
+        (["--n-max", "2", "--max-element", "1"],
+         "empty ground-set family: |X| = 3 needs max element >= 2, for the fixed "
+         "|X| = 3 sweeps (P_7, C_6, K_4, the 7-vertex trees)"),
+        (["--n-max", "2", "--max-element", "500"],
+         "ground-set family too large: C(500, 2) combinations, for the fixed "
+         "|X| = 3 sweeps (P_7, C_6, K_4, the 7-vertex trees)"),
+        (["--n-max", "3", "--max-element", "1"],
+         "empty ground-set family: |X| = 3 needs max element >= 2"),
+    ])
+    def test_theorems_family_error_names_who_needs_it(self, flags, error, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["theorems", *flags])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"iasgl: error: {error}"
 
     def test_theorems_diophantine_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -12,7 +12,6 @@ from iasgl.labeling import (
     GateReport,
     Labeling,
     Violation,
-    edge_sums,
     graceful_targets,
     induced_edge_label,
     mapped_labeling,
@@ -321,19 +320,6 @@ class TestLabelingType:
         assert str(caught.value) == error
 
 
-class TestEdgeSums:
-    def test_equals_the_double_loop_sum(self):
-        rng = random.Random(0)
-        # {0} on either side, other singletons, and longer labels.
-        labels = [(0,), (1,), (7,), (0, 1), (0, 3, 10**9)]
-        labels += [tuple(sorted(rng.sample(range(30), rng.randint(1, 5)))) for _ in range(40)]
-        for a in labels:
-            for b in labels:
-                got = edge_sums(a, b)
-                assert type(got) is frozenset
-                assert got == frozenset([x + y for x in a for y in b])
-
-
 class TestInducedEdgeLabel:
     def test_zero_identity(self, x012):
         f = Labeling.from_mapping(x012, {"u": iset(0), "v": iset(1, 2)})
@@ -368,12 +354,14 @@ class TestLadder:
         assert not report.passed
         assert {v.rule for v in report.violations} == {"injectivity"}
 
-    def test_edge_escape_fails_iasl(self, x0123):
+    def test_edge_escape_fails_iasl(self, x0123, edge_steps):
         g = generate("path", 2)
         f = Labeling.from_mapping(x0123, {"v0": iset(1), "v1": iset(3)})
         report = verify_iasl(g, f)
         assert [v.rule for v in report.violations] == ["edge-escape"]
         assert report.violations[0].sets == (iset(4),)
+        # The escaped edge's label is built once, for its report.
+        assert edge_steps["induced_edge_label"] == [((1,), (3,))]
 
     def test_triangle_iasi_true(self, x012):
         g = generate("cycle", 3)
@@ -422,7 +410,8 @@ class TestLadder:
     def test_one_pass_computes_each_edge_label_once(self, edge_steps):
         # An edge at the {0}-vertex takes the other endpoint's label; every
         # other edge is one sum_label call, in sorted edge order. A
-        # passing labeling builds no sums as sets (no edge_sums call).
+        # passing labeling builds no label as a set (no
+        # induced_edge_label call).
         star = star_witness(9)
         built = build_realisation(GroundSet.of(*range(6)))
         for g, f in (star, (built.graph, built.labeling)):
@@ -430,7 +419,7 @@ class TestLadder:
                 calls.clear()
             assert [r.passed for r in verify_ladder(g, f)] == [True, True, True]
             assert edge_steps["sum_label"] == summed_edges(g, f)
-            assert edge_steps["edge_sums"] == []
+            assert edge_steps["induced_edge_label"] == []
         assert len(summed_edges(*star)) == 0 and len(star[0].edges) == 510
         assert len(summed_edges(g, f)) == 34 and len(g.edges) == 62
 

@@ -276,5 +276,6 @@ class TestBuilderProperties:
         assert verify_iasgl(r.graph, r.labeling).passed
         assert r.graph.edge_count() == (1 << x.n) - 2
         assert r.non_bipartite == (not is_bipartite(r.graph))
-        targets = {t for t, _ in r.assignment_trace}
+        f = r.labeling
+        targets = {sumset(f.label_of(u), f.label_of(v)) for u, v in r.graph.edges}
         assert len(targets) == (1 << x.n) - 2

@@ -4,23 +4,27 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 
 import pytest
 
 from iasgl.graphs import Graph, is_bipartite, pendant_vertices
 from iasgl.labeling import graceful_targets, verify_iasgl, zero_vertex
+from iasgl.io import load_document
 from iasgl.cli import main
 from iasgl.realisation import _build, build_realisation
 from iasgl.search import search_iasgl
 from iasgl.sets import (
     ZERO_MASK,
     GroundSet,
+    IntegerSet,
     SummandMode,
     additive_type,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     subset_algebra,
     subsets_by_mask,
+    sumset,
 )
 
 from conftest import clear_result_caches, iset, naive_sumset, nonempty_subsets
@@ -142,7 +146,8 @@ def backtracking_solutions(alg, sets, order, pool, node_budget=200_000):
 def backtracking_build(key, prefer_nonbipartite, solution_cap=2_000):
     """The builder as first written, for the additive type key: the first
     backtracking solution, or with prefer_nonbipartite the first of up to
-    solution_cap solutions whose graph has an odd cycle. The one-pass
+    solution_cap solutions whose graph has an odd cycle, projected onto
+    ``_build``'s (graph, label masks in vertex_ids order). The one-pass
     ``_build`` must return exactly this under either flag value."""
     alg = subset_algebra(key)
     forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
@@ -174,7 +179,9 @@ def backtracking_build(key, prefer_nonbipartite, solution_cap=2_000):
             result = built
         if not prefer_nonbipartite or built[3] or scanned >= solution_cap:
             break
-    return result
+    graph, labels, _, _ = result
+    mask_of = dict(labels)
+    return graph, tuple(mask_of[v] for v in graph.vertex_ids)
 
 
 class TestBuildRealisation:
@@ -239,13 +246,16 @@ class TestBuildRealisation:
             assert built == backtracking_build(key, False) == backtracking_build(key, True), key
 
     def test_trace_covers_every_target_once(self, x0123):
-        r = build_realisation(x0123)
-        traced = [t for t, _ in r.assignment_trace]
+        # Over {0,1,2,3} the index set is X itself, so the built masks
+        # name X's subsets; each edge's endpoint labels sum to one target.
+        graph, masks = _build(additive_type(x0123))
+        sets = subsets_by_mask(x0123)
+        label = dict(zip(graph.vertex_ids, masks))
+        traced = [sumset(sets[label[u]], sets[label[v]]) for u, v in graph.edges]
         assert sorted(traced, key=lambda s: (len(s), s.elements)) == sorted(
             graceful_targets(x0123), key=lambda s: (len(s), s.elements)
         )
-        edges = [e for _, e in r.assignment_trace]
-        assert len(set(edges)) == len(edges) == r.graph.edge_count()
+        assert len(traced) == graph.edge_count() == (1 << x0123.n) - 2
 
     @pytest.mark.parametrize("n,max_element", [(2, 10), (3, 10), (4, 10), (5, 10)])
     def test_succeeds_and_reverifies_for_all_canonical(self, n, max_element):
@@ -291,7 +301,6 @@ class TestBuildRealisation:
         b = build_realisation(x0123)
         assert a.graph == b.graph
         assert a.labeling == b.labeling
-        assert a.assignment_trace == b.assignment_trace
 
     def test_one_build_per_additive_type(self, x0123):
         import iasgl.realisation
@@ -324,3 +333,23 @@ class TestBuildRealisation:
         assert digest.hexdigest() == (
             "04694305f3cd058c9bbd1ae2156caef0131c149343c8a6c41d0247212a2dc094"
         )
+
+    def test_construct_trace_is_the_documents_edge_labels(self, tmp_path):
+        """construct --out prints, as its trace, exactly the written
+        document's edge labels inverted: each target maps to the one edge
+        whose label it is."""
+        path = tmp_path / "r.json"
+        family = [x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 8)]
+        for x in family + [GroundSet.of(0, 1, 3, 10**18)]:
+            argv = ["construct", "--ground-set", ",".join(map(str, x.base.elements)),
+                    "--out", str(path)]
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(argv) == 0
+            trace = json.loads(buf.getvalue())["trace"]
+            doc = json.loads(path.read_text())
+            inverted = {str(IntegerSet(tuple(lab))): edge.split("--")
+                        for edge, lab in doc["edge_labels"].items()}
+            assert trace == inverted, x
+            assert len(trace) == (1 << x.n) - 2
+            assert load_document(path).to_graph().edges == {tuple(e) for e in trace.values()}

@@ -1018,8 +1018,9 @@ class TestTypeMemo:
         def corrupted(key):
             # The built realisation with one label, the hub's {0},
             # replaced by the whole ground set.
-            graph, ((hub, _), *labels), trace, non_bipartite = build(key)
-            return graph, ((hub, (1 << key[0]) - 1), *labels), trace, non_bipartite
+            graph, (_, *masks) = build(key)
+            assert graph.vertex_ids[0] == "v0"
+            return graph, ((1 << key[0]) - 1, *masks)
 
         monkeypatch.setattr(iasgl.realisation, "_build", corrupted)
         with pytest.raises(RuntimeError, match="mapped witness over .* failed re-verification"):

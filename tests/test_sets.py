@@ -40,6 +40,7 @@ class TestIntegerSet:
 class TestSumset:
     def test_identity_set(self):
         assert sumset(iset(0), iset(5)) == iset(5)
+        assert sumset(iset(5, 9), iset(0)) == iset(5, 9)
 
     def test_pairwise_sums(self):
         assert sumset(iset(0, 1), iset(0, 2)) == iset(0, 1, 2, 3)
