@@ -108,6 +108,9 @@ def _write_document(doc, path: str, parser: argparse.ArgumentParser) -> None:
         dump_document(doc, path)
     except OSError as exc:
         _unwritable(path, exc, parser)
+    except ValueError as exc:
+        # Two edges whose "u--v" keys coincide: the document would lose a label.
+        parser.error(f"cannot write {path!r}: {exc}")
 
 
 def _write_text(text: str, path: str, parser: argparse.ArgumentParser) -> None:
@@ -326,7 +329,7 @@ def cmd_construct(args, parser) -> int:
     if args.dot:
         from .io import to_dot
 
-        _write_text(to_dot(graph, labeling), args.dot, parser)
+        _write_text(to_dot(doc), args.dot, parser)
     return 0
 
 

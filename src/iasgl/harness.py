@@ -55,7 +55,6 @@ from .sets import (
     SUBSET_ENUMERATION_CAP,
     GroundSet,
     Record,
-    SummandMode,
     additive_type,
     check_ground_set_family,
     enumerate_canonical_ground_sets,
@@ -203,10 +202,10 @@ def _star_order(n: int) -> int:
 
 def _neither(x: GroundSet) -> frozenset[tuple[int, ...]]:
     """The neither family of X's classification, as the element tuples
-    of ``classify_ground_set(x).neither``: the kernel's DISTINCT_LABELS
-    neither masks mapped onto X's own subsets. Read once per X, and
+    of ``classify_ground_set(x).neither``: the kernel's neither masks
+    mapped onto X's own subsets. Read once per X, and
     handed to every bound check of X's witnesses."""
-    masks = subset_algebra(additive_type(x)).class_masks(SummandMode.DISTINCT_LABELS)[2]
+    masks = subset_algebra(additive_type(x)).class_masks()[2]
     subsets = subsets_by_mask(x)
     return frozenset([subsets[m].elements for m in masks])
 

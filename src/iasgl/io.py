@@ -61,6 +61,10 @@ class Document:
         return Labeling.from_mapping(GroundSet(self.ground_set), labeled)
 
     def to_obj(self) -> dict:
+        """The JSON object of the document. Edge labels are keyed
+        ``"u--v"``; a key that names two edges in either orientation,
+        which vertex ids holding ``--`` allow, is a ValueError, since a
+        label would be lost or could not be read back."""
         obj: dict = {
             "vertices": [
                 {"id": vid} if lab is None else {"id": vid, "label": list(lab.elements)}
@@ -71,10 +75,13 @@ class Document:
         if self.ground_set is not None:
             obj["ground_set"] = list(self.ground_set.elements)
         if self.edge_labels:
-            obj["edge_labels"] = {
-                f"{u}--{v}": list(lab.elements)
-                for (u, v), lab in sorted(self.edge_labels.items())
-            }
+            edge_keys = _edge_keys(self.edge_labels)
+            labels = {}
+            for (u, v), lab in sorted(self.edge_labels.items()):
+                key = f"{u}--{v}"
+                _one_edge(key, edge_keys[key])
+                labels[key] = list(lab.elements)
+            obj["edge_labels"] = labels
         return obj
 
 
@@ -87,6 +94,21 @@ def document_from_graph(graph: Graph, labeling: Labeling) -> Document:
         ground_set=labeling.ground.base,
         edge_labels={(u, v): induced_edge_label(labeling, u, v) for u, v in edges},
     )
+
+
+def _edge_keys(edges) -> dict[str, list[Edge]]:
+    """Each ``"u--v"`` key, in either orientation, -> the edges it names."""
+    keys: dict[str, list[Edge]] = {}
+    for u, v in edges:
+        for key in {f"{u}--{v}", f"{v}--{u}"}:
+            keys.setdefault(key, []).append((u, v))
+    return keys
+
+
+def _one_edge(key: str, named: list[Edge]) -> Edge:
+    if len(named) > 1:
+        raise ValueError(f"edge label {key!r} names two edges: {named[0]} and {named[1]}")
+    return named[0]
 
 
 def _int_set(value, what: str) -> IntegerSet:
@@ -107,8 +129,9 @@ def parse_document(obj: dict) -> Document:
 
     Any other shape is a ValueError, and so are a repeated edge (in
     either orientation), a label or edge label naming no vertex or edge
-    of the document, and an edge label that differs from f(u) + f(v)
-    when both endpoints are labeled."""
+    of the document, an edge label key ``"u--v"`` naming two edges, and
+    an edge label that differs from f(u) + f(v) when both endpoints are
+    labeled."""
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("document needs 'vertices' and 'edges'")
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
@@ -142,13 +165,13 @@ def parse_document(obj: dict) -> Document:
                 raise ValueError(f"label for unknown vertex {vid!r}")
             by_id[str(vid)] = _int_set(arr, f"label of {vid!r}")
         vertices = [(vid, by_id[vid]) for vid, _ in vertices]
-    edge_keys = {f"{a}--{b}": (u, v) for u, v in edges for a, b in ((u, v), (v, u))}
+    edge_keys = _edge_keys(edges)
     label_of = dict(vertices)
     edge_labels: dict[Edge, IntegerSet] = {}
     for key, arr in _json_object(obj, "edge_labels").items():
         if key not in edge_keys:
             raise ValueError(f"edge label {key!r} is not 'u--v' for an edge of the document")
-        u, v = edge = edge_keys[key]
+        u, v = edge = _one_edge(key, edge_keys[key])
         declared = edge_labels[edge] = _int_set(arr, f"edge label {key!r}")
         fu, fv = label_of.get(u), label_of.get(v)
         if fu is not None and fv is not None:
@@ -191,14 +214,16 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: Graph, labeling: Labeling) -> str:
-    """Deterministic DOT text of the graph "realisation"; vertices carry
-    their set-label, edges the induced sumset label."""
+def to_dot(doc: Document) -> str:
+    """Deterministic DOT text of a labeled document, as
+    ``document_from_graph`` makes it, titled "realisation": vertices
+    carry their set-label, edges the document's edge label; nothing is
+    summed again."""
     lines = ['graph "realisation" {']
-    for vid in graph.vertex_ids:
-        lines.append(f'  "{_dot_escape(vid)}" [label="{_dot_escape(str(labeling.label_of(vid)))}"];')
-    for u, v in graph.sorted_edges():
-        lab = induced_edge_label(labeling, u, v)
+    for vid, lab in doc.vertices:
+        lines.append(f'  "{_dot_escape(vid)}" [label="{_dot_escape(str(lab))}"];')
+    for u, v in doc.edges:
+        lab = doc.edge_labels[u, v]
         lines.append(f'  "{_dot_escape(u)}" -- "{_dot_escape(v)}" [label="{_dot_escape(str(lab))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

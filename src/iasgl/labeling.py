@@ -39,7 +39,7 @@ off the graph shape and X's classification (edge count, a high-degree
 host for {0}, pendant supply). Passing the gate never asserts
 existence; failing it refutes existence without any search. The gate is
 not independent of the kernel: it counts the kernel's classification
-masks (``SubsetAlgebra.class_masks``) and builds no subset of X, so a
+masks (``SubsetAlgebra.class_masks()``) and builds no subset of X, so a
 gate rejection rests on the kernel being right.
 """
 
@@ -53,7 +53,6 @@ from .sets import (
     GroundSet,
     IntegerSet,
     Record,
-    SummandMode,
     additive_type,
     element_set,
     enumerate_nonempty_subsets,
@@ -315,7 +314,8 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
 
     R2-R4 are evaluated only when R1 holds, so a graph with the wrong
     edge count is rejected without classifying X; they count the
-    kernel's DISTINCT_LABELS classification masks. Otherwise every
+    kernel's classification masks (``class_masks()``, the distinct-label
+    reading, the only one the kernel holds). Otherwise every
     violated rule is reported; passing proves nothing.
     """
     if not x.contains_zero():
@@ -334,7 +334,7 @@ def structural_gate(g: Graph, x: GroundSet) -> GateReport:
         return GateReport()
 
     violations: list[Violation] = []
-    masks = subset_algebra(additive_type(x)).class_masks(SummandMode.DISTINCT_LABELS)
+    masks = subset_algebra(additive_type(x)).class_masks()
     non_sumsets, neither = len(masks[0]), len(masks[2])
     max_degree = max(g.degree(v) for v in g.vertex_ids)
     if max_degree < non_sumsets:

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from .graphs import Graph, is_bipartite
 from .labeling import Labeling, mapped_labeling
-from .sets import ZERO_MASK, GroundSet, Record, SummandMode, additive_type, subset_algebra
+from .sets import ZERO_MASK, GroundSet, Record, additive_type, subset_algebra
 
 
 class RealisationResult(Record):
@@ -75,13 +75,13 @@ def _build(key: tuple[int, tuple[tuple[int, int, int], ...]]) -> tuple[Graph, tu
     (vertices v0, v1, ... in order of creation) and its vertices' label
     masks in ``graph.vertex_ids`` order. Memoised per key."""
     alg = subset_algebra(key)
-    forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
     # Each mask's index tuple, in mask order: the subsets with top bit i
     # are those below it with i appended. Tuples sort as their
     # IntegerSets do, without Python-level __lt__.
     sets = [()]
     for i in range(key[0]):
         sets += [s + (i,) for s in sets]
+    forced = sorted(alg.class_masks()[0], key=lambda t: (len(sets[t]), sets[t]))
     rank = [0] * len(sets)
     for r, m in enumerate(sorted(range(1, len(sets)), key=sets.__getitem__)):
         rank[m] = r

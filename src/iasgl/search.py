@@ -41,15 +41,16 @@ viable pairs that assignment can have killed are rescanned (see
 unrealized target.
 
 Set-up that depends only on X's additive type (the subset algebra, its
-pair-sum table and its classification masks, all in subset masks) or
-only on the graph (vertex order, adjacency by DFS index, twin classes:
-``_graph_layout``) sits in small LRU caches and is shared read-only, so
-a sweep of one graph over many ground sets, or of many graphs over one
-X, pays each part once per type or graph. The pair-sum table maps a
-label mask to {partner mask: target mask} for every pair summing inside
-X, so P3 costs one dict lookup per edge and a missing key is a sum that
-escapes X; its values for a label are the targets P4 rechecks. X's own
-subsets are read only to build a witness.
+pair-sum table and its one classification's masks, ``class_masks()``,
+all in subset masks) or only on the graph (vertex order, adjacency by
+DFS index, twin classes: ``_graph_layout``) sits in small LRU caches
+and is shared read-only, so a sweep of one graph over many ground sets,
+or of many graphs over one X, pays each part once per type or graph.
+The pair-sum table maps a label mask to {partner mask: target mask}
+for every pair summing inside X, so P3 costs one dict lookup per edge
+and a missing key is a sum that escapes X; its values for a label are
+the targets P4 rechecks. X's own subsets are read only to build a
+witness.
 
 A search is a function of X's additive type (see ``sets``), so
 ``search_iasgl`` keeps each outcome in subset masks per (graph, config,
@@ -101,7 +102,6 @@ from .sets import (
     ZERO_MASK,
     GroundSet,
     Record,
-    SummandMode,
     additive_type,
     enumerate_canonical_ground_sets,
     subset_algebra,
@@ -316,7 +316,7 @@ class _State:
         self.pairs_by_target = alg.pairs
         self.targets = range(ZERO_MASK + 1, 1 << n)
 
-        non_sumsets, non_summands, _ = alg.class_masks(SummandMode.DISTINCT_LABELS)
+        non_sumsets, non_summands, _ = alg.class_masks()
         self.min_zero_degree = len(non_sumsets)
         self.non_summand_masks = set(non_summands)
         self.p3 = cfg.enabled("P3")

@@ -19,7 +19,8 @@ mask, bit i set when x_i is present (the order of
 pairs of subsets. It holds the pair table (for each target C, the pairs
 of distinct subsets A, B with A + B = C inside X) and, memoised on first
 use, the pair-sum table (label -> {partner: target}, the search's P3
-and P4 lookup) and the classification masks per mode. It is built from
+and P4 lookup) and the masks of the one classification every engine
+uses, the distinct-label one, in ascending mask order. It is built from
 X's additive type alone and cached by that type in a fixed-size LRU (32
 types), so every X of one type shares one kernel and a sweep over
 hundreds of ground sets holds a bounded amount of memory. X's own
@@ -28,8 +29,9 @@ subsets, as ``IntegerSet``s indexed by subset mask, come from
 (classification, witnesses, realisations) build them. The structural
 gate reads the classification masks' sizes only, and
 ``classify_ground_set``, which turns the masks into X's subsets for
-the ``classify`` command, keeps no cache; the theorem harness maps
-only the neither masks onto X, once per X.
+the ``classify`` command, keeps no cache; it alone applies a
+``SummandMode`` and sorts the families for display. The theorem
+harness maps only the neither masks onto X, once per X.
 
 Additive type. T(X) = {(i, j, k) : i <= j, x_i + x_j = x_k} is the
 sum-triple set, and ``additive_type(X)`` = (n, sorted T(X)) an O(n^2)
@@ -86,8 +88,9 @@ class SummandMode(Enum):
     DISTINCT_LABELS requires A != B, matching what an edge can realize:
     vertex labels are injective, so the endpoint labels of an edge are
     always different sets. ALLOW_EQUAL keeps the permissive reading of
-    "sum of two subsets" available for study; only classification takes
-    a mode, and the gate, the search and the builder use DISTINCT_LABELS.
+    "sum of two subsets" available for study; only
+    ``classify_ground_set`` takes a mode, and the kernel, the gate, the
+    search and the builder know DISTINCT_LABELS alone.
     """
 
     DISTINCT_LABELS = "distinct-labels"
@@ -272,8 +275,9 @@ class Classification(Record):
     the {0}-vertex. non_summands: subsets A with no B != {0} keeping
     A + B inside X; vertices carrying them must be pendant. neither is
     the intersection and lower-bounds the pendant count. Families are
-    sorted by (cardinality, elements) for determinism. The same families
-    as subset masks are the kernel's ``SubsetAlgebra.class_masks``.
+    sorted by (cardinality, elements) for determinism. Under
+    DISTINCT_LABELS the same families, as ascending subset masks, are
+    the kernel's ``SubsetAlgebra.class_masks()``.
     """
 
     __slots__ = _fields = ("ground", "mode", "non_sumsets", "non_summands", "neither")
@@ -367,7 +371,8 @@ class SubsetAlgebra(Immutable):
     sorted mask pairs (a, b), a < b, with A + B equal to the target; a
     pair whose sum escapes X is absent. With 0 in X every target other
     than {0} has an entry, since {0} + C = C. ``equal_sums`` holds the
-    target mask of every A + A inside X (ALLOW_EQUAL's diagonal).
+    target mask of every A + A inside X (ALLOW_EQUAL's diagonal), which
+    only ``classify_ground_set`` reads.
     Instances are shared through the cache of ``subset_algebra``: treat
     every field as read-only. Two instances are equal only if they are
     the same object.
@@ -427,7 +432,7 @@ class SubsetAlgebra(Immutable):
         object.__setattr__(self, "pairs", {t: tuple(sorted(p)) for t, p in pairs.items()})
         object.__setattr__(self, "equal_sums", tuple(equal_sums))
         object.__setattr__(self, "_pair_sums", None)
-        object.__setattr__(self, "_class_masks", {})
+        object.__setattr__(self, "_class_masks", None)
 
     @property
     def pair_sums(self) -> tuple[dict[int, int], ...]:
@@ -449,50 +454,30 @@ class SubsetAlgebra(Immutable):
             object.__setattr__(self, "_pair_sums", tuple(sums))
         return self._pair_sums
 
-    def class_masks(self, mode: SummandMode) -> tuple[tuple[int, ...], ...]:
-        """The classification's families (non-sumsets, non-summands,
-        neither) as subset masks, read off the pair table and memoised
-        per mode.
+    def class_masks(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct-label classification's families (non-sumsets,
+        non-summands, neither) as subset masks in ascending order, read
+        off the pair table and memoised.
 
         C is a non-trivial sumset iff some pair for C avoids {0}; A is a
         non-trivial summand iff it sits in a pair whose partner is not
-        {0}. Under ALLOW_EQUAL the diagonal A + A inside X adds sumsets
-        but no summands: for nonzero b in A, A + {b} (or {b} + {0, b}
-        when A = {b}) already lies inside A + A or {b, 2b}, hence inside
-        X. Each family is sorted by cardinality, then index tuple, which
-        is element order since index -> element is increasing: {0,3}
-        before {0,1,3}. Among masks of one popcount, the index tuples
-        first differ at the lowest bit of a XOR b, and the mask holding
-        it comes first: that is descending order of the bit-reversed
-        mask.
+        {0}.
         """
-        masks = self._class_masks.get(mode)
-        if masks is not None:
-            return masks
-        n = self.n
-        size = 1 << n
-        sumset = bytearray(size)
-        summand = bytearray(size)
-        for t, pairs in self.pairs.items():
-            for a, b in pairs:
-                if a != ZERO_MASK:
-                    sumset[t] = summand[a] = summand[b] = 1
-        if mode is SummandMode.ALLOW_EQUAL:
-            for t in self.equal_sums:
-                sumset[t] = 1
-        reverse = [0]  # n-bit reversal of each mask
-        for i in range(n):
-            bit = size >> (i + 1)
-            reverse += [r | bit for r in reverse]
-        order = sorted(
-            range(ZERO_MASK + 1, size), key=lambda m: (m.bit_count() << n) - reverse[m]
-        )
-        masks = self._class_masks[mode] = (
-            tuple(m for m in order if not sumset[m]),
-            tuple(m for m in order if not summand[m]),
-            tuple(m for m in order if not sumset[m] and not summand[m]),
-        )
-        return masks
+        if self._class_masks is None:
+            size = 1 << self.n
+            sumset = bytearray(size)
+            summand = bytearray(size)
+            for t, pairs in self.pairs.items():
+                for a, b in pairs:
+                    if a != ZERO_MASK:
+                        sumset[t] = summand[a] = summand[b] = 1
+            masks = range(ZERO_MASK + 1, size)
+            object.__setattr__(self, "_class_masks", (
+                tuple(m for m in masks if not sumset[m]),
+                tuple(m for m in masks if not summand[m]),
+                tuple(m for m in masks if not sumset[m] and not summand[m]),
+            ))
+        return self._class_masks
 
 
 @lru_cache(maxsize=32)
@@ -508,16 +493,30 @@ def classify_ground_set(
     """Classify every non-empty subset of X except {0}.
 
     The families are the kernel's ``class_masks`` for X's additive type,
-    turned into X's own subsets by ``subsets_by_mask``. Nothing is kept:
-    each call builds a new, equal ``Classification``.
+    turned into X's own subsets by ``subsets_by_mask`` and each sorted
+    by (cardinality, elements): {0,3} before {0,1,3}. Under ALLOW_EQUAL
+    the diagonal A + A inside X (``equal_sums``) adds sumsets but no
+    summands: for nonzero b in A, A + {b} (or {b} + {0, b} when
+    A = {b}) already lies inside A + A or {b, 2b}, hence inside X. This
+    is the only reader of the mode. Nothing is kept: each call builds a
+    new, equal ``Classification``.
     """
     if not x.contains_zero():
         raise ValueError("graceful ground set must contain 0")
     if x.n < 2:
         raise ValueError("classification needs a ground set with at least 2 elements")
-    masks = subset_algebra(additive_type(x)).class_masks(mode)
+    alg = subset_algebra(additive_type(x))
+    non_sumsets, non_summands, neither = alg.class_masks()
+    if mode is SummandMode.ALLOW_EQUAL:
+        equal = set(alg.equal_sums)
+        non_sumsets = [m for m in non_sumsets if m not in equal]
+        neither = [m for m in neither if m not in equal]
     sets = subsets_by_mask(x)
-    return Classification(x, mode, *(tuple(map(sets.__getitem__, f)) for f in masks))
+    families = (
+        tuple(sorted((sets[m] for m in f), key=lambda s: (len(s.elements), s.elements)))
+        for f in (non_sumsets, non_summands, neither)
+    )
+    return Classification(x, mode, *families)
 
 
 def check_ground_set_family(n: int, max_element: int) -> None:

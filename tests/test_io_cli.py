@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import iasgl.io
 import iasgl.search
 from iasgl import cli
 from iasgl.cli import EXIT_INTERNAL_ERROR, main
@@ -56,6 +57,15 @@ STAR_DOC = {
     "vertices": [{"id": "c", "label": [0]}, {"id": "a", "label": [1]}, {"id": "b", "label": [0, 1]}],
     "edges": [["c", "a"], ["c", "b"]],
     "ground_set": [0, 1],
+}
+
+
+#: A star at b with leaves a, b--c, c--b, b--a, a--c, plus the edge
+#: a–c--b: a--c–b and a–c--b share the edge label key "a--c--b".
+DASHED_IDS_GRAPH = {
+    "vertices": ["b", "a", "b--c", "c--b", "b--a", "a--c"],
+    "edges": [["b", "a"], ["b", "b--c"], ["b", "c--b"], ["b", "b--a"], ["b", "a--c"],
+              ["a", "c--b"]],
 }
 
 
@@ -107,8 +117,8 @@ class TestDocument:
 class TestDot:
     def test_deterministic_and_labeled(self, x01):
         r = build_realisation(x01)
-        dot = to_dot(r.graph, r.labeling)
-        assert dot == to_dot(r.graph, r.labeling)
+        dot = to_dot(document_from_graph(r.graph, r.labeling))
+        assert dot == to_dot(document_from_graph(r.graph, r.labeling))
         assert dot.startswith('graph "realisation" {')
         assert dot.rstrip().endswith("}")
         assert '"v0" [label="{0}"];' in dot
@@ -116,10 +126,25 @@ class TestDot:
 
     def test_braces_balanced(self, x0123):
         r = build_realisation(x0123)
-        dot = to_dot(r.graph, r.labeling)
+        dot = to_dot(document_from_graph(r.graph, r.labeling))
         assert dot.count("{") == dot.count("}")
         lines = dot.strip().splitlines()
         assert len(lines) == 1 + len(r.graph.vertex_ids) + r.graph.edge_count() + 1
+
+    def test_construct_dot_reads_the_documents_edge_labels(self, tmp_path, capsys, monkeypatch):
+        # Each of the 14 edges over {0,1,2,3} is summed once, for the
+        # document; the DOT text reads its labels off it.
+        summed = count_calls(monkeypatch, iasgl.io, "induced_edge_label")
+        out, dot = tmp_path / "r.json", tmp_path / "r.dot"
+        assert main(["construct", "--ground-set", "0,1,2,3", "--out", str(out),
+                     "--dot", str(dot)]) == 0
+        assert summed[0] == 14
+        edge_labels = json.loads(out.read_text())["edge_labels"]
+        drawn = {
+            f"{u}--{v}": json.loads(lab.replace("{", "[").replace("}", "]"))
+            for u, v, lab in re.findall(r'"(\S+)" -- "(\S+)" \[label="(\S+)"\];', dot.read_text())
+        }
+        assert drawn == edge_labels and len(drawn) == 14
 
 
 class TestCli:
@@ -495,9 +520,11 @@ class TestCli:
         {**STAR_DOC, "edge_labels": {"c--a": [5]}},
         {**STAR_DOC, "edges": [["c", "a"], ["c", "b"], ["c", "a"]]},
         {**STAR_DOC, "edges": [["c", "a"], ["c", "b"], ["a", "c"]]},
+        {"vertices": ["a", "b--c", "a--b", "c"], "edges": [["a", "b--c"], ["a--b", "c"]],
+         "edge_labels": {"a--b--c": [1]}},
     ], ids=["vertices-int", "edge-int", "label-int", "labels-array", "labels-str",
             "labels-unknown-vertex", "edge-labels-unknown-edge", "edge-label-not-derived",
-            "edge-repeated", "edge-repeated-reversed"])
+            "edge-repeated", "edge-repeated-reversed", "edge-label-key-names-two-edges"])
     def test_malformed_document_is_usage_error(self, command, doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -519,6 +546,30 @@ class TestCli:
             main(argv)
         assert err.value.code == 2
         assert "edge label 'c--a' is {5}, but f(a) + f(c) = {1}" in capsys.readouterr().err
+
+    def test_edge_label_key_naming_two_edges_is_refused_on_reading(self, tmp_path, capsys):
+        # A written document keyed "a--c--b" once would lose one of the
+        # two edges' labels; read back, that key picks neither.
+        path = tmp_path / "dashed.json"
+        path.write_text(json.dumps({**DASHED_IDS_GRAPH, "edge_labels": {"a--c--b": [2]}}))
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", f"file:{path}", "--ground-set", "0,1,2"])
+        assert err.value.code == 2
+        assert ("edge label 'a--c--b' names two edges: ('a--c', 'b') and ('a', 'c--b')"
+                in capsys.readouterr().err)
+
+    def test_search_out_refuses_an_edge_label_key_naming_two_edges(self, tmp_path, capsys):
+        graph, out = tmp_path / "dashed.json", tmp_path / "w.json"
+        graph.write_text(json.dumps(DASHED_IDS_GRAPH))
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--graph", f"file:{graph}", "--ground-set", "0,1,2", "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "found"  # the result was printed first
+        assert (f"cannot write {str(out)!r}: edge label 'a--c--b' names two edges: "
+                "('a', 'c--b') and ('a--c', 'b')") in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_search_out_document_round_trips(self, tmp_path, capsys):
         out = tmp_path / "witness.json"

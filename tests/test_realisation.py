@@ -18,7 +18,6 @@ from iasgl.sets import (
     ZERO_MASK,
     GroundSet,
     IntegerSet,
-    SummandMode,
     additive_type,
     classify_ground_set,
     enumerate_canonical_ground_sets,
@@ -150,8 +149,8 @@ def backtracking_build(key, prefer_nonbipartite, solution_cap=2_000):
     ``_build``'s (graph, label masks in vertex_ids order). The one-pass
     ``_build`` must return exactly this under either flag value."""
     alg = subset_algebra(key)
-    forced = alg.class_masks(SummandMode.DISTINCT_LABELS)[0]
     sets = subsets_by_mask(GroundSet.of(*range(key[0])))
+    forced = sorted(alg.class_masks()[0], key=lambda t: (len(sets[t]), sets[t]))
     forced_set = set(forced)
     order = sorted(
         (t for t in range(ZERO_MASK + 1, len(sets)) if t not in forced_set),

@@ -193,12 +193,14 @@ class TestAdditiveTypeInvariance:
             )
 
     def test_masks_name_the_classified_sets(self):
+        # As sets: the kernel's order and classify's each have a test.
         for x in (GroundSet.of(0, 1, 2, 3), GroundSet.of(0, 1, 3, 7, 12)):
             alg, sets = subset_algebra(additive_type(x)), subsets_by_mask(x)
-            for mode in SummandMode:
-                cls = classify_ground_set(x, mode)
-                families = (cls.non_sumsets, cls.non_summands, cls.neither)
-                assert tuple(tuple(sets[m] for m in f) for f in alg.class_masks(mode)) == families
+            cls = classify_ground_set(x)
+            families = (cls.non_sumsets, cls.non_summands, cls.neither)
+            assert tuple({sets[m] for m in f} for f in alg.class_masks()) == tuple(
+                set(f) for f in families
+            )
 
 
 class TestSumsetSummandPredicates:
@@ -263,6 +265,23 @@ class TestClassification:
             family = classify_ground_set(x).non_sumsets
             assert len(family) == (1 << n) - 2
             assert list(family) == sorted(family, key=lambda s: (len(s), s.elements)), n
+
+    def test_class_masks_are_the_oracle_families_ascending(self):
+        for x in (x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 8)):
+            index = {e: i for i, e in enumerate(x.base.elements)}
+            oracle = oracle_classify(x.base.elements)
+            want = tuple(
+                tuple(sorted(sum(1 << index[e] for e in s) for s in family)) for family in oracle
+            )
+            assert subset_algebra(additive_type(x)).class_masks() == want, x
+
+    @pytest.mark.parametrize("mode", list(SummandMode))
+    def test_families_sorted_by_size_then_elements(self, mode):
+        family = [x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 8)]
+        for x in family + [GroundSet.of(0, 1, 3, 10**18)]:
+            cls = classify_ground_set(x, mode)
+            for f in (cls.non_sumsets, cls.non_summands, cls.neither):
+                assert list(f) == sorted(f, key=lambda s: (len(s), s.elements)), (x, mode)
 
     @pytest.mark.parametrize("mode", list(SummandMode))
     def test_oracle_agreement_small(self, mode):
