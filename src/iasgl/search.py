@@ -67,9 +67,11 @@ strictly ascending, so a vertex's scan starts by bisection just past
 its twin predecessor's label. A star's leaves therefore cost O(1) each
 rather than a scan from the front of a 2^n-long list.
 
-The DFS recurses once per vertex; ``search_iasgl`` lifts the
-interpreter's recursion limit by the depth it needs for the duration of
-the search, so the graph's size, not that limit, bounds the depth.
+The DFS is one loop over levels, one level per vertex, not a
+recursion: each level keeps its candidate list, the index of its next
+candidate, and the targets and fresh count of the label it holds (see
+``_State.run``). So a deep graph costs neither interpreter frames nor C
+stack, and a budget stop is a returned value, not an exception.
 
 All rules are sound (they never discard a completable branch, up to
 twin symmetry), so a fully explored tree with no accepted leaf is a
@@ -130,7 +132,10 @@ class SearchConfig:
         if self.time_budget_ms > sys.float_info.max:
             # The deadline is a float of seconds.
             raise ValueError("time budget too large")
-        unknown = set(self.disabled_rules) - set(PRUNE_RULES)
+        # Any iterable of rule names will do; a frozenset keeps the
+        # config hashable, since it keys the outcome cache.
+        object.__setattr__(self, "disabled_rules", frozenset(self.disabled_rules))
+        unknown = self.disabled_rules - set(PRUNE_RULES)
         if unknown:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
 
@@ -188,13 +193,6 @@ class SearchOutcome:
     def found(self) -> bool:
         return self.status is SearchStatus.FOUND
 
-
-class _Budget(Exception):
-    """A budget ran out; the argument names it ("node" or "time")."""
-
-
-#: Frames kept free above the DFS for the leaf's verification calls.
-_STACK_HEADROOM = 100
 
 #: Search outcomes ``search_iasgl`` keeps, one per (graph, config, type).
 SEARCH_CACHE_SIZE = 128
@@ -376,15 +374,6 @@ class _State:
             summand_only.append(labels(zero_ok, False) if p2 and degree == 1 else None)
         return lists, summand_only
 
-    def tick(self) -> None:
-        """Count one node and apply the node and time budgets."""
-        stats = self.stats
-        stats.nodes += 1
-        if stats.nodes > self.cfg.node_budget:
-            raise _Budget("node")
-        if stats.nodes % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _Budget("time")
-
     def coverage_ok(self, vi: int, mask: int) -> bool:
         """P4 after vertex vi took label mask.
 
@@ -440,95 +429,121 @@ class _State:
                     return False
         return True
 
-    def search(self, vi: int) -> bool:
-        """Depth-first over vertex vi; returns True to stop the search.
+    def run(self) -> str | None:
+        """Depth-first over the vertices in DFS order, as one loop over
+        levels; returns the budget that stopped it ("node" or "time"),
+        or None when the tree was explored or a leaf ended it.
 
-        The twin rule is a cursor: the scan starts just past the label of
-        vi's predecessor in its twin class. What taking a vertex does to
-        the counters (unassigned vertices, assigned edges, the
-        neighbours' free counts) does not depend on the label, so it is
-        applied once around the scan; P4 and the deeper vertices see the
-        state they would if each label applied it. A budget stop leaves
-        the state as it is: the search is over.
+        Level vi is entered with vertex vi unlabeled: the twin rule's
+        cursor starts its scan just past the label of vi's predecessor
+        in its twin class. What taking a vertex does to the counters
+        (unassigned vertices, assigned edges, the neighbours' free
+        counts) does not depend on the label, so it is applied on
+        entering the level and undone on leaving it; P4 and the deeper
+        levels see the state they would if each label applied it. While
+        vertex vi holds a label, ``levels[vi]`` keeps the level's
+        candidate list, the index of its next candidate and that label's
+        targets and fresh count. Coming back to a level that holds a
+        label (its subtree is done, P4 pruned it or it completed a leaf)
+        undoes the label and scans on. A budget stop leaves the state as
+        it is: the search is over.
         """
-        if vi == len(self.order):
-            if self.missing or self.edge_count != len(self.targets):
-                return False
-            mask_of = dict(zip(self.order, self.assigned))
-            labels = tuple(map(mask_of.__getitem__, self.g.vertex_ids))
-            self.witnesses.append((mapped_labeling(self.g, self.x, labels), labels))
-            return not self.cfg.find_all
-
-        assigned = self.assigned
-        candidates = self.candidates[vi]
-        summand_only = self.summand_only[vi]
-        if summand_only is not None:
-            placed = assigned[self.neighbors[vi][0]]
-            if placed is not None and placed != ZERO_MASK:
-                candidates = summand_only
-        prev = self.twin_prev[vi]
-        start = 0 if prev is None else bisect_right(candidates, assigned[prev])
-
-        owner = self.owner
-        realized = self.realized
+        nv = len(self.order)
+        if not nv:  # the empty graph: its one assignment is a leaf
+            self.leaf()
+            return None
+        assigned, owner, realized = self.assigned, self.owner, self.realized
         pair_sums = self.pair_sums
         p3, p4 = self.p3, self.p4
-        prunes = self.stats.prunes
-        earlier = self.earlier[vi]
+        stats = self.stats
+        prunes = stats.prunes
+        node_budget = self.cfg.node_budget
+        levels: list[tuple] = [()] * nv
 
-        neighbors = self.neighbors[vi]
-        free_neighbors = self.free_neighbors
-        edges = len(earlier)
-        self.unassigned -= 1
-        self.assigned_edges += edges
-        for w in neighbors:
-            free_neighbors[w] -= 1
-
-        stop = False
-        for i in range(start, len(candidates)):
-            mask = candidates[i]
-            if owner[mask] is not None:
-                continue
-            self.tick()
-
-            sums = pair_sums[mask]
-            new_targets: list[int | None] = []
-            # Two distinct labels never sum to {0}, the one non-target.
-            for w in earlier:
-                t = sums.get(assigned[w])
-                if p3 and (t is None or realized[t] or t in new_targets):
-                    prunes["P3"] = prunes.get("P3", 0) + 1
-                    break
-                new_targets.append(t)
+        vi = 0
+        while True:
+            earlier = self.earlier[vi]
+            if assigned[vi] is None:
+                candidates = self.candidates[vi]
+                summand_only = self.summand_only[vi]
+                if summand_only is not None:
+                    placed = assigned[self.neighbors[vi][0]]
+                    if placed is not None and placed != ZERO_MASK:
+                        candidates = summand_only
+                prev = self.twin_prev[vi]
+                start = 0 if prev is None else bisect_right(candidates, assigned[prev])
+                self.unassigned -= 1
+                self.assigned_edges += len(earlier)
+                for w in self.neighbors[vi]:
+                    self.free_neighbors[w] -= 1
             else:
-                assigned[vi] = mask
-                owner[mask] = vi
-                fresh = 0  # targets this label realizes for the first time
-                for t in new_targets:
-                    if t is not None:
-                        fresh += not realized[t]
-                        realized[t] += 1
-                self.missing -= fresh
-
-                if not p4 or self.coverage_ok(vi, mask):
-                    stop = self.search(vi + 1)
-                else:
-                    prunes["P4"] = prunes.get("P4", 0) + 1
-
+                candidates, start, new_targets, fresh = levels[vi]
                 for t in new_targets:
                     if t is not None:
                         realized[t] -= 1
                 self.missing += fresh
-                owner[mask] = None
+                owner[assigned[vi]] = None
                 assigned[vi] = None
-                if stop:
-                    break
 
-        for w in neighbors:
-            free_neighbors[w] += 1
-        self.assigned_edges -= edges
-        self.unassigned += 1
-        return stop
+            for i in range(start, len(candidates)):
+                mask = candidates[i]
+                if owner[mask] is not None:
+                    continue
+                stats.nodes += 1
+                if stats.nodes > node_budget:
+                    return "node"
+                if stats.nodes % 1024 == 0 and time.monotonic() > self.deadline:
+                    return "time"
+
+                sums = pair_sums[mask]
+                new_targets = []
+                # Two distinct labels never sum to {0}, the one non-target.
+                for w in earlier:
+                    t = sums.get(assigned[w])
+                    if p3 and (t is None or realized[t] or t in new_targets):
+                        prunes["P3"] = prunes.get("P3", 0) + 1
+                        break
+                    new_targets.append(t)
+                else:
+                    break  # mask passed P3: vertex vi takes it
+            else:
+                # Every candidate is spent: leave the level.
+                for w in self.neighbors[vi]:
+                    self.free_neighbors[w] += 1
+                self.assigned_edges -= len(earlier)
+                self.unassigned += 1
+                if not vi:
+                    return None
+                vi -= 1
+                continue
+
+            assigned[vi] = mask
+            owner[mask] = vi
+            fresh = 0  # targets this label realizes for the first time
+            for t in new_targets:
+                if t is not None:
+                    fresh += not realized[t]
+                    realized[t] += 1
+            self.missing -= fresh
+            levels[vi] = (candidates, i + 1, new_targets, fresh)
+
+            if p4 and not self.coverage_ok(vi, mask):
+                prunes["P4"] = prunes.get("P4", 0) + 1
+            elif vi + 1 < nv:
+                vi += 1
+            elif self.leaf() and not self.cfg.find_all:
+                return None
+
+    def leaf(self) -> bool:
+        """Accept the complete assignment when no target is missing and
+        |E| = 2^n - 2; an accepted leaf is mapped onto X, verified and
+        kept as a witness. Returns whether it was accepted."""
+        if self.missing or self.edge_count != len(self.targets):
+            return False
+        mask_of = dict(zip(self.order, self.assigned))
+        labels = tuple(map(mask_of.__getitem__, self.g.vertex_ids))
+        self.witnesses.append((mapped_labeling(self.g, self.x, labels), labels))
+        return True
 
 
 def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -545,10 +560,9 @@ def search_iasgl(g: Graph, x: GroundSet, cfg: SearchConfig | None = None) -> Sea
     and a budget spent by then stops the search at 0 nodes. The kernel
     build itself is not interrupted.
 
-    The DFS takes one frame per vertex, so the interpreter's recursion
-    limit is raised by that depth while it runs and restored afterwards.
-    The limit is process-wide: searches must not run concurrently in
-    threads of one process.
+    The outcome cache and the layout and kernel caches are process-wide
+    and unlocked: searches must not run concurrently in threads of one
+    process.
 
     g is searched once per additive type of X under cfg: the outcome is
     kept, as label masks and counters, in an LRU of
@@ -616,15 +630,7 @@ def _decide(
     state = _State(g, x, cfg, stats, deadline)
     if time.monotonic() > deadline:
         return out_of_time
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(state.order) + _STACK_HEADROOM)
-    budget_stop = None
-    try:
-        state.search(0)
-    except _Budget as stop:
-        budget_stop = stop.args[0]
-    finally:
-        sys.setrecursionlimit(limit)
+    budget_stop = state.run()
 
     found = sorted(state.witnesses, key=lambda w: w[0].assignment)
     if found:

@@ -7,6 +7,7 @@ fast paths, so oracle agreement is a genuine dual-route check.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -16,7 +17,7 @@ import iasgl.realisation
 import iasgl.search
 from iasgl.graphs import Graph, generate
 from iasgl.labeling import Labeling, verify_iasgl
-from iasgl.sets import GroundSet, IntegerSet
+from iasgl.sets import GroundSet, IntegerSet, additive_type, subset_algebra
 
 
 def nonempty_subsets(elements) -> list[frozenset[int]]:
@@ -97,6 +98,21 @@ def oracle_search_all(graph: Graph, ground_elements) -> list[dict[str, frozenset
         if oracle_is_iasgl(graph, ground, labels):
             witnesses.append(labels)
     return witnesses
+
+
+def assignment_graph(x: GroundSet, seed: int) -> Graph:
+    """A graph that X labels by construction, an instance generator
+    rather than an oracle: for each target in ascending mask order one
+    seeded random label pair of the kernel's pair table, each label one
+    vertex, the vertex ids v0, v1, ... shuffled by the same generator."""
+    rng = random.Random(seed)
+    pairs = subset_algebra(additive_type(x)).pairs
+    edges = [rng.choice(pairs[t]) for t in range(2, 1 << x.n)]
+    labels = sorted({m for e in edges for m in e})
+    ids = [f"v{i}" for i in range(len(labels))]
+    rng.shuffle(ids)
+    name = dict(zip(labels, ids))
+    return Graph.from_edges(ids, [(name[a], name[b]) for a, b in edges])
 
 
 def twin_classes(graph: Graph) -> list[list[str]]:

@@ -401,7 +401,8 @@ class TestCli:
         assert f"graph spec {spec!r} has" in capsys.readouterr().err
 
     def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
-        # 1,023 vertices, one DFS frame each: deeper than the default limit.
+        # 1,023 vertices, one DFS level each: deeper than the default
+        # recursion limit, which the search leaves as it is.
         out = tmp_path / "witness.json"
         limit = sys.getrecursionlimit()
         code = main(["search", "--graph", "star:1022", "--ground-set",
@@ -410,6 +411,28 @@ class TestCli:
         assert sys.getrecursionlimit() == limit
         assert json.loads(capsys.readouterr().out)["status"] == "found"
         assert verify_iasgl(generate("star", 1022), load_document(out).to_labeling())
+
+    def test_deep_search_runs_on_a_1mb_stack(self):
+        # 4,095 vertices, one DFS level each, in a child whose C stack is
+        # capped at 1 MB. The DFS is one loop, so the depth costs no
+        # stack; a frame per vertex overflowed it on Python 3.10 (SIGSEGV).
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_STACK)
+
+        def small_stack():
+            resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, hard))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "iasgl.cli", "search", "--graph", "star:4094",
+             "--ground-set", ",".join(map(str, range(12)))],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60, preexec_fn=small_stack,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # Not json.loads: "labelings", 4,093!, has more digits than the
+        # interpreter's int parsing limit.
+        assert '\n  "status": "found",\n' in proc.stdout
 
     def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
         def broken(*args, **kwargs):

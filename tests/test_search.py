@@ -31,6 +31,7 @@ from iasgl.sets import (
 )
 
 from conftest import (
+    assignment_graph,
     clear_result_caches,
     count_calls,
     expand_orbits,
@@ -94,18 +95,6 @@ def hub_graph(seed: int, edges: int = 14, vertices: int = 15) -> Graph:
     return Graph.from_edges(ids, [(f"v{u}", f"v{w}") for u, w in chosen])
 
 
-def assignment_graph(x: GroundSet, seed: int) -> Graph:
-    """A graph that X labels by construction: one seeded random label
-    pair per target, each label one vertex, named in shuffled order."""
-    rng = random.Random(seed)
-    pairs = subset_algebra(additive_type(x)).pairs
-    edges = [rng.choice(pairs[t]) for t in range(2, 1 << x.n)]
-    labels = sorted({m for e in edges for m in e})
-    rng.shuffle(labels)
-    name = {m: f"v{i:02d}" for i, m in enumerate(labels)}
-    return Graph.from_edges(name.values(), [(name[a], name[b]) for a, b in edges])
-
-
 class TestBasics:
     def test_star6_found(self, x012):
         out = search_iasgl(generate("star", 6), x012)
@@ -137,6 +126,15 @@ class TestBasics:
         out = search_iasgl(generate("star", 6), x012, SearchConfig(node_budget=1))
         assert out.status is SearchStatus.BUDGET_EXCEEDED
 
+    def test_empty_graph(self, x01):
+        # Its one assignment is a leaf at depth 0: over {0} it has no
+        # target to miss, over {0,1} it misses {1}.
+        empty = Graph.from_edges([], [])
+        out = search_iasgl(empty, GroundSet.of(0))
+        assert (out.status, out.stats.nodes, out.labelings) == (SearchStatus.FOUND, 0, 1)
+        assert out.witnesses[0].assignment == ()
+        assert search_iasgl(empty, x01, nogate()).status is SearchStatus.EXHAUSTED_NONE
+
     def test_more_vertices_than_labels(self, x01):
         out = search_iasgl(generate("star", 6), x01, nogate())
         assert out.status is SearchStatus.EXHAUSTED_NONE
@@ -146,6 +144,22 @@ class TestBasics:
             SearchConfig(node_budget=0)
         with pytest.raises(ValueError):
             SearchConfig(disabled_rules=frozenset({"P9"}))
+
+    def test_disabled_rules_any_iterable(self, x012):
+        # A set or a list of rule names is kept as a frozenset: configs
+        # compare equal, share one outcome-cache entry and one outcome.
+        import iasgl.search
+
+        configs = [
+            SearchConfig(disabled_rules=rules)
+            for rules in ({"gate", "twins"}, ["twins", "gate"], frozenset({"gate", "twins"}))
+        ]
+        assert configs[0] == configs[1] == configs[2]
+        assert all(type(cfg.disabled_rules) is frozenset for cfg in configs)
+        outs = [search_iasgl(generate("cycle", 6), x012, cfg) for cfg in configs]
+        assert len(iasgl.search._outcomes) == 1
+        assert [out.status for out in outs] == [SearchStatus.EXHAUSTED_NONE] * 3
+        assert len({out.stats.nodes for out in outs}) == 1
 
 
 def assert_same_labelings(labelings, expected):
@@ -198,14 +212,7 @@ class TestLeafAcceptance:
         # With the gate, P3, P4 and twins off, complete assignments whose
         # edge labels escape X, collide or miss a target reach the leaf,
         # where the realized-target count alone must reject them.
-        leaves = [0]
-        search = _State.search
-
-        def counted(state, vi):
-            leaves[0] += vi == len(state.order)
-            return search(state, vi)
-
-        monkeypatch.setattr(_State, "search", counted)
+        leaves = count_calls(monkeypatch, _State, "leaf")
         cfg = SearchConfig(disabled_rules=frozenset({"gate", "P3", "P4", "twins"}), find_all=True)
         found = 0
         for graph, x in [(g, x01) for g in CORPUS_N2] + [(g, x012) for g in CORPUS_N3]:
@@ -537,7 +544,9 @@ class TestVertexOrder:
 
 
 class TestPinnedCounts:
-    """Counters pinned across changes to the DFS's cost per node."""
+    """Counters pinned across changes to the DFS's cost per node or its
+    control flow: each was measured before such a change, and the DFS
+    must reproduce it exactly."""
 
     def test_broom15_sweep(self):
         # The path's first vertex is the hub's one neighbour without a
@@ -548,6 +557,29 @@ class TestPinnedCounts:
                 for x, out in sweep_ground_sets(broom15(path), 4, 5).items()
             }
             assert got == BROOM15_SWEEP, path
+
+    def test_builder_graph_n7(self):
+        x = GroundSet.of(*range(7))
+        out = search_iasgl(build_realisation(x).graph, x)
+        assert (out.status, out.stats.nodes, out.stats.prunes, out.budget_stop) == (
+            SearchStatus.FOUND, 147_652, {"P3": 135_499}, None
+        )
+
+    @pytest.mark.parametrize(
+        "seed, nodes, prunes",
+        [
+            (0, 164, {"P3": 94, "P4": 20}),
+            (1, 23_695, {"P3": 20_719, "P4": 50}),
+            (2, 4_370, {"P3": 3_926, "P4": 147}),
+            (3, 197_663, {"P3": 187_568, "P4": 696}),
+        ],
+    )
+    def test_assignment_graph_n6(self, seed, nodes, prunes):
+        x = GroundSet.of(*range(6))
+        out = search_iasgl(assignment_graph(x, seed), x)
+        assert (out.status, out.stats.nodes, out.stats.prunes, out.budget_stop) == (
+            SearchStatus.FOUND, nodes, prunes, None
+        )
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_star_theorem_nodes(self, n):
