@@ -9,13 +9,13 @@ human-aligned view). Exit codes are a stable contract:
   read off one ``verify_ladder`` pass
 * construct: 0 on success
 * theorems: 0 unless some check was refuted
-* usage and input errors exit 2 via the argument parser: bad flags,
-  malformed ground sets, graph specs and documents, ground sets above
-  the subset cap (sweeps and ``verify`` documents too), family graph
-  specs with more than 2^SUBSET_ENUMERATION_CAP - 2 edges (rejected
-  before the graph is built), ground-set families above
-  ``GROUND_SET_FAMILY_CAP`` (sweeps and ``theorems``) and bad
-  ``theorems`` bounds
+* usage and input errors exit 2 via the command's own argument parser
+  (``iasgl <command>: error: ...``): bad flags, malformed ground sets,
+  graph specs and documents, ground sets above the subset cap (sweeps
+  and ``verify`` documents too), family graph specs with more than
+  2^SUBSET_ENUMERATION_CAP - 2 edges (rejected before the graph is
+  built), ground-set families above ``GROUND_SET_FAMILY_CAP`` (sweeps
+  and ``theorems``) and bad ``theorems`` bounds
 * an output path that cannot be written (``--out``, ``--dot``,
   ``--report``) exits 2 after the result was printed, naming the path
 * an unexpected internal error prints its traceback and exits 70
@@ -337,11 +337,7 @@ def cmd_theorems(args, parser) -> int:
     from .harness import HarnessConfig, run_all
 
     try:
-        config = HarnessConfig(
-            n_range=(args.n_min, args.n_max),
-            max_element=args.max_element,
-            tree_sizes=tuple(args.trees),
-        )
+        config = HarnessConfig(n_range=(args.n_min, args.n_max), max_element=args.max_element)
     except ValueError as exc:
         parser.error(str(exc))
     report = run_all(config)
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify subsets of a ground set", parents=[common])
     p.add_argument("--ground-set", required=True, metavar="0,1,2")
     p.add_argument("--allow-equal-summands", action="store_true")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser("search", parents=[common], help="decide whether a graph admits a labeling")
     p.add_argument("--graph", required=True, metavar="star:6|path:5|cycle:6|complete:4|file:PATH")
@@ -383,25 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gate", action="store_true",
                    help="skip the structural gate and explore exhaustively")
     p.add_argument("--out", metavar="PATH", help="write the first witness document")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, parser=p)
 
     p = sub.add_parser("verify", parents=[common], help="verify a labeled document")
     p.add_argument("document", metavar="PATH")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("construct", parents=[common], help="build a graceful graph-realisation")
     p.add_argument("--ground-set", required=True, metavar="0,1,2")
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--dot", metavar="PATH")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, parser=p)
 
     p = sub.add_parser("theorems", parents=[common], help="run the desk-scale theorem harness")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--max-element", type=int, default=8)
-    p.add_argument("--trees", type=int, nargs="+", default=[3, 7])
     p.add_argument("--report", metavar="PATH")
-    p.set_defaults(func=cmd_theorems)
+    p.set_defaults(func=cmd_theorems, parser=p)
 
     return parser
 
@@ -409,14 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code.
 
+    Every usage error of a command, whether argparse or its ``cmd_*``
+    finds it, reads ``iasgl <command>: error: ...``: each ``cmd_*`` is
+    handed its own subparser, which also reports unknown arguments.
     SystemExit (usage errors) and KeyboardInterrupt pass through; any
     other exception is a defect, reported with its traceback on stderr
     and EXIT_INTERNAL_ERROR, so it is never read as a verdict.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except Exception:
         import traceback  # only on this path, to keep CLI start-up lean
 

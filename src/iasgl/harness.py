@@ -45,9 +45,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .graphs import (
-    FREE_TREE_CAP, Graph, enumerate_free_trees, family_edge_count, generate, pendant_vertices,
-)
+from .graphs import Graph, enumerate_free_trees, family_edge_count, generate, pendant_vertices
 from .labeling import Labeling, structural_gate
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
@@ -69,9 +67,12 @@ UNKNOWN = "Unknown-budget"
 #: Fixed bounds, recorded in every report's bounds.
 PATH_CYCLE_RANGE = (3, 8)
 COMPLETE_RANGE = (2, 8)
+#: A tree on m vertices has m - 1 edges, so rule R1 (|E| = 2^n - 2) leaves
+#: only m = 2^n - 1 to decide; these are the m <= FREE_TREE_CAP.
+TREE_ORDERS = (3, 7)
 
-#: Largest |X| swept outside n_range: P_7, C_6 and K_4 have 2^3 - 2 edges,
-#: and the trees on m = 2^n - 1 <= FREE_TREE_CAP vertices have m <= 7.
+#: Largest |X| swept outside n_range: P_7, C_6, K_4 and the trees on
+#: 7 vertices have 2^3 - 2 edges.
 FIXED_SWEEP_N = 3
 
 #: Budget of every harness search.
@@ -127,19 +128,12 @@ class CheckResult(Record):
 
 
 class HarnessConfig(Record):
-    __slots__ = _fields = ("n_range", "max_element", "tree_sizes")
+    __slots__ = _fields = ("n_range", "max_element")
 
-    def __init__(
-        self,
-        n_range: tuple[int, int] = (2, 4),
-        max_element: int = 8,
-        tree_sizes: tuple[int, ...] = (3, 7),
-    ) -> None:
+    def __init__(self, n_range: tuple[int, int] = (2, 4), max_element: int = 8) -> None:
         n_lo, n_hi = n_range
         if not 2 <= n_lo <= n_hi <= SUBSET_ENUMERATION_CAP:
             raise ValueError(f"need 2 <= n-min <= n-max <= {SUBSET_ENUMERATION_CAP}")
-        if any(m < 2 for m in tree_sizes):
-            raise ValueError("tree sizes must be at least 2")
         for n in range(n_lo, n_hi + 1):
             check_ground_set_family(n, max_element)
         try:  # n = 2, also swept outside n_range, passes whenever n = 3 does.
@@ -149,13 +143,12 @@ class HarnessConfig(Record):
             raise ValueError(f"{exc}, for the fixed |X| = {FIXED_SWEEP_N} sweeps ({sweeps})") from None
         object.__setattr__(self, "n_range", n_range)
         object.__setattr__(self, "max_element", max_element)
-        object.__setattr__(self, "tree_sizes", tree_sizes)
 
     def bounds_obj(self) -> dict:
         return {
             "n_range": list(self.n_range),
             "max_element": self.max_element,
-            "tree_sizes": list(self.tree_sizes),
+            "tree_sizes": list(TREE_ORDERS),
             "path_cycle_range": list(PATH_CYCLE_RANGE),
             "complete_range": list(COMPLETE_RANGE),
             "diophantine_max": DIOPHANTINE_MAX,
@@ -247,19 +240,12 @@ class WitnessTally:
     witness is checked when it is made and then dropped.
     """
 
-    def __init__(
-        self,
-        ground_sets: int = 0,
-        witnesses: int = 0,
-        neither_violation: str | None = None,
-        pendant_violation: str | None = None,
-        edge_violation: str | None = None,
-    ) -> None:
-        self.ground_sets = ground_sets
-        self.witnesses = witnesses
-        self.neither_violation = neither_violation
-        self.pendant_violation = pendant_violation
-        self.edge_violation = edge_violation
+    def __init__(self) -> None:
+        self.ground_sets = 0
+        self.witnesses = 0
+        self.neither_violation: str | None = None
+        self.pendant_violation: str | None = None
+        self.edge_violation: str | None = None
 
     def add_ground_set(self, x: GroundSet, neither: frozenset[tuple[int, ...]]) -> None:
         """Check |neither| >= n - 1 on one canonical ground set, given
@@ -361,41 +347,19 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
 def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[CheckResult]:
     """Among trees, only the star K(1, 2^n - 2) admits.
 
-    For each m with 1 + m a power of two, every free tree on m vertices
-    is decided for every canonical ground set of the forced cardinality:
-    the star must be Found, everything else must be exhausted to
+    For each m in ``TREE_ORDERS``, every free tree on m = 2^n - 1
+    vertices is decided for every canonical ground set of size n: the
+    star must be Found, everything else must be exhausted to
     nonexistence (the gate-free run certifies full exploration).
     """
     anchor = "a tree admits a graceful set-indexer iff it is the star K(1,2^n-2)"
     results = []
     cfg = _search_config(gate=True)
     nogate = _search_config(gate=False)
-    for m in sorted(set(config.tree_sizes)):
-        check_id = f"tree-theorem/m={m}"
-        n = _exponent_of_edges(m - 1)
-        if n is None:
-            results.append(
-                CheckResult(
-                    check_id,
-                    anchor,
-                    CONFIRMED,
-                    f"1+m = {m + 1} is not a power of two, so no tree on {m} vertices admits",
-                )
-            )
-            continue
-        if m > FREE_TREE_CAP:
-            results.append(
-                CheckResult(
-                    check_id,
-                    anchor,
-                    UNKNOWN,
-                    f"free-tree enumeration is capped at {FREE_TREE_CAP} vertices",
-                )
-            )
-            continue
-
+    for m in TREE_ORDERS:
         trees = enumerate_free_trees(m)
-        family = enumerate_canonical_ground_sets(n, config.max_element)
+        # m = 2^n - 1 has n bits.
+        family = enumerate_canonical_ground_sets(m.bit_length(), config.max_element)
         stars = 0
         statuses = []
         for tree in trees:
@@ -419,7 +383,7 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             f"(stars={stars}, found={found}/{len(statuses)} searches)",
             UNKNOWN: f"{budget} searches hit the budget",
         }[status]
-        results.append(CheckResult(check_id, anchor, status, evidence))
+        results.append(CheckResult(f"tree-theorem/m={m}", anchor, status, evidence))
     return results
 
 

@@ -296,14 +296,6 @@ def mapped_labeling(g: Graph, x: GroundSet, masks: tuple[int, ...]) -> Labeling:
     return f
 
 
-def zero_vertex(g: Graph, f: Labeling) -> str | None:
-    """The vertex labeled {0}, if any."""
-    for vid in g.vertex_ids:
-        if f.label_of(vid) == ZERO_SET:
-            return vid
-    return None
-
-
 def structural_gate(g: Graph, x: GroundSet) -> GateReport:
     """Necessary conditions for a graceful set-indexer, without search.
 

@@ -182,6 +182,14 @@ def labeling_to_frozensets(labeling) -> dict[str, frozenset[int]]:
     return {vid: frozenset(s.elements) for vid, s in labeling.assignment}
 
 
+def zero_vertex(g: Graph, f: Labeling) -> str | None:
+    """The first vertex, in id order, labeled {0}, if any."""
+    for vid in g.vertex_ids:
+        if f.label_of(vid).elements == (0,):
+            return vid
+    return None
+
+
 def clear_result_caches() -> None:
     """Empty the per-type caches of ``search_iasgl`` and
     ``build_realisation``, so the next call of each decides afresh."""

@@ -31,7 +31,6 @@ from iasgl.labeling import (
     verify_iasgl,
     verify_iasi,
     verify_iasl,
-    zero_vertex,
 )
 from iasgl.realisation import build_realisation
 from iasgl.search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
@@ -45,7 +44,7 @@ from iasgl.sets import (
     sumset,
 )
 
-from conftest import iset, naive_sumset, oracle_classify
+from conftest import iset, naive_sumset, oracle_classify, zero_vertex
 from test_realisation import oracle_all_realisations
 
 NOGATE = SearchConfig(disabled_rules=frozenset({"gate"}))

@@ -15,6 +15,7 @@ from iasgl.harness import (
     FIXED_SWEEP_N,
     PATH_CYCLE_RANGE,
     REFUTED,
+    TREE_ORDERS,
     UNKNOWN,
     HarnessConfig,
     TheoremReport,
@@ -109,23 +110,18 @@ class TestChecks:
         assert converse.evidence == "edge-count rule failed to reject K(1,1) at n=2"
 
     def test_tree_theorem_m3_m7(self):
-        results = check_tree_theorem(
-            HarnessConfig(tree_sizes=(3, 7), max_element=6), WitnessTally()
-        )
+        results = check_tree_theorem(HarnessConfig(max_element=6), WitnessTally())
         assert [r.status for r in results] == [CONFIRMED, CONFIRMED]
 
-    def test_tree_theorem_m6_vertex_gate(self):
-        (result,) = check_tree_theorem(
-            HarnessConfig(tree_sizes=(6,), max_element=6), WitnessTally()
-        )
-        assert result.status == CONFIRMED
-        assert "not a power of two" in result.evidence
-
-    def test_tree_theorem_m15_budget(self):
-        (result,) = check_tree_theorem(
-            HarnessConfig(tree_sizes=(15,), max_element=6), WitnessTally()
-        )
-        assert result.status == UNKNOWN
+    def test_tree_orders_are_the_star_orders_within_the_cap(self):
+        # A tree on m vertices has m - 1 edges, so R1 leaves m = 2^n - 1;
+        # the check decides every such m the free-tree enumerator reaches.
+        orders = [m for m in range(2, FREE_TREE_CAP + 1) if m & (m + 1) == 0]
+        assert list(TREE_ORDERS) == orders == [3, 7]
+        results = check_tree_theorem(HarnessConfig(max_element=6), WitnessTally())
+        assert [r.check_id for r in results] == [f"tree-theorem/m={m}" for m in orders]
+        trees = [int(r.evidence.split(" trees on ")[0]) for r in results]
+        assert trees == [1, 11]
 
     def test_path_cycle(self):
         results = check_path_cycle(HarnessConfig(max_element=6))
@@ -193,9 +189,7 @@ class TestChecks:
             return [t for t in trees(m) if max(map(t.degree, t.vertex_ids)) < m - 1]
 
         monkeypatch.setattr(harness, "enumerate_free_trees", starless)
-        (result,) = check_tree_theorem(
-            HarnessConfig(tree_sizes=(7,), max_element=6), WitnessTally()
-        )
+        result = check_tree_theorem(HarnessConfig(max_element=6), WitnessTally())[-1]
         assert (result.check_id, result.status) == ("tree-theorem/m=7", REFUTED)
         assert result.evidence.startswith(
             "tree family on 7 vertices violated the star characterization (stars=0, found=0/"
@@ -310,15 +304,16 @@ class TestRunAll:
         lo, hi = PATH_CYCLE_RANGE
         edges = [m - 1 for m in range(lo, hi + 1)] + list(range(lo, hi + 1))
         edges += [m * (m - 1) // 2 for m in range(COMPLETE_RANGE[0], COMPLETE_RANGE[1] + 1)]
-        edges += [m - 1 for m in range(2, FREE_TREE_CAP + 1)]
+        edges += [m - 1 for m in TREE_ORDERS]
         swept = [(e + 2).bit_length() - 1 for e in edges if (e + 2) & (e + 1) == 0]
         assert max(swept) == FIXED_SWEEP_N
 
     def test_bounds_recorded(self):
-        config = HarnessConfig(n_range=(2, 3), max_element=6, tree_sizes=(3,))
+        config = HarnessConfig(n_range=(2, 3), max_element=6)
         report = run_all(config)
         assert report.bounds["n_range"] == [2, 3]
         assert report.bounds["max_element"] == 6
+        assert report.bounds["tree_sizes"] == [3, 7]
 
     def test_budget_degrades_to_unknown(self, monkeypatch):
         monkeypatch.setattr(harness, "NODE_BUDGET", 5)
@@ -359,6 +354,6 @@ class TestRunAll:
         # check_path_cycle and check_complete_graphs search through
         # sweep_ground_sets, which calls the search module's own name.
         monkeypatch.setattr(iasgl.search, "search_iasgl", search)
-        config = HarnessConfig(n_range=(3, 3), max_element=6, tree_sizes=(7,))
+        config = HarnessConfig(n_range=(3, 3), max_element=6)
         (result,) = [r for r in check(config) if r.check_id == check_id]
         assert result.status == REFUTED

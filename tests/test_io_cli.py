@@ -295,8 +295,10 @@ class TestCli:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
-            errors.append(capsys.readouterr().err.splitlines()[-1])
-        assert errors[0] == errors[1] == f"iasgl: error: malformed ground set: {ground_set!r}"
+            line = capsys.readouterr().err.splitlines()[-1]
+            assert line.startswith(f"iasgl {argv[0]}: error: ")
+            errors.append(line.partition("error: ")[2])
+        assert errors[0] == errors[1] == f"malformed ground set: {ground_set!r}"
 
     def test_search_file_graph(self, tmp_path, capsys):
         k4 = tmp_path / "k4.json"
@@ -341,8 +343,22 @@ class TestCli:
             main(argv)
         assert err.value.code == 2
         stderr = capsys.readouterr().err
-        assert f"iasgl: error: {message}\n" in stderr
+        assert f"iasgl {argv[0]}: error: {message}\n" in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--graph", "star:2"],  # argparse: --ground-set is required
+        ["search", "--graph", "star:2", "--ground-set", "0,x"],  # cmd_search
+        ["theorems", "--n-min", "1"],  # HarnessConfig, through cmd_theorems
+        ["theorems", "--trees", "3"],  # an argument theorems does not know
+    ], ids=["argparse", "handler", "config", "unknown"])
+    def test_usage_errors_name_their_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: iasgl {argv[0]} [-h]")
+        assert lines[-1].startswith(f"iasgl {argv[0]}: error: ")
 
     @pytest.mark.parametrize("flag", [["--node-budget", "0"], ["--time-budget-ms", "-5"]])
     def test_search_bad_budget_is_usage_error(self, flag, capsys):
@@ -449,7 +465,7 @@ class TestCli:
         (["construct", "--ground-set", "0,1,2"], "--dot"),
         (["search", "--graph", "star:6", "--ground-set", "0,1,2"], "--out"),
         (["search", "--graph", "star:6", "--ground-set", "sweep:n=3,max=4"], "--out"),
-        (["theorems", "--n-max", "3", "--max-element", "4", "--trees", "3"], "--report"),
+        (["theorems", "--n-max", "3", "--max-element", "4"], "--report"),
     ], ids=["construct-out", "construct-dot", "search-out", "sweep-out", "theorems-report"])
     def test_unwritable_output_path_is_usage_error(self, argv, flag, tmp_path, capsys):
         path = str(tmp_path / "missing-dir" / "out.txt")
@@ -691,19 +707,11 @@ class TestCli:
         assert main(["theorems", "--n-max", "5", "--max-element", "10"]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
-    def test_theorems_trees_budget_flag(self, capsys):
-        code = main(["theorems", "--n-max", "3", "--max-element", "6",
-                     "--trees", "3", "15"])
-        assert code == 0  # Unknown-budget entries do not fail the run
-        payload = json.loads(capsys.readouterr().out)
-        tree15 = [c for c in payload["checks"] if c["id"] == "tree-theorem/m=15"]
-        assert tree15 and tree15[0]["status"] == "Unknown-budget"
-
     @pytest.mark.parametrize("flags", [
         ["--n-min", "1"],
         ["--n-max", "10"],
         ["--max-element", "2", "--n-max", "4"],
-        ["--trees", "1"],
+        ["--trees", "3"],  # the tree orders are fixed, not a flag
         ["--n-min", "4", "--n-max", "3"],
         ["--n-max", "2", "--max-element", "1"],  # the fixed checks sweep |X| = 3
     ])
@@ -729,7 +737,7 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["theorems", *flags])
         assert err.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"iasgl: error: {error}"
+        assert capsys.readouterr().err.splitlines()[-1] == f"iasgl theorems: error: {error}"
 
     def test_theorems_diophantine_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:

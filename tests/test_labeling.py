@@ -21,7 +21,6 @@ from iasgl.labeling import (
     verify_iasi,
     verify_iasl,
     verify_ladder,
-    zero_vertex,
 )
 from iasgl.realisation import build_realisation
 from iasgl.sets import (
@@ -34,7 +33,7 @@ from iasgl.sets import (
     subsets_by_mask,
 )
 
-from conftest import iset, star_witness, summed_edges
+from conftest import iset, star_witness, summed_edges, zero_vertex
 
 
 # The ladder as it was before it read labels as element tuples: each

@@ -13,7 +13,6 @@ from iasgl.labeling import (
     verify_iasgl,
     verify_iasi,
     verify_iasl,
-    zero_vertex,
 )
 from iasgl.realisation import build_realisation
 from iasgl.search import SearchConfig, search_iasgl
@@ -33,6 +32,7 @@ from conftest import (
     nonempty_subsets,
     oracle_classify,
     oracle_is_iasgl,
+    zero_vertex,
 )
 
 integer_sets = st.builds(

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from iasgl.graphs import Graph, is_bipartite, pendant_vertices
-from iasgl.labeling import graceful_targets, verify_iasgl, zero_vertex
+from iasgl.labeling import graceful_targets, verify_iasgl
 from iasgl.io import load_document
 from iasgl.cli import main
 from iasgl.realisation import _build, build_realisation
@@ -26,7 +26,7 @@ from iasgl.sets import (
     sumset,
 )
 
-from conftest import clear_result_caches, iset, naive_sumset, nonempty_subsets
+from conftest import clear_result_caches, iset, naive_sumset, nonempty_subsets, zero_vertex
 
 
 def oracle_all_realisations(elements):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from iasgl.graphs import Graph, enumerate_free_trees, generate
-from iasgl.labeling import GateReport, Labeling, Violation, verify_iasgl, zero_vertex
+from iasgl.labeling import GateReport, Labeling, Violation, verify_iasgl
 from iasgl.realisation import build_realisation
 from iasgl.search import (
     PRUNE_RULES,
@@ -37,6 +37,7 @@ from conftest import (
     expand_orbits,
     labeling_to_frozensets,
     oracle_search_all,
+    zero_vertex,
 )
 
 

@@ -105,7 +105,7 @@ class TestLoadedLayers:
         assert not got["json"]
 
     def test_theorems(self):
-        got = loads("theorems", "--n-max", "3", "--max-element", "4", "--trees", "3")
+        got = loads("theorems", "--n-max", "3", "--max-element", "4")
         assert got["code"] == 0
         assert {"iasgl.harness", "iasgl.search", "iasgl.realisation"} <= set(got["iasgl"])
 
