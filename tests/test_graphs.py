@@ -8,11 +8,10 @@ from iasgl.graphs import (
     family_edge_count,
     generate,
     is_bipartite,
-    is_isomorphic,
     pendant_vertices,
 )
 
-from conftest import prufer_trees
+from conftest import is_isomorphic, prufer_trees
 
 # Free trees per vertex count, the classic sequence.
 FREE_TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}

@@ -10,10 +10,8 @@ import pytest
 import iasgl.search
 from iasgl import harness
 from iasgl.harness import (
-    COMPLETE_RANGE,
     CONFIRMED,
     FIXED_SWEEP_N,
-    PATH_CYCLE_RANGE,
     REFUTED,
     TREE_ORDERS,
     UNKNOWN,
@@ -27,10 +25,10 @@ from iasgl.harness import (
     check_pendant_bounds,
     check_star_theorem,
     check_tree_theorem,
-    diophantine_solutions,
+    complete_graph_solutions,
     run_all,
 )
-from iasgl.graphs import FREE_TREE_CAP, Graph, generate
+from iasgl.graphs import FREE_TREE_CAP, Graph, family_edge_count, generate
 from iasgl.labeling import GateReport, Labeling
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
 from iasgl.cli import main
@@ -50,29 +48,29 @@ def neither_tuples(x: GroundSet) -> frozenset[tuple[int, ...]]:
     return frozenset(s.elements for s in classify_ground_set(x).neither)
 
 
-class TestDiophantine:
-    def test_known_square_at_n2_only(self):
-        assert diophantine_solutions(30) == [(2, 1, "minus")]
+class TestCompleteGraphEquation:
+    def test_solver_matches_isqrt_scan(self):
+        """m(m-1)/2 = 2^n - 2 iff (2m-1)^2 = 2^(n+3) - 15: a square root
+        scan of every exponent below 2,000 finds the solver's pairs."""
+        scan = []
+        for n in range(2000):
+            d = (1 << (n + 3)) - 15
+            if d > 0 and math.isqrt(d) ** 2 == d:
+                m = (math.isqrt(d) + 1) // 2
+                assert m * (m - 1) // 2 == (1 << n) - 2
+                scan.append((m, n))
+        assert complete_graph_solutions() == scan == [(1, 1), (4, 3)]
 
-    def test_n10_discriminant_not_square(self):
-        d = 2 ** 14 - 15
-        assert d == 16369
-        s = math.isqrt(d)
-        assert s * s != d
-
-    def test_direct_loop_oracle_agrees(self):
-        """Independent route: try every odd k directly."""
-        found = []
-        for n in range(0, 31):
-            power = 1 << n
-            k = 1
-            while 4 * k * k - k + 1 <= power:
-                if 4 * k * k + k + 1 == power:
-                    found.append((n, k, "plus"))
-                if 4 * k * k - k + 1 == power:
-                    found.append((n, k, "minus"))
-                k += 2
-        assert sorted(found) == diophantine_solutions(30)
+    @pytest.mark.parametrize("solutions,wrong", [
+        ([(0, 1), (1, 1), (4, 3)], "[(0, 1)]"),  # K_0: the equation holds, the order is new
+        ([(1, 1), (4, 4)], "[(4, 4)]"),  # 6 edges, not 2^4 - 2
+    ], ids=["extra-order", "false-pair"])
+    def test_edge_count_refuted_when_the_solver_errs(self, solutions, wrong, monkeypatch):
+        monkeypatch.setattr(harness, "complete_graph_solutions", lambda: solutions)
+        edge_count, k4 = check_complete_graphs(HarnessConfig(max_element=6))
+        assert (edge_count.check_id, edge_count.status) == ("complete/edge-count", REFUTED)
+        assert edge_count.evidence.startswith(f"solutions {wrong} fail")
+        assert k4.status == CONFIRMED
 
 
 class TestChecks:
@@ -99,7 +97,8 @@ class TestChecks:
         converse = next(r for r in results if r.check_id == "star-theorem/converse")
         assert converse.status == CONFIRMED
         assert converse.evidence == (
-            "edge-count rule rejects K(1,m) for m in [1, 3, 4, 5] at every n in range"
+            "edge-count rule rejects K(1,m) for every m <= 6 except 2^k - 2, k = 2..3, "
+            "at every n in range"
         )
 
     def test_star_converse_refuted_when_gate_passes(self, monkeypatch):
@@ -124,17 +123,21 @@ class TestChecks:
         assert trees == [1, 11]
 
     def test_path_cycle(self):
-        results = check_path_cycle(HarnessConfig(max_element=6))
-        assert all(r.status == CONFIRMED for r in results)
-        p3 = next(r for r in results if r.check_id == "path-nonexistence/m=3")
+        p3, p7, c6 = check_path_cycle(HarnessConfig(max_element=6))
+        assert {p3.status, p7.status, c6.status} == {CONFIRMED}
+        assert p3.check_id == "path-nonexistence/m=3"
         assert "K(1,2)" in p3.evidence  # the star-path exception is explicit
-        c6 = next(r for r in results if r.check_id == "cycle-nonexistence/m=6")
-        assert "contradiction" in c6.evidence
+        # The sweeps stand for every order through the triangle theorem.
+        for row in (p7, c6):
+            assert row.evidence.startswith("all 11 canonical ground sets at n=3")
+            assert row.evidence.endswith("so none admits at any n (triangle theorem)")
 
     def test_complete_graphs(self):
-        results = check_complete_graphs(HarnessConfig())
-        assert all(r.status == CONFIRMED for r in results)
-        k4 = next(r for r in results if r.check_id == "complete/exhaustive-K4")
+        edge_count, k4 = check_complete_graphs(HarnessConfig())
+        assert {edge_count.status, k4.status} == {CONFIRMED}
+        assert edge_count.check_id == "complete/edge-count"
+        assert "only at (m, n) in [(1, 1), (4, 3)] for every n" in edge_count.evidence
+        assert k4.check_id == "complete/exhaustive-K4"
         assert "exhaustively refuted" in k4.evidence
 
     def test_pendant_bounds(self):
@@ -271,9 +274,9 @@ class TestRunAll:
         assert (searches[0], iasgl.realisation._build.cache_info().misses) == (74, 47)
 
     @pytest.mark.parametrize("fmt,expected", [
-        ("json", "5282b7edaae35f5e5ea3714db6ccef71108047a3183f26a9c631015c626597f3"),
-        ("table", "82515c4251dbb9b949cc2b6cdac4686caf7c7904ba17d6b8177f60ed602bcfc5"),
-    ])
+        ("json", "37502fbf972b1e2c418c663701a3f7a56492e85d77fb676992261e6908e8acd2"),
+        ("table", "9bb8a19d1f4ac39d8961999af24285eac1868daecde50c37c6caffc05d3af8a8"),
+    ], ids=["json", "table"])
     def test_theorems_output_pinned(self, fmt, expected):
         """The CLI theorems report at the benchmark's bounds (n = 2..5,
         max 10) hashes to a pinned digest in each format, so any change
@@ -300,13 +303,21 @@ class TestRunAll:
             TheoremReport(checks=[dup, dup], bounds={})
 
     def test_fixed_sweep_n_is_largest_fixed_sweep(self):
-        # Edge counts of P_m and C_m, K_m, and the trees on m vertices.
-        lo, hi = PATH_CYCLE_RANGE
-        edges = [m - 1 for m in range(lo, hi + 1)] + list(range(lo, hi + 1))
-        edges += [m * (m - 1) // 2 for m in range(COMPLETE_RANGE[0], COMPLETE_RANGE[1] + 1)]
-        edges += [m - 1 for m in TREE_ORDERS]
-        swept = [(e + 2).bit_length() - 1 for e in edges if (e + 2) & (e + 1) == 0]
-        assert max(swept) == FIXED_SWEEP_N
+        # The path and cycle rows are exactly the P_m and C_m (m >= 3)
+        # with 2^n - 2 edges for some 2 <= n <= FIXED_SWEEP_N, and
+        # FIXED_SWEEP_N is the n of the largest tree order and of K_4.
+        rule = [
+            f"{kind}-nonexistence/m={m}"
+            for kind in ("path", "cycle")
+            for m in range(3, 1 << (FIXED_SWEEP_N + 2))
+            if any(family_edge_count(kind, m) == (1 << n) - 2 for n in range(2, FIXED_SWEEP_N + 1))
+        ]
+        rows = check_path_cycle(HarnessConfig(n_range=(2, 2), max_element=6))
+        assert [r.check_id for r in rows] == rule == [
+            "path-nonexistence/m=3", "path-nonexistence/m=7", "cycle-nonexistence/m=6"
+        ]
+        k4_n = max(n for m, n in complete_graph_solutions() if m >= 2)
+        assert FIXED_SWEEP_N == max(TREE_ORDERS).bit_length() == k4_n
 
     def test_bounds_recorded(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6)
@@ -314,6 +325,8 @@ class TestRunAll:
         assert report.bounds["n_range"] == [2, 3]
         assert report.bounds["max_element"] == 6
         assert report.bounds["tree_sizes"] == [3, 7]
+        # The path, cycle and complete rows hold for every order: no range.
+        assert sorted(report.bounds) == ["max_element", "n_range", "tree_sizes"]
 
     def test_budget_degrades_to_unknown(self, monkeypatch):
         monkeypatch.setattr(harness, "NODE_BUDGET", 5)
@@ -322,14 +335,21 @@ class TestRunAll:
         forward = next(r for r in results if "forward" in r.check_id)
         assert forward.status == UNKNOWN
         # At one node per search, the searches that pass the gate stop at
-        # their first node; the gate still rejects P_7 and C_6 outright.
+        # their first node; the gate still rejects P_7 and C_6 outright,
+        # and the complete edge count needs no search.
         monkeypatch.setattr(harness, "NODE_BUDGET", 1)
         results = check_tree_theorem(config, WitnessTally())
         results += check_path_cycle(config) + check_complete_graphs(config)
         status = {r.check_id: r.status for r in results}
-        for check_id in ("tree-theorem/m=7", "path-nonexistence/m=3", "complete/exhaustive-K4"):
-            assert status[check_id] == UNKNOWN
-        assert REFUTED not in status.values()
+        assert status == {
+            "tree-theorem/m=3": UNKNOWN,
+            "tree-theorem/m=7": UNKNOWN,
+            "path-nonexistence/m=3": UNKNOWN,
+            "path-nonexistence/m=7": CONFIRMED,
+            "cycle-nonexistence/m=6": CONFIRMED,
+            "complete/edge-count": CONFIRMED,
+            "complete/exhaustive-K4": UNKNOWN,
+        }
 
     @pytest.mark.parametrize("check,check_id,contradiction", [
         (lambda c: check_star_theorem(c, WitnessTally()), "star-theorem/forward-n=3",

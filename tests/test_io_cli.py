@@ -701,8 +701,8 @@ class TestCli:
         assert payload["bounds"]["n_range"] == [2, 3]
 
     def test_theorems_output_is_pinned(self, capsys):
-        # Generated before sweeps and the harness decided each additive
-        # type once; per-X calls give these bytes.
+        # The benchmark's theorems-breadth report, byte for byte; CI
+        # compares the installed console script's output with this file.
         golden = Path(__file__).parent / "data" / "theorems_n5_max10.json"
         assert main(["theorems", "--n-max", "5", "--max-element", "10"]) == 0
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
@@ -765,8 +765,8 @@ class TestCli:
         ("verify", "table"): (1, "e64e6a2dbdedc7d8"),
         ("construct", "json"): (0, "145e72e4909bef76"),
         ("construct", "table"): (0, "c1fb733413293c24"),
-        ("theorems", "json"): (0, "4d5431a418cf3491"),
-        ("theorems", "table"): (0, "0477d9b6addcfd6b"),
+        ("theorems", "json"): (0, "bd46010f29f93547"),
+        ("theorems", "table"): (0, "4b00a8c3cc927376"),
     }
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
