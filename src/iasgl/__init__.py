@@ -16,7 +16,6 @@ _EXPORTS = {
     "Graph": "graphs",
     "enumerate_free_trees": "graphs",
     "generate": "graphs",
-    "is_bipartite": "graphs",
     "pendant_vertices": "graphs",
     "GateReport": "labeling",
     "Labeling": "labeling",

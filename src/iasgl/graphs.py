@@ -10,8 +10,6 @@ isomorphism class.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .sets import KeyRecord
 
 FREE_TREE_CAP = 10
@@ -137,25 +135,6 @@ def family_edge_count(kind: str, size: int) -> int:
 def pendant_vertices(g: Graph) -> list[str]:
     """Vertices of degree exactly 1, in id order."""
     return list(g._pendants)
-
-
-def is_bipartite(g: Graph) -> bool:
-    """2-colorability by breadth-first traversal."""
-    color: dict[str, int] = {}
-    for start in g.vertex_ids:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

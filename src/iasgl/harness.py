@@ -59,7 +59,7 @@ give.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .graphs import Graph, enumerate_free_trees, generate, pendant_vertices
 from .labeling import Labeling, structural_gate

@@ -29,15 +29,16 @@ realize the non-sumsets, never a remaining target. Every remaining
 target t keeps the pair ({0}, t), so the pass cannot fail for a valid
 ground set. If X is sum-free (no x_i + x_j = x_k with i, j >= 1),
 every target is a non-sumset and the hub star, which is bipartite, is
-the only realisation. Otherwise the pass has closed an odd cycle on
-every additive type that the canonical families reach at n <= 8.
+the only realisation. Otherwise some edge has no end labelled {0}, so
+the graph has a triangle (the triangle theorem in ``harness``), and
+``non_bipartite`` reads that off the degrees without a traversal.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, is_bipartite
+from .graphs import Graph
 from .labeling import Labeling, mapped_labeling
 from .sets import ZERO_MASK, GroundSet, Record, additive_type, subset_algebra
 
@@ -51,8 +52,12 @@ class RealisationResult(Record):
 
     @property
     def non_bipartite(self) -> bool:
-        """Whether the graph has an odd cycle, by a BFS of the graph."""
-        return not is_bipartite(self.graph)
+        """Whether the graph has an odd cycle. By the triangle theorem's
+        corollary (see ``harness``) a verified IASGL graph is bipartite
+        iff it is K(1, 2^n - 2), that is, iff one vertex meets every
+        edge."""
+        g = self.graph
+        return max(map(g.degree, g.vertex_ids)) < g.edge_count()
 
 
 def build_realisation(x: GroundSet) -> RealisationResult:

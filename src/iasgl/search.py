@@ -38,7 +38,11 @@ P4 is incremental: a running count of missing targets makes its count
 test O(1), and after a vertex takes a label only the targets whose
 viable pairs that assignment can have killed are rescanned (see
 ``_State.coverage_ok``). The verdict equals a full rescan of every
-unrealized target.
+unrealized target. The other counts P4 reads are functions of the
+depth, not of the labels: while vertices 0..vi hold labels, nv - 1 - vi
+are unassigned, the edges not among 0..vi are unplaced, and a vertex
+keeps an unassigned neighbour iff its last neighbour in DFS order comes
+after vi. Both tables are read off the layout once per search.
 
 Set-up that depends only on X's additive type (the subset algebra, its
 pair-sum table and its one classification's masks, ``class_masks()``,
@@ -68,10 +72,11 @@ its twin predecessor's label. A star's leaves therefore cost O(1) each
 rather than a scan from the front of a 2^n-long list.
 
 The DFS is one loop over levels, one level per vertex, not a
-recursion: each level keeps its candidate list, the index of its next
-candidate, and the targets and fresh count of the label it holds (see
-``_State.run``). So a deep graph costs neither interpreter frames nor C
-stack, and a budget stop is a returned value, not an exception.
+recursion: each level keeps only its candidate list, the index of its
+next candidate, and the targets and fresh count of the label it holds
+(see ``_State.run``); entering or leaving a level changes no other
+count. So a deep graph costs neither interpreter frames nor C stack,
+and a budget stop is a returned value, not an exception.
 
 All rules are sound (they never discard a completable branch, up to
 twin symmetry), so a fully explored tree with no accepted leaf is a
@@ -95,6 +100,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 
 from .graphs import Graph
@@ -210,23 +216,21 @@ class _Layout(Record):
     """The graph-only part of the DFS set-up, shared by every search of
     one graph: vertices in DFS order (descending degree, then ascending
     twin-class size, then id), and
-    per DFS index the degree, the neighbours, the earlier neighbours,
+    per DFS index the neighbours and the earlier neighbours,
     plus the non-trivial twin classes (members in DFS order) and each
     member's predecessor in its class."""
 
-    __slots__ = _fields = ("order", "degree", "neighbors", "earlier", "twin_classes", "twin_prev")
+    __slots__ = _fields = ("order", "neighbors", "earlier", "twin_classes", "twin_prev")
 
     def __init__(
         self,
         order: tuple[str, ...],
-        degree: tuple[int, ...],
         neighbors: tuple[tuple[int, ...], ...],
         earlier: tuple[tuple[int, ...], ...],
         twin_classes: tuple[tuple[int, ...], ...],
         twin_prev: tuple[int | None, ...],
     ) -> None:
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "neighbors", neighbors)
         object.__setattr__(self, "earlier", earlier)
         object.__setattr__(self, "twin_classes", twin_classes)
@@ -278,7 +282,6 @@ def _graph_layout(g: Graph) -> _Layout:
             twin_prev[v] = prev
     return _Layout(
         order=order,
-        degree=tuple(map(len, neighbors)),
         neighbors=neighbors,
         earlier=tuple(tuple(w for w in nbrs if w < i) for i, nbrs in enumerate(neighbors)),
         twin_classes=twin_classes,
@@ -322,9 +325,12 @@ class _State:
 
         layout = _graph_layout(g)
         self.order = layout.order
-        self.degree = layout.degree
         self.neighbors = layout.neighbors
         self.earlier = layout.earlier
+        # Per DFS index, its last neighbour (-1 without one), and per
+        # depth vi, the edges not yet placed once 0..vi hold labels.
+        self.last = [max(nbrs, default=-1) for nbrs in self.neighbors]
+        self.unplaced = [len(g.edges) - k for k in accumulate(map(len, self.earlier))]
 
         self.candidates, self.summand_only = self._candidate_lists()
 
@@ -336,9 +342,6 @@ class _State:
         self.realized = [0] * (1 << n)  # edges carrying each target mask
         self.missing = len(self.targets)  # targets with no edge yet
         self.edge_count = len(g.edges)
-        self.assigned_edges = 0
-        self.unassigned = nv
-        self.free_neighbors = list(self.degree)  # unassigned neighbours per vertex
         self.witnesses: list[tuple[Labeling, tuple[int, ...]]] = []
 
     def _candidate_lists(self) -> tuple[list[list[int]], list[list[int] | None]]:
@@ -368,7 +371,7 @@ class _State:
             return shared[key]
 
         lists, summand_only = [], []
-        for degree in self.degree:
+        for degree in map(len, self.neighbors):
             zero_ok = not p1 or degree >= self.min_zero_degree
             lists.append(labels(zero_ok, not p2 or degree == 1))
             summand_only.append(labels(zero_ok, False) if p2 and degree == 1 else None)
@@ -377,17 +380,22 @@ class _State:
     def coverage_ok(self, vi: int, mask: int) -> bool:
         """P4 after vertex vi took label mask.
 
+        Vertices 0..vi hold labels, so the counts read here are
+        functions of the depth vi alone: nv - 1 - vi vertices are
+        unassigned, ``unplaced[vi]`` edges are unplaced, and a vertex
+        v keeps an unassigned neighbor iff ``last[v] > vi``.
+
         Invariant: the parent state already passed P4. For the root this
         holds whenever it has >= 2 vertices, since every target t has
         the viable pair ({0}, t). A pair that was viable in the parent
         dies only if it uses mask, if it is anchored at an earlier
-        neighbor of vi that has just lost its last unassigned neighbor,
-        or if it needs two unassigned vertices and fewer than two remain.
-        So only the targets of mask, the targets of each such neighbor's
-        label (the values of their ``pair_sums`` rows; a target listed
-        twice is rescanned twice, to the same verdict) and, once
-        unassigned < 2, every target are rescanned; the verdict is that
-        of a full rescan of all unrealized targets.
+        neighbor w of vi that has just lost its last unassigned neighbor
+        (``last[w] == vi``), or if it needs two unassigned vertices and
+        fewer than two remain. So only the targets of mask, the targets
+        of each such neighbor's label (the values of their ``pair_sums``
+        rows; a target listed twice is rescanned twice, to the same
+        verdict) and, once unassigned < 2, every target are rescanned;
+        the verdict is that of a full rescan of all unrealized targets.
 
         A target is viable while some pair of it can still become an
         edge label: both labels unused with two vertices unassigned, or
@@ -395,17 +403,17 @@ class _State:
         A pair whose labels both sit on vertices is dead (they are not
         adjacent, or the target would be realized).
         """
-        if self.missing > self.edge_count - self.assigned_edges:
+        if self.missing > self.unplaced[vi]:
             return False
-        unassigned = self.unassigned
-        free_neighbors = self.free_neighbors
+        unassigned = len(self.order) - 1 - vi
+        last = self.last
         if unassigned < 2:
             groups = [self.targets]
         else:
             pair_sums = self.pair_sums
             groups = [pair_sums[mask].values()]
             for w in self.earlier[vi]:
-                if not free_neighbors[w]:
+                if last[w] == vi:
                     groups.append(pair_sums[self.assigned[w]].values())
         realized = self.realized
         owner = self.owner
@@ -421,9 +429,9 @@ class _State:
                         if vb is None:
                             if unassigned >= 2:
                                 break
-                        elif free_neighbors[vb]:
+                        elif last[vb] > vi:
                             break
-                    elif vb is None and free_neighbors[va]:
+                    elif vb is None and last[va] > vi:
                         break
                 else:
                     return False
@@ -436,11 +444,11 @@ class _State:
 
         Level vi is entered with vertex vi unlabeled: the twin rule's
         cursor starts its scan just past the label of vi's predecessor
-        in its twin class. What taking a vertex does to the counters
-        (unassigned vertices, assigned edges, the neighbours' free
-        counts) does not depend on the label, so it is applied on
-        entering the level and undone on leaving it; P4 and the deeper
-        levels see the state they would if each label applied it. While
+        in its twin class. What taking a vertex does to the counts P4
+        reads (unassigned vertices, unplaced edges, which vertices keep
+        an unassigned neighbour) does not depend on the label: they are
+        functions of the depth, read off ``last`` and ``unplaced``, so
+        entering or leaving a level changes none of them. While
         vertex vi holds a label, ``levels[vi]`` keeps the level's
         candidate list, the index of its next candidate and that label's
         targets and fresh count. Coming back to a level that holds a
@@ -472,10 +480,6 @@ class _State:
                         candidates = summand_only
                 prev = self.twin_prev[vi]
                 start = 0 if prev is None else bisect_right(candidates, assigned[prev])
-                self.unassigned -= 1
-                self.assigned_edges += len(earlier)
-                for w in self.neighbors[vi]:
-                    self.free_neighbors[w] -= 1
             else:
                 candidates, start, new_targets, fresh = levels[vi]
                 for t in new_targets:
@@ -508,10 +512,6 @@ class _State:
                     break  # mask passed P3: vertex vi takes it
             else:
                 # Every candidate is spent: leave the level.
-                for w in self.neighbors[vi]:
-                    self.free_neighbors[w] += 1
-                self.assigned_edges -= len(earlier)
-                self.unassigned += 1
                 if not vi:
                     return None
                 vi -= 1

@@ -8,6 +8,7 @@ fast paths, so oracle agreement is a genuine dual-route check.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, permutations, product
 
 import pytest
@@ -210,6 +211,26 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+def is_bipartite(g: Graph) -> bool:
+    """2-colorability by breadth-first traversal: the reference for
+    ``RealisationResult.non_bipartite``, which reads it off the degrees."""
+    color: dict[str, int] = {}
+    for start in g.vertex_ids:
+        if start in color:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if w not in color:
+                    color[w] = color[u] ^ 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
 
 
 def labeling_to_frozensets(labeling) -> dict[str, frozenset[int]]:

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iasgl.graphs import generate, is_bipartite
+from iasgl.graphs import generate
 from iasgl.labeling import (
     Labeling,
     structural_gate,
@@ -27,6 +27,7 @@ from iasgl.sets import (
 )
 
 from conftest import (
+    is_bipartite,
     labeling_to_frozensets,
     naive_sumset,
     nonempty_subsets,

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from iasgl.graphs import Graph, is_bipartite, pendant_vertices
+from iasgl.graphs import Graph, pendant_vertices
 from iasgl.labeling import graceful_targets, verify_iasgl
 from iasgl.io import load_document
 from iasgl.cli import main
@@ -26,7 +26,14 @@ from iasgl.sets import (
     sumset,
 )
 
-from conftest import clear_result_caches, iset, naive_sumset, nonempty_subsets, zero_vertex
+from conftest import (
+    clear_result_caches,
+    is_bipartite,
+    iset,
+    naive_sumset,
+    nonempty_subsets,
+    zero_vertex,
+)
 
 
 def oracle_all_realisations(elements):

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: Every name the package exported before its exports became lazy, by
 #: defining module.
 EXPORTED = {
-    "graphs": ("Graph", "enumerate_free_trees", "generate", "is_bipartite", "pendant_vertices"),
+    "graphs": ("Graph", "enumerate_free_trees", "generate", "pendant_vertices"),
     "labeling": (
         "GateReport", "Labeling", "Violation", "graceful_targets", "induced_edge_label",
         "structural_gate", "verify_iasgl", "verify_iasi", "verify_iasl", "verify_ladder",
@@ -48,16 +48,21 @@ else:
     import iasgl.cli
 loaded = sorted(m for m in sys.modules if m == "iasgl" or m.startswith("iasgl."))
 got = {"code": code, "iasgl": loaded, "dataclasses": "dataclasses" in sys.modules,
-       "decimal": "decimal" in sys.modules, "json": "json" in sys.modules}
+       "decimal": "decimal" in sys.modules, "json": "json" in sys.modules,
+       "typing": "typing" in sys.modules}
 import json
 print(json.dumps(got), file=sys.stderr)
 """
 
 
-def loads(*argv: str) -> dict:
+def loads(*argv: str, site: bool = True) -> dict:
+    """Run the probe on argv; without ``site`` the interpreter runs with
+    -S, so no ``.pth`` file imports anything before the command."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    flags = [] if site else ["-S"]
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *flags, "-c", PROBE, *argv], capture_output=True, text=True, env=env,
+        timeout=120,
     )
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
@@ -108,6 +113,13 @@ class TestLoadedLayers:
         got = loads("theorems", "--n-max", "3", "--max-element", "4")
         assert got["code"] == 0
         assert {"iasgl.harness", "iasgl.search", "iasgl.realisation"} <= set(got["iasgl"])
+
+    def test_theorems_loads_no_typing(self):
+        # The command that loads the most layers; a site ``.pth`` file
+        # may import typing on its own, hence -S.
+        got = loads("theorems", "--n-max", "3", "--max-element", "4", site=False)
+        assert got["code"] == 0
+        assert not got["typing"]
 
 
 def test_benchmark_commands_load_no_decimal(tmp_path):
