@@ -3,9 +3,10 @@
 Every numbered claim behind the library is re-checked: stars admit
 exactly at size 2^n - 2, trees admit only as that star, paths on four
 or more vertices and all cycles never admit, complete graphs never
-admit, and every witness respects the edge-count and pendant lower
-bounds. Rule R1 (|E| = 2^n - 2) alone rejects every graph whose edge
-count is not 2^n - 2, so only graphs with that edge count are built.
+admit, and every ground set has at least n - 1 neither subsets, the
+pendants its {0}-vertex must host. Rule R1 (|E| = 2^n - 2) alone
+rejects every graph whose edge count is not 2^n - 2, so only graphs
+with that edge count are built.
 
 Triangle theorem. If f is a graceful set-indexer of G over X and some
 edge has no end labelled {0}, then G has a triangle through the
@@ -27,6 +28,27 @@ spot checks of that. The complete rows solve the edge-count equation
 for every n (``complete_graph_solutions``) and sweep its one non-trivial
 solution, K_4.
 
+Every witness a search returns has passed ``verify_iasgl`` (a mapped
+witness that fails is a RuntimeError), and two bounds hold for every
+verified witness, so the harness does not check them again:
+
+Edge count. A verified witness has |E| = 2^n - 2: its edge labels are
+distinct, and the IASGL rung passes only when there are 2^n - 2 of
+them (R1).
+
+Pendant placement. Let X = {0 < x_1 < ...}. The edge carrying {x_1}
+has two distinct singleton labels summing to x_1, so they are {0} and
+{x_1}: some vertex z is labelled {0}, and only z, since labels are
+distinct. A vertex labelled A whose neighbour is labelled B != {0}
+has A + B inside X, so A is a summand and max A < max X. So a vertex
+whose label is a non-summand or holds max X neighbours only z, and is
+a pendant on z, since a ``Graph`` has no isolated vertex. A neither
+set T is a non-summand and a non-sumset target: every pair summing to
+T uses {0}, so the edge carrying T joins z to a vertex labelled T, and
+that vertex is such a pendant. Labels are distinct, so z hosts at
+least |neither| pendants, and the ``pendant-bounds/classification``
+row checks |neither| >= n - 1 on every canonical ground set in range.
+
 The other rows are universally quantified over ground sets; the
 harness bounds the quantifier (canonical ground sets, bounded max
 element) and records the bound, so those rows are confirmations within
@@ -39,31 +61,23 @@ Confirmed. So a budget stop never hides a counterexample, and a check
 is never Confirmed from a budget-exceeded search.
 
 The canonical ground sets of ``n_range`` are walked once, in the star
-check: each X gets its neither family for the |neither| >= n - 1 bound,
-is searched with K(1, 2^n - 2) and realised, one after another. The
-neither family is read off the kernel's classification masks for X's
-additive type and mapped onto X's own subsets (``_neither``): the
-family ``classify_ground_set`` reports, without building the rest of
-the classification. Every witness (the star's, the tree star's, the
-realisation) is checked against the pendant and edge-count bounds as
-soon as it is made; a ``WitnessTally`` keeps only counts and the first
-violation, which the pendant and edge-count checks then report.
+check: each X's neither family is counted off the kernel's
+classification masks for X's additive type, and X is searched with
+K(1, 2^n - 2). Each check is a function of the config alone.
 
-The checks call ``search_iasgl``, ``sweep_ground_sets`` and
-``build_realisation`` once per X, as any caller does. Those decide each
-additive type once and map the result onto every other X of the type,
-verifying each mapped witness and realisation again, so every X still
-gets its own evidence and the report is the one uncached calls would
-give.
+The checks call ``search_iasgl`` and ``sweep_ground_sets`` once per X,
+as any caller does. Those decide each additive type once and map the
+result onto every other X of the type, verifying each mapped witness
+again, so every X still gets its own evidence and the report is the
+one uncached calls would give.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .graphs import Graph, enumerate_free_trees, generate, pendant_vertices
-from .labeling import Labeling, structural_gate
-from .realisation import build_realisation
+from .graphs import enumerate_free_trees, generate
+from .labeling import structural_gate
 from .search import SearchConfig, SearchStatus, search_iasgl, sweep_ground_sets
 from .sets import (
     SUBSET_ENUMERATION_CAP,
@@ -73,7 +87,6 @@ from .sets import (
     check_ground_set_family,
     enumerate_canonical_ground_sets,
     subset_algebra,
-    subsets_by_mask,
 )
 
 CONFIRMED = "Confirmed"
@@ -106,8 +119,7 @@ def _verdict(searches: Iterable[tuple[SearchStatus, bool]]) -> tuple[str, int, i
     definitely against its expectation (every status but
     budget-exceeded is definite), else Unknown-budget if any hit its
     budget, else Confirmed. ``found`` and ``budget`` count the searches
-    that found a witness and that hit the budget. Only statuses are
-    kept, so a check's witnesses are dropped once the tally has them.
+    that found a witness and that hit the budget.
     """
     searches = list(searches)
     found = sum(s is SearchStatus.FOUND for s, _ in searches)
@@ -193,97 +205,12 @@ def _star_order(n: int) -> int:
     return (1 << n) - 2
 
 
-def _neither(x: GroundSet) -> frozenset[tuple[int, ...]]:
-    """The neither family of X's classification, as the element tuples
-    of ``classify_ground_set(x).neither``: the kernel's neither masks
-    mapped onto X's own subsets. Read once per X, and
-    handed to every bound check of X's witnesses."""
-    masks = subset_algebra(additive_type(x)).class_masks()[2]
-    subsets = subsets_by_mask(x)
-    return frozenset([subsets[m].elements for m in masks])
-
-
-def _pendant_violation(
-    x: GroundSet, neither: frozenset[tuple[int, ...]], graph: Graph, labeling: Labeling
-) -> str | None:
-    """Why a witness breaks a pendant bound: a {0}-vertex hosting at
-    least |neither| pendants, with every neither-labeled and
-    max-element-labeled vertex pendant on it. ``neither`` holds the
-    element tuples of X's neither family."""
-    top = x.max_element
-    v0 = None  # the first {0}-labeled vertex in id order
-    placed = []  # the vertices that must be pendant on v0
-    for vid, lab in labeling.assignment:
-        elements = lab.elements
-        if elements == (0,) and v0 is None:
-            v0 = vid
-        elif elements in neither or top in elements:
-            placed.append(vid)
-    if v0 is None:
-        return f"witness over {x} has no {{0}}-labeled vertex"
-    pendants = pendant_vertices(graph)
-    # The pendants on v0: exactly the vertices whose one neighbour is v0.
-    hosted = set(pendants).intersection(graph.neighbors(v0))
-    if (
-        len(pendants) >= len(neither)
-        and len(hosted) >= len(neither)
-        and hosted.issuperset(placed)
-    ):
-        return None
-    return f"witness over {x} violates a pendant bound"
-
-
-class WitnessTally:
-    """Bounds evidence gathered while the checks run.
-
-    Only counts and the first violation of each bound are kept: a
-    witness is checked when it is made and then dropped.
-    """
-
-    def __init__(self) -> None:
-        self.ground_sets = 0
-        self.witnesses = 0
-        self.neither_violation: str | None = None
-        self.pendant_violation: str | None = None
-        self.edge_violation: str | None = None
-
-    def add_ground_set(self, x: GroundSet, neither: frozenset[tuple[int, ...]]) -> None:
-        """Check |neither| >= n - 1 on one canonical ground set, given
-        the neither family of its classification (``_neither(x)``)."""
-        self.ground_sets += 1
-        if len(neither) < x.n - 1 and self.neither_violation is None:
-            self.neither_violation = f"|neither| = {len(neither)} < {x.n - 1} at X = {x}"
-
-    def add_witness(
-        self,
-        x: GroundSet,
-        neither: frozenset[tuple[int, ...]],
-        graph: Graph,
-        labeling: Labeling,
-    ) -> None:
-        """Check one witness over X, whose classification has the given
-        neither family (``_neither(x)``), against the pendant and
-        edge-count bounds.
-
-        |E| = 2^n - 2 and n = log2(|E| + 2) are the same condition, so
-        one comparison decides both.
-        """
-        self.witnesses += 1
-        edges = graph.edge_count()
-        if edges != _star_order(x.n) and self.edge_violation is None:
-            self.edge_violation = (
-                f"witness over {x} has {edges} edges, expected {_star_order(x.n)}"
-            )
-        if self.pendant_violation is None:
-            self.pendant_violation = _pendant_violation(x, neither, graph, labeling)
-
-
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
 
 
-def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[CheckResult]:
+def check_star_theorem(config: HarnessConfig) -> list[CheckResult]:
     """Stars admit exactly at size 2^n - 2.
 
     Forward: K(1, 2^n - 2) is Found for every canonical ground set of
@@ -294,28 +221,27 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
     ``structural_gate`` applies R1. No other star is built.
 
     The forward loop is the harness's one pass over the canonical
-    ground sets: each X's neither family is also read there (once, for
-    the tally's three checks) and X is realised, and the star witness
-    and the realisation go to the tally.
+    ground sets, so it also counts each X's neither family off the
+    kernel that X's search reads, and returns the
+    ``pendant-bounds/classification`` row (|neither| >= n - 1) last.
     """
     cfg = _search_config(gate=True)
     results = []
     anchor = "star K(1,m) admits a graceful set-indexer iff m = 2^n - 2"
     n_lo, n_hi = config.n_range
+    ground_sets = 0
+    short_of_neither = None  # the first X with |neither| < n - 1
 
     for n in range(n_lo, n_hi + 1):
         star = generate("star", _star_order(n))
         statuses = []
         family = enumerate_canonical_ground_sets(n, config.max_element)
         for x in family:
-            neither = _neither(x)
-            tally.add_ground_set(x, neither)
-            outcome = search_iasgl(star, x, cfg)
-            if outcome.found:
-                tally.add_witness(x, neither, star, outcome.witnesses[0])
-            statuses.append((outcome.status, True))
-            built = build_realisation(x)
-            tally.add_witness(x, neither, built.graph, built.labeling)
+            neither = len(subset_algebra(additive_type(x)).class_masks()[2])
+            if neither < n - 1 and short_of_neither is None:
+                short_of_neither = f"|neither| = {neither} < {n - 1} at X = {x}"
+            statuses.append((search_iasgl(star, x, cfg).status, True))
+        ground_sets += len(family)
         status, found, budget = _verdict(statuses)
         evidence = {
             CONFIRMED: f"K(1,{_star_order(n)}) found for all {len(family)} canonical ground sets",
@@ -325,25 +251,36 @@ def check_star_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
         results.append(CheckResult(f"star-theorem/forward-n={n}", anchor, status, evidence))
 
     # Spot-check that the gate applies R1: K(1, 2^n - 3) is one edge short.
+    converse = CheckResult(
+        "star-theorem/converse",
+        anchor,
+        CONFIRMED,
+        f"edge-count rule rejects K(1,m) for every m <= {_star_order(n_hi)} except "
+        f"2^k - 2, k = 2..{n_hi}, at every n in range",
+    )
     for n in range(n_lo, n_hi + 1):
         m = _star_order(n) - 1
         gate = structural_gate(generate("star", m), GroundSet.of(*range(n)))
         if gate.passed or "R1" not in {v.rule for v in gate.violations}:
             evidence = f"edge-count rule failed to reject K(1,{m}) at n={n}"
-            return results + [CheckResult("star-theorem/converse", anchor, REFUTED, evidence)]
-    results.append(
-        CheckResult(
-            "star-theorem/converse",
-            anchor,
-            CONFIRMED,
-            f"edge-count rule rejects K(1,m) for every m <= {_star_order(n_hi)} except "
-            f"2^k - 2, k = 2..{n_hi}, at every n in range",
-        )
+            converse = CheckResult("star-theorem/converse", anchor, REFUTED, evidence)
+            break
+
+    status, evidence = CONFIRMED, (
+        f"|neither| >= n - 1 for all {ground_sets} canonical ground sets in range"
     )
-    return results
+    if short_of_neither is not None:
+        status, evidence = REFUTED, short_of_neither
+    classification = CheckResult(
+        "pendant-bounds/classification",
+        "at least |X| - 1 pendants hang on the {0}-vertex",
+        status,
+        evidence,
+    )
+    return results + [converse, classification]
 
 
-def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[CheckResult]:
+def check_tree_theorem(config: HarnessConfig) -> list[CheckResult]:
     """Among trees, only the star K(1, 2^n - 2) admits.
 
     For each m in ``TREE_ORDERS``, every free tree on m = 2^n - 1
@@ -366,9 +303,6 @@ def check_tree_theorem(config: HarnessConfig, tally: WitnessTally) -> list[Check
             stars += is_star
             for x in family:
                 outcome = search_iasgl(tree, x, cfg if is_star else nogate)
-                if outcome.found and is_star:
-                    neither = _neither(x)
-                    tally.add_witness(x, neither, tree, outcome.witnesses[0])
                 statuses.append((outcome.status, is_star))
 
         status, found, budget = _verdict(statuses)
@@ -490,77 +424,14 @@ def check_complete_graphs(config: HarnessConfig) -> list[CheckResult]:
     return results + [CheckResult("complete/exhaustive-K4", anchor, status, evidence)]
 
 
-def check_pendant_bounds(tally: WitnessTally) -> list[CheckResult]:
-    """Pendant lower bounds on every classification and every witness.
-
-    |neither| >= n - 1 for every canonical ground set, and every
-    witness has a {0}-vertex hosting at least |neither| pendant
-    neighbors, with the neither-labeled and max-element-labeled
-    vertices pendant on it. Reads the tally the star and tree checks
-    filled.
-    """
-    anchor = "at least |X| - 1 pendants hang on the {0}-vertex"
-    if tally.neither_violation is not None:
-        return [
-            CheckResult(
-                "pendant-bounds/classification", anchor, REFUTED, tally.neither_violation
-            )
-        ]
-    results = [
-        CheckResult(
-            "pendant-bounds/classification",
-            anchor,
-            CONFIRMED,
-            f"|neither| >= n - 1 for all {tally.ground_sets} canonical ground sets in range",
-        )
-    ]
-    if tally.pendant_violation is not None:
-        results.append(
-            CheckResult("pendant-bounds/witnesses", anchor, REFUTED, tally.pendant_violation)
-        )
-    else:
-        results.append(
-            CheckResult(
-                "pendant-bounds/witnesses",
-                anchor,
-                CONFIRMED,
-                f"{tally.witnesses} witnesses respect pendant count, hosting, and "
-                "placement bounds",
-            )
-        )
-    return results
-
-
-def check_edge_count(tally: WitnessTally) -> list[CheckResult]:
-    """|E| = 2^n - 2 and n = log2(|E| + 2), exactly, on every witness
-    in the tally."""
-    anchor = "every gracefully labeled graph has exactly 2^n - 2 edges"
-    if tally.edge_violation is not None:
-        return [CheckResult("edge-count", anchor, REFUTED, tally.edge_violation)]
-    return [
-        CheckResult(
-            "edge-count",
-            anchor,
-            CONFIRMED,
-            f"{tally.witnesses} witnesses match both |E| = 2^n - 2 and n = log2(|E| + 2)",
-        )
-    ]
-
-
 def run_all(config: HarnessConfig | None = None) -> TheoremReport:
     """Run every check at desk-scale bounds and aggregate a report.
 
-    Every witness the star and tree checks find, and a realisation of
-    every ground set in range, is checked against the pendant and
-    edge-count bounds, so every labeling the harness accepts anywhere
-    is also size-checked. Identical configs give identical reports.
+    Identical configs give identical reports.
     """
     config = config or HarnessConfig()
-    tally = WitnessTally()
-    checks = check_star_theorem(config, tally)
-    checks += check_tree_theorem(config, tally)
+    checks = check_star_theorem(config)
+    checks += check_tree_theorem(config)
     checks += check_path_cycle(config)
     checks += check_complete_graphs(config)
-    checks += check_pendant_bounds(tally)
-    checks += check_edge_count(tally)
     return TheoremReport(checks=checks, bounds=config.bounds_obj())

@@ -158,15 +158,15 @@ def test_criterion_5_classification_oracle_equivalence():
 
 
 def _collect_witnesses() -> list[tuple[GroundSet, object, Labeling]]:
+    """A star witness and a realisation of every canonical ground set the
+    theorem harness walks at the benchmark's bounds (n = 2..5, max 10)."""
     witnesses = []
-    for n in (2, 3, 4):
+    for n in range(2, 6):
         star = generate("star", 2 ** n - 2)
-        for x in enumerate_canonical_ground_sets(n, 6):
+        for x in enumerate_canonical_ground_sets(n, 10):
             outcome = search_iasgl(star, x)
             assert outcome.found
             witnesses.append((x, star, outcome.witnesses[0]))
-    for n in (2, 3, 4):
-        for x in enumerate_canonical_ground_sets(n, 8):
             r = build_realisation(x)
             witnesses.append((x, r.graph, r.labeling))
     return witnesses
@@ -177,7 +177,9 @@ def test_criterion_6_pendant_lower_bound():
         for n in range(2, 6):
             for x in enumerate_canonical_ground_sets(n, 10):
                 assert len(classify_ground_set(x).neither) >= n - 1
-        for x, graph, labeling in _collect_witnesses():
+        witnesses = _collect_witnesses()
+        assert len(witnesses) == 2 * 346
+        for x, graph, labeling in witnesses:
             cls = classify_ground_set(x)
             assert verify_iasgl(graph, labeling).passed
             v0 = zero_vertex(graph, labeling)
@@ -192,6 +194,11 @@ def test_criterion_6_pendant_lower_bound():
                 )
                 assert vid is not None  # non-sumset labels must sit on vertices
                 assert vid in pendants and graph.neighbors(vid) == (v0,)
+            # A label holding max X can only meet {0}: its vertex is a
+            # pendant on the {0}-vertex.
+            for vid, label in labeling.assignment:
+                if x.max_element in label.elements:
+                    assert graph.neighbors(vid) == (v0,)
 
 
 def test_criterion_7_builder_soundness():

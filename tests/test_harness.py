@@ -18,34 +18,26 @@ from iasgl.harness import (
     HarnessConfig,
     TheoremReport,
     CheckResult,
-    WitnessTally,
     check_complete_graphs,
-    check_edge_count,
     check_path_cycle,
-    check_pendant_bounds,
     check_star_theorem,
     check_tree_theorem,
     complete_graph_solutions,
     run_all,
 )
-from iasgl.graphs import FREE_TREE_CAP, Graph, family_edge_count, generate
-from iasgl.labeling import GateReport, Labeling
+from iasgl.graphs import FREE_TREE_CAP, family_edge_count
+from iasgl.labeling import GateReport
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
 from iasgl.cli import main
 from iasgl.sets import (
     GroundSet,
+    additive_type,
     classify_ground_set,
     enumerate_canonical_ground_sets,
     subset_algebra,
 )
 
-from conftest import count_calls, iset, star_witness
-
-
-def neither_tuples(x: GroundSet) -> frozenset[tuple[int, ...]]:
-    """X's neither family as the harness hands it to the tally: the
-    element tuples of ``classify_ground_set(x).neither``."""
-    return frozenset(s.elements for s in classify_ground_set(x).neither)
+from conftest import count_calls
 
 
 class TestCompleteGraphEquation:
@@ -75,7 +67,7 @@ class TestCompleteGraphEquation:
 
 class TestChecks:
     def test_star_theorem(self):
-        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), WitnessTally())
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6))
         assert all(r.status == CONFIRMED for r in results)
         ids = [r.check_id for r in results]
         assert "star-theorem/forward-n=2" in ids
@@ -92,7 +84,7 @@ class TestChecks:
             return gate(g, x)
 
         monkeypatch.setattr(harness, "structural_gate", counted)
-        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), WitnessTally())
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6))
         assert calls == [(1, 2), (5, 3)]
         converse = next(r for r in results if r.check_id == "star-theorem/converse")
         assert converse.status == CONFIRMED
@@ -103,13 +95,13 @@ class TestChecks:
 
     def test_star_converse_refuted_when_gate_passes(self, monkeypatch):
         monkeypatch.setattr(harness, "structural_gate", lambda g, x: GateReport())
-        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), WitnessTally())
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6))
         converse = next(r for r in results if r.check_id == "star-theorem/converse")
         assert converse.status == REFUTED
         assert converse.evidence == "edge-count rule failed to reject K(1,1) at n=2"
 
     def test_tree_theorem_m3_m7(self):
-        results = check_tree_theorem(HarnessConfig(max_element=6), WitnessTally())
+        results = check_tree_theorem(HarnessConfig(max_element=6))
         assert [r.status for r in results] == [CONFIRMED, CONFIRMED]
 
     def test_tree_orders_are_the_star_orders_within_the_cap(self):
@@ -117,7 +109,7 @@ class TestChecks:
         # the check decides every such m the free-tree enumerator reaches.
         orders = [m for m in range(2, FREE_TREE_CAP + 1) if m & (m + 1) == 0]
         assert list(TREE_ORDERS) == orders == [3, 7]
-        results = check_tree_theorem(HarnessConfig(max_element=6), WitnessTally())
+        results = check_tree_theorem(HarnessConfig(max_element=6))
         assert [r.check_id for r in results] == [f"tree-theorem/m={m}" for m in orders]
         trees = [int(r.evidence.split(" trees on ")[0]) for r in results]
         assert trees == [1, 11]
@@ -141,49 +133,59 @@ class TestChecks:
         assert "exhaustively refuted" in k4.evidence
 
     def test_pendant_bounds(self):
-        # The star check's pass fills the tally: one star witness and
-        # one realisation per ground set.
-        tally = WitnessTally()
-        check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6), tally)
-        results = check_pendant_bounds(tally)
-        assert all(r.status == CONFIRMED for r in results)
-        assert "all 12 canonical ground sets" in results[0].evidence
-        assert results[1].evidence.startswith("24 witnesses")
-
-    def test_edge_count_standalone(self):
-        tally = WitnessTally()
-        check_star_theorem(HarnessConfig(n_range=(2, 3)), tally)
-        (result,) = check_edge_count(tally)
-        assert result.status == CONFIRMED
-
-    def test_tally_refutes_bad_witnesses(self):
-        # Star K(1,2) over {0,1} with no {0}-labeled vertex (the Labeling
-        # type does not enforce injectivity), then claimed over {0,1,2}.
-        x01 = GroundSet.of(0, 1)
-        star = generate("star", 2)
-        labels = Labeling.from_mapping(
-            x01, {"v0": iset(1), "v1": iset(1), "v2": iset(0, 1)}
+        # The star check's pass over the ground sets returns the
+        # classification row last.
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6))
+        classification = results[-1]
+        assert (classification.check_id, classification.status) == (
+            "pendant-bounds/classification", CONFIRMED
         )
-        tally = WitnessTally()
-        x012 = GroundSet.of(0, 1, 2)
-        tally.add_witness(x01, neither_tuples(x01), star, labels)
-        tally.add_witness(x012, neither_tuples(x012), star, labels)
-        (pendant,) = [
-            r for r in check_pendant_bounds(tally) if r.check_id == "pendant-bounds/witnesses"
-        ]
-        assert pendant.status == REFUTED
-        assert "no {0}-labeled vertex" in pendant.evidence
-        (edges,) = check_edge_count(tally)
-        assert edges.status == REFUTED
-        assert edges.evidence == "witness over {0,1,2} has 2 edges, expected 6"
+        assert classification.evidence == (
+            "|neither| >= n - 1 for all 12 canonical ground sets in range"
+        )
 
+    def test_classification_refuted_when_an_x_is_short_of_neither(self, monkeypatch):
+        # A kernel that gives {0,1,3} an empty neither family: the row the
+        # star check returns names that X, and only its status changes.
+        short = additive_type(GroundSet.of(0, 1, 3))
 
-    def test_tally_refutes_a_ground_set_short_of_neither(self):
-        tally = WitnessTally()
-        tally.add_ground_set(GroundSet.of(0, 1, 2), ())
-        (result,) = check_pendant_bounds(tally)
-        assert (result.check_id, result.status) == ("pendant-bounds/classification", REFUTED)
-        assert result.evidence == "|neither| = 0 < 2 at X = {0,1,2}"
+        class Short:
+            def __init__(self, alg):
+                self.alg = alg
+
+            def class_masks(self):
+                return (*self.alg.class_masks()[:2], ())
+
+        monkeypatch.setattr(
+            harness, "subset_algebra",
+            lambda key: Short(subset_algebra(key)) if key == short else subset_algebra(key),
+        )
+        results = check_star_theorem(HarnessConfig(n_range=(2, 3), max_element=6))
+        classification = results[-1]
+        assert (classification.check_id, classification.status) == (
+            "pendant-bounds/classification", REFUTED
+        )
+        assert classification.evidence == "|neither| = 0 < 2 at X = {0,1,3}"
+        assert all(r.status == CONFIRMED for r in results[:-1])
+
+    def test_neither_is_the_classification_family(self, monkeypatch):
+        # The star check counts the neither family of every X of the
+        # theorems-breadth family, off the kernel of X's additive type:
+        # the family classify_ground_set reports for X.
+        seen = []
+        kernel_key = harness.additive_type
+
+        def record(x):
+            seen.append(x)
+            return kernel_key(x)
+
+        monkeypatch.setattr(harness, "additive_type", record)
+        check_star_theorem(HarnessConfig(n_range=(2, 5), max_element=10))
+        family = [x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 10)]
+        assert seen == family and len(family) == 346
+        for x in family:
+            neither = subset_algebra(additive_type(x)).class_masks()[2]
+            assert len(neither) == len(classify_ground_set(x).neither)
 
     def test_tree_theorem_refuted_without_a_star(self, monkeypatch):
         trees = harness.enumerate_free_trees
@@ -192,52 +194,11 @@ class TestChecks:
             return [t for t in trees(m) if max(map(t.degree, t.vertex_ids)) < m - 1]
 
         monkeypatch.setattr(harness, "enumerate_free_trees", starless)
-        result = check_tree_theorem(HarnessConfig(max_element=6), WitnessTally())[-1]
+        result = check_tree_theorem(HarnessConfig(max_element=6))[-1]
         assert (result.check_id, result.status) == ("tree-theorem/m=7", REFUTED)
         assert result.evidence.startswith(
             "tree family on 7 vertices violated the star characterization (stars=0, found=0/"
         )
-
-    def test_neither_is_the_classification_family(self):
-        # Every neither family the star and tree checks hand the tally is
-        # the one classify_ground_set reports for that X, as element tuples.
-        tally = WitnessTally()
-        seen = []
-        add_ground_set, add_witness = tally.add_ground_set, tally.add_witness
-
-        def record_ground_set(x, neither):
-            seen.append((x, neither))
-            add_ground_set(x, neither)
-
-        def record_witness(x, neither, graph, labeling):
-            seen.append((x, neither))
-            add_witness(x, neither, graph, labeling)
-
-        tally.add_ground_set, tally.add_witness = record_ground_set, record_witness
-        config = HarnessConfig(n_range=(2, 5), max_element=10)
-        check_star_theorem(config, tally)
-        check_tree_theorem(config, tally)
-        family = [x for n in range(2, 6) for x in enumerate_canonical_ground_sets(n, 10)]
-        assert {x for x, _ in seen} == set(family) and len(family) == 346
-        for x, neither in seen:
-            assert neither == neither_tuples(x)
-
-    def test_pendant_violation_checks_placement_on_the_zero_vertex(self):
-        # K(1,6) over {0,1,2}: v6 carries {0,1,2}, which holds max X, so
-        # it must be a pendant on the {0}-vertex v0.
-        g, f = star_witness(3)
-        x = f.ground
-        neither = neither_tuples(x)
-        assert harness._pendant_violation(x, neither, g, f) is None
-        edges = g.sorted_edges()
-        moved = Graph.from_edges(
-            g.vertex_ids, [e for e in edges if e != ("v0", "v6")] + [("v1", "v6")]
-        )
-        joined = Graph.from_edges(g.vertex_ids, [*edges, ("v1", "v6")])
-        for graph in (moved, joined):  # pendant on v1; on v0 but not pendant
-            assert harness._pendant_violation(x, neither, graph, f) == (
-                "witness over {0,1,2} violates a pendant bound"
-            )
 
 
 class TestRunAll:
@@ -248,9 +209,10 @@ class TestRunAll:
         assert report.totals[CONFIRMED] == len(report.checks)
         evidence = {c.check_id: c.evidence for c in report.checks}
         assert "all 12 canonical ground sets" in evidence["pendant-bounds/classification"]
-        # 12 star witnesses, 1 + 11 tree stars (m = 3, 7), 12 realisations.
-        assert evidence["pendant-bounds/witnesses"].startswith("36 witnesses")
-        assert evidence["edge-count"].startswith("36 witnesses")
+        # Verification decides the edge count and pendant placement of
+        # every witness (module docstring): no row restates them.
+        assert len(report.checks) == 11
+        assert not {"edge-count", "pendant-bounds/witnesses"} & set(evidence)
 
     def test_one_kernel_build_per_ground_set(self):
         # 74 canonical ground sets with n = 2..4, max 8, of 1 + 2 + 7
@@ -260,22 +222,23 @@ class TestRunAll:
         assert subset_algebra.cache_info().misses == 10
 
     def test_one_decision_per_type(self, monkeypatch):
-        # The theorems-breadth input (n = 2..5, max 10): every search and
-        # realisation of one (graph, config, type) after the first is
-        # mapped from the kept result. Counted as calls of the search's
-        # uncached core and as misses of the build's cache (emptied
-        # before each test), so a cache that is too small or wrongly
-        # keyed fails here.
+        # The theorems-breadth input (n = 2..5, max 10): every search of
+        # one (graph, config, type) after the first is mapped from the
+        # kept result. Counted as calls of the search's uncached core, so
+        # a cache that is too small or wrongly keyed fails here. No
+        # realisation is built: every call passes the build's cache
+        # (emptied before each test).
         import iasgl.realisation
 
         searches = count_calls(monkeypatch, iasgl.search, "_decide")
         report = run_all(HarnessConfig(n_range=(2, 5), max_element=10))
         assert all(c.status == CONFIRMED for c in report.checks)
-        assert (searches[0], iasgl.realisation._build.cache_info().misses) == (74, 47)
+        builds = iasgl.realisation._build.cache_info()
+        assert (searches[0], builds.hits + builds.misses) == (74, 0)
 
     @pytest.mark.parametrize("fmt,expected", [
-        ("json", "37502fbf972b1e2c418c663701a3f7a56492e85d77fb676992261e6908e8acd2"),
-        ("table", "9bb8a19d1f4ac39d8961999af24285eac1868daecde50c37c6caffc05d3af8a8"),
+        ("json", "d2031eee87f37a57dd9bccff5718600591f5d889f3403b764402ac774dc0d7db"),
+        ("table", "703bedd80b6014ac62dabc0a1e48de01a2e05b2d365bbd01e1d1f7389cc77342"),
     ], ids=["json", "table"])
     def test_theorems_output_pinned(self, fmt, expected):
         """The CLI theorems report at the benchmark's bounds (n = 2..5,
@@ -331,14 +294,14 @@ class TestRunAll:
     def test_budget_degrades_to_unknown(self, monkeypatch):
         monkeypatch.setattr(harness, "NODE_BUDGET", 5)
         config = HarnessConfig(n_range=(4, 4), max_element=8)
-        results = check_star_theorem(config, WitnessTally())
+        results = check_star_theorem(config)
         forward = next(r for r in results if "forward" in r.check_id)
         assert forward.status == UNKNOWN
         # At one node per search, the searches that pass the gate stop at
         # their first node; the gate still rejects P_7 and C_6 outright,
         # and the complete edge count needs no search.
         monkeypatch.setattr(harness, "NODE_BUDGET", 1)
-        results = check_tree_theorem(config, WitnessTally())
+        results = check_tree_theorem(config)
         results += check_path_cycle(config) + check_complete_graphs(config)
         status = {r.check_id: r.status for r in results}
         assert status == {
@@ -352,10 +315,8 @@ class TestRunAll:
         }
 
     @pytest.mark.parametrize("check,check_id,contradiction", [
-        (lambda c: check_star_theorem(c, WitnessTally()), "star-theorem/forward-n=3",
-         SearchStatus.EXHAUSTED_NONE),
-        (lambda c: check_tree_theorem(c, WitnessTally()), "tree-theorem/m=7",
-         SearchStatus.EXHAUSTED_NONE),
+        (check_star_theorem, "star-theorem/forward-n=3", SearchStatus.EXHAUSTED_NONE),
+        (check_tree_theorem, "tree-theorem/m=7", SearchStatus.EXHAUSTED_NONE),
         (check_path_cycle, "path-nonexistence/m=7", SearchStatus.FOUND),
         (check_path_cycle, "cycle-nonexistence/m=6", SearchStatus.FOUND),
         (check_complete_graphs, "complete/exhaustive-K4", SearchStatus.FOUND),

@@ -765,8 +765,8 @@ class TestCli:
         ("verify", "table"): (1, "e64e6a2dbdedc7d8"),
         ("construct", "json"): (0, "145e72e4909bef76"),
         ("construct", "table"): (0, "c1fb733413293c24"),
-        ("theorems", "json"): (0, "bd46010f29f93547"),
-        ("theorems", "table"): (0, "4b00a8c3cc927376"),
+        ("theorems", "json"): (0, "9b016ccbef4a44f5"),
+        ("theorems", "table"): (0, "0a84037a0c566c6f"),
     }
 
     @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -393,6 +393,31 @@ class TestIncrementalCoverage:
         for g, _ in corpus[-2:]:
             assert (g, False) in verdicts and (g, True) in verdicts
 
+    def test_unassigned_count_decides_at_the_last_but_one_vertex(self, monkeypatch, x012):
+        # With P1, P2, P3 and the twin rule off, this graph's DFS reaches
+        # depth nv - 2 with {0}, {2}, {1,2}, {0,2}, {0,1,2} placed: {1,2}
+        # is missing, ({0}, {1,2}) is dead (v0 and v5 are not adjacent),
+        # and its other pair, {1} + {0,1}, needs two more vertices where
+        # one is left. Only the unassigned count makes P4 prune here.
+        g = Graph.from_edges(
+            [f"v{i}" for i in range(6)],
+            [("v0", "v1"), ("v0", "v2"), ("v0", "v3"), ("v0", "v4"), ("v1", "v2"),
+             ("v1", "v3"), ("v1", "v4"), ("v2", "v5"), ("v3", "v5"), ("v4", "v5")],
+        )
+        incremental = _State.coverage_ok
+        verdicts = []
+
+        def compare(state, vi, mask):
+            verdict = incremental(state, vi, mask)
+            assert verdict == full_coverage_ok(state, vi, mask)
+            verdicts.append((vi, tuple(state.assigned), verdict))
+            return verdict
+
+        monkeypatch.setattr(_State, "coverage_ok", compare)
+        rules = frozenset({"gate", "P1", "P2", "P3", "twins"})
+        search_iasgl(g, x012, SearchConfig(disabled_rules=rules))
+        assert (4, (1, 4, 6, 5, 7, None), False) in verdicts
+
     def test_broom15_counts(self, x0123):
         out = search_iasgl(BROOM15, x0123, nogate())
         assert out.status is SearchStatus.EXHAUSTED_NONE
