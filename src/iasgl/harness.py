@@ -22,11 +22,17 @@ Corollary: a triangle-free graph admits iff it is K(1, 2^n - 2), since
 every edge then meets z and R1 fixes the edge count. A path or cycle
 on m >= 4 vertices, and every tree but a star, is a triangle-free
 non-star, and C_3 has an odd number of edges; so the path and cycle
-rows hold for every order and every n, and their sweeps (the paths and
-cycles with 2^n - 2 edges for n <= ``FIXED_SWEEP_N``) are executable
-spot checks of that. The complete rows solve the edge-count equation
-for every n (``complete_graph_solutions``) and sweep its one non-trivial
-solution, K_4.
+rows hold for every order and every n, and their sweeps (P_7 and C_6,
+the path and cycle with 2^n - 2 edges at n = ``FIXED_SWEEP_N``) are
+executable spot checks of that. The complete rows solve the edge-count
+equation for every n (``complete_graph_solutions``) and sweep its one
+non-trivial solution, K_4.
+
+Every sweep outside ``n_range`` runs at n = ``FIXED_SWEEP_N`` = 3: P_7,
+C_6, K_4 and the 11 trees on 7 vertices. At n = 2 the one graph with
+2^2 - 2 edges that admits is K(1,2) = P_3, the only tree on 3
+vertices; ``star-theorem/forward-n=2`` searches it when n_range starts
+at 2, and no other row repeats that search.
 
 Every witness a search returns has passed ``verify_iasgl`` (a mapped
 witness that fails is a RuntimeError), and two bounds hold for every
@@ -93,14 +99,14 @@ CONFIRMED = "Confirmed"
 REFUTED = "Refuted"
 UNKNOWN = "Unknown-budget"
 
-#: A tree on m vertices has m - 1 edges, so rule R1 (|E| = 2^n - 2) leaves
-#: only m = 2^n - 1 to decide; these are the m <= FREE_TREE_CAP, recorded
-#: in every report's bounds.
-TREE_ORDERS = (3, 7)
-
-#: Largest |X| swept outside n_range: P_7, C_6, K_4 and the trees on
+#: The |X| of every sweep outside n_range: P_7, C_6, K_4 and the trees on
 #: 7 vertices have 2^3 - 2 edges.
 FIXED_SWEEP_N = 3
+
+#: A tree on m vertices has m - 1 edges, so rule R1 (|E| = 2^n - 2) leaves
+#: only m = 2^n - 1 to decide; the tree row sweeps the one at FIXED_SWEEP_N,
+#: recorded in every report's bounds.
+TREE_ORDER = (1 << FIXED_SWEEP_N) - 1
 
 #: Budget of every harness search.
 NODE_BUDGET = 2_000_000
@@ -159,7 +165,7 @@ class HarnessConfig(Record):
             raise ValueError(f"need 2 <= n-min <= n-max <= {SUBSET_ENUMERATION_CAP}")
         for n in range(n_lo, n_hi + 1):
             check_ground_set_family(n, max_element)
-        try:  # n = 2, also swept outside n_range, passes whenever n = 3 does.
+        try:
             check_ground_set_family(FIXED_SWEEP_N, max_element)
         except ValueError as exc:
             sweeps = "P_7, C_6, K_4, the 7-vertex trees"
@@ -171,7 +177,7 @@ class HarnessConfig(Record):
         return {
             "n_range": list(self.n_range),
             "max_element": self.max_element,
-            "tree_sizes": list(TREE_ORDERS),
+            "tree_sizes": [TREE_ORDER],
         }
 
 
@@ -283,54 +289,49 @@ def check_star_theorem(config: HarnessConfig) -> list[CheckResult]:
 def check_tree_theorem(config: HarnessConfig) -> list[CheckResult]:
     """Among trees, only the star K(1, 2^n - 2) admits.
 
-    For each m in ``TREE_ORDERS``, every free tree on m = 2^n - 1
-    vertices is decided for every canonical ground set of size n: the
+    Every free tree on ``TREE_ORDER`` = 2^n - 1 vertices, n =
+    ``FIXED_SWEEP_N``, is swept over the canonical family of size n: the
     star must be Found, everything else must be exhausted to
-    nonexistence (the gate-free run certifies full exploration).
+    nonexistence (the gate-free run certifies full exploration). The one
+    smaller order, 3, has one tree, K(1,2), which
+    ``star-theorem/forward-n=2`` searches.
     """
     anchor = "a tree admits a graceful set-indexer iff it is the star K(1,2^n-2)"
-    results = []
-    cfg = _search_config(gate=True)
-    nogate = _search_config(gate=False)
-    for m in TREE_ORDERS:
-        trees = enumerate_free_trees(m)
-        # m = 2^n - 1 has n bits.
-        family = enumerate_canonical_ground_sets(m.bit_length(), config.max_element)
-        stars = 0
-        statuses = []
-        for tree in trees:
-            is_star = max(tree.degree(v) for v in tree.vertex_ids) == m - 1
-            stars += is_star
-            for x in family:
-                outcome = search_iasgl(tree, x, cfg if is_star else nogate)
-                statuses.append((outcome.status, is_star))
+    trees = enumerate_free_trees(TREE_ORDER)
+    stars = 0
+    statuses = []
+    for tree in trees:
+        is_star = max(tree.degree(v) for v in tree.vertex_ids) == TREE_ORDER - 1
+        stars += is_star
+        cfg = _search_config(gate=is_star)
+        outcomes = sweep_ground_sets(tree, FIXED_SWEEP_N, config.max_element, cfg)
+        statuses += [(o.status, is_star) for o in outcomes.values()]
 
-        status, found, budget = _verdict(statuses)
-        if stars != 1:
-            status = REFUTED
-        evidence = {
-            CONFIRMED: f"{len(trees)} trees on {m} vertices: the star admits for all "
-            f"{len(family)} canonical ground sets, the other {len(trees) - 1} "
-            f"trees are exhausted to nonexistence everywhere",
-            REFUTED: f"tree family on {m} vertices violated the star characterization "
-            f"(stars={stars}, found={found}/{len(statuses)} searches)",
-            UNKNOWN: f"{budget} searches hit the budget",
-        }[status]
-        results.append(CheckResult(f"tree-theorem/m={m}", anchor, status, evidence))
-    return results
+    status, found, budget = _verdict(statuses)
+    if stars != 1:
+        status = REFUTED
+    evidence = {
+        CONFIRMED: f"{len(trees)} trees on {TREE_ORDER} vertices: the star admits for all "
+        f"{len(outcomes)} canonical ground sets, the other {len(trees) - 1} "
+        f"trees are exhausted to nonexistence everywhere",
+        REFUTED: f"tree family on {TREE_ORDER} vertices violated the star characterization "
+        f"(stars={stars}, found={found}/{len(statuses)} searches)",
+        UNKNOWN: f"{budget} searches hit the budget",
+    }[status]
+    return [CheckResult(f"tree-theorem/m={TREE_ORDER}", anchor, status, evidence)]
 
 
 def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
     """Paths on four or more vertices and all cycles never admit.
 
     The triangle theorem's corollary (module docstring) proves this for
-    every order and every n. The paths and cycles with 2^n - 2 edges
-    for 2 <= n <= ``FIXED_SWEEP_N`` (P_3, P_7 and C_6) are swept over
-    the whole canonical family as spot checks. P_3 is the star K(1,2)
-    and must admit; the check pins that exception explicitly instead of
-    misreporting it.
+    every order and every n. The path and cycle with 2^n - 2 edges at
+    n = ``FIXED_SWEEP_N``, P_7 and C_6, are swept over the whole
+    canonical family as spot checks. The one path that admits, P_3 =
+    K(1,2), is the star ``star-theorem/forward-n=2`` searches.
     """
     cfg = _search_config(gate=True)
+    n = FIXED_SWEEP_N
     path_anchor = "no path on four or more vertices admits; P_3 = K(1,2) is the exception"
     proof = {
         "path": "every path on m >= 4 vertices is a triangle-free non-star",
@@ -339,31 +340,16 @@ def check_path_cycle(config: HarnessConfig) -> list[CheckResult]:
     }
     results = []
     for kind, anchor in (("path", path_anchor), ("cycle", "the cycle C_m never admits")):
-        for n in range(2, FIXED_SWEEP_N + 1):
-            m = _star_order(n) + (kind == "path")  # P_m has m - 1 edges, C_m has m
-            if m < 3:
-                continue
-            # P_3 is the star K(1,2): the only path that admits.
-            p3 = m == 3
-            outcomes = sweep_ground_sets(generate(kind, m), n, config.max_element, cfg)
-            status, found, budget = _verdict((o.status, p3) for o in outcomes.values())
-            confirmed = (
-                f"all {len(outcomes)} canonical ground sets at n={n} report nonexistence; "
-                f"{proof[kind]}, so none admits at any n (triangle theorem)"
-            )
-            refuted = f"{found} ground sets admitted {kind} {m}"
-            if p3:
-                confirmed = (
-                    "P_3 is the star K(1,2) and admits (the one path exception); "
-                    "nonexistence starts at 4 vertices"
-                )
-                refuted = "the star path P_3 = K(1,2) failed to admit"
-            evidence = {
-                CONFIRMED: confirmed,
-                REFUTED: refuted,
-                UNKNOWN: f"{budget} sweep items hit the budget",
-            }[status]
-            results.append(CheckResult(f"{kind}-nonexistence/m={m}", anchor, status, evidence))
+        m = _star_order(n) + (kind == "path")  # P_m has m - 1 edges, C_m has m
+        outcomes = sweep_ground_sets(generate(kind, m), n, config.max_element, cfg)
+        status, found, budget = _verdict((o.status, False) for o in outcomes.values())
+        evidence = {
+            CONFIRMED: f"all {len(outcomes)} canonical ground sets at n={n} report "
+            f"nonexistence; {proof[kind]}, so none admits at any n (triangle theorem)",
+            REFUTED: f"{found} ground sets admitted {kind} {m}",
+            UNKNOWN: f"{budget} sweep items hit the budget",
+        }[status]
+        results.append(CheckResult(f"{kind}-nonexistence/m={m}", anchor, status, evidence))
     return results
 
 

@@ -101,11 +101,12 @@ def oracle_search_all(graph: Graph, ground_elements) -> list[dict[str, frozenset
     return witnesses
 
 
-def assignment_graph(x: GroundSet, seed: int) -> Graph:
-    """A graph that X labels by construction, an instance generator
-    rather than an oracle: for each target in ascending mask order one
-    seeded random label pair of the kernel's pair table, each label one
-    vertex, the vertex ids v0, v1, ... shuffled by the same generator."""
+def assignment_labeling(x: GroundSet, seed: int) -> tuple[Graph, Labeling]:
+    """A graph that X labels by construction, with that labeling; an
+    instance generator rather than an oracle: for each target in
+    ascending mask order one seeded random label pair of the kernel's
+    pair table, each label one vertex, the vertex ids v0, v1, ...
+    shuffled by the same generator."""
     rng = random.Random(seed)
     pairs = subset_algebra(additive_type(x)).pairs
     edges = [rng.choice(pairs[t]) for t in range(2, 1 << x.n)]
@@ -113,7 +114,17 @@ def assignment_graph(x: GroundSet, seed: int) -> Graph:
     ids = [f"v{i}" for i in range(len(labels))]
     rng.shuffle(ids)
     name = dict(zip(labels, ids))
-    return Graph.from_edges(ids, [(name[a], name[b]) for a, b in edges])
+    graph = Graph.from_edges(ids, [(name[a], name[b]) for a, b in edges])
+    elements = x.base.elements
+    subset = {
+        m: IntegerSet.of(*(e for i, e in enumerate(elements) if m >> i & 1)) for m in labels
+    }
+    return graph, Labeling.from_mapping(x, {name[m]: subset[m] for m in labels})
+
+
+def assignment_graph(x: GroundSet, seed: int) -> Graph:
+    """The graph of ``assignment_labeling(x, seed)``."""
+    return assignment_labeling(x, seed)[0]
 
 
 def twin_classes(graph: Graph) -> list[list[str]]:

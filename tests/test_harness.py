@@ -13,7 +13,7 @@ from iasgl.harness import (
     CONFIRMED,
     FIXED_SWEEP_N,
     REFUTED,
-    TREE_ORDERS,
+    TREE_ORDER,
     UNKNOWN,
     HarnessConfig,
     TheoremReport,
@@ -25,7 +25,7 @@ from iasgl.harness import (
     complete_graph_solutions,
     run_all,
 )
-from iasgl.graphs import FREE_TREE_CAP, family_edge_count
+from iasgl.graphs import FREE_TREE_CAP, family_edge_count, generate
 from iasgl.labeling import GateReport
 from iasgl.search import SearchOutcome, SearchStats, SearchStatus
 from iasgl.cli import main
@@ -37,7 +37,7 @@ from iasgl.sets import (
     subset_algebra,
 )
 
-from conftest import count_calls
+from conftest import count_calls, is_isomorphic
 
 
 class TestCompleteGraphEquation:
@@ -100,25 +100,40 @@ class TestChecks:
         assert converse.status == REFUTED
         assert converse.evidence == "edge-count rule failed to reject K(1,1) at n=2"
 
-    def test_tree_theorem_m3_m7(self):
+    def test_tree_theorem_m7(self):
         results = check_tree_theorem(HarnessConfig(max_element=6))
-        assert [r.status for r in results] == [CONFIRMED, CONFIRMED]
+        assert [(r.check_id, r.status) for r in results] == [("tree-theorem/m=7", CONFIRMED)]
 
-    def test_tree_orders_are_the_star_orders_within_the_cap(self):
-        # A tree on m vertices has m - 1 edges, so R1 leaves m = 2^n - 1;
-        # the check decides every such m the free-tree enumerator reaches.
+    def test_tree_orders_are_the_star_orders_within_the_cap(self, monkeypatch):
+        # A tree on m vertices has m - 1 edges, so R1 leaves m = 2^n - 1.
+        # Within the free-tree enumerator's cap that is m = 3 and m = 7.
+        # The tree row sweeps the one at n = FIXED_SWEEP_N; the one tree
+        # on 3 vertices is K(1,2), which star-theorem/forward-n=2 finds.
         orders = [m for m in range(2, FREE_TREE_CAP + 1) if m & (m + 1) == 0]
-        assert list(TREE_ORDERS) == orders == [3, 7]
-        results = check_tree_theorem(HarnessConfig(max_element=6))
-        assert [r.check_id for r in results] == [f"tree-theorem/m={m}" for m in orders]
-        trees = [int(r.evidence.split(" trees on ")[0]) for r in results]
-        assert trees == [1, 11]
+        assert TREE_ORDER == (1 << FIXED_SWEEP_N) - 1 == 7
+        assert orders == [3, TREE_ORDER]
+        (k12,) = harness.enumerate_free_trees(3)
+        assert is_isomorphic(k12, generate("star", 2))
+        forward = check_star_theorem(HarnessConfig(n_range=(2, 2), max_element=6))[0]
+        assert (forward.check_id, forward.status) == ("star-theorem/forward-n=2", CONFIRMED)
+        assert forward.evidence == "K(1,2) found for all 1 canonical ground sets"
+
+        enumerated = []
+        trees = harness.enumerate_free_trees
+        monkeypatch.setattr(
+            harness, "enumerate_free_trees", lambda m: enumerated.append(m) or trees(m)
+        )
+        (row,) = check_tree_theorem(HarnessConfig(max_element=6))
+        assert enumerated == [TREE_ORDER]
+        assert row.check_id == "tree-theorem/m=7"
+        assert row.evidence.startswith("11 trees on 7 vertices: the star admits for all 11 ")
 
     def test_path_cycle(self):
-        p3, p7, c6 = check_path_cycle(HarnessConfig(max_element=6))
-        assert {p3.status, p7.status, c6.status} == {CONFIRMED}
-        assert p3.check_id == "path-nonexistence/m=3"
-        assert "K(1,2)" in p3.evidence  # the star-path exception is explicit
+        p7, c6 = check_path_cycle(HarnessConfig(max_element=6))
+        assert {p7.status, c6.status} == {CONFIRMED}
+        assert [p7.check_id, c6.check_id] == ["path-nonexistence/m=7", "cycle-nonexistence/m=6"]
+        # The star-path exception stays in the anchor; the star row decides it.
+        assert p7.anchor.endswith("P_3 = K(1,2) is the exception")
         # The sweeps stand for every order through the triangle theorem.
         for row in (p7, c6):
             assert row.evidence.startswith("all 11 canonical ground sets at n=3")
@@ -211,7 +226,7 @@ class TestRunAll:
         assert "all 12 canonical ground sets" in evidence["pendant-bounds/classification"]
         # Verification decides the edge count and pendant placement of
         # every witness (module docstring): no row restates them.
-        assert len(report.checks) == 11
+        assert len(report.checks) == 9
         assert not {"edge-count", "pendant-bounds/witnesses"} & set(evidence)
 
     def test_one_kernel_build_per_ground_set(self):
@@ -234,11 +249,11 @@ class TestRunAll:
         report = run_all(HarnessConfig(n_range=(2, 5), max_element=10))
         assert all(c.status == CONFIRMED for c in report.checks)
         builds = iasgl.realisation._build.cache_info()
-        assert (searches[0], builds.hits + builds.misses) == (74, 0)
+        assert (searches[0], builds.hits + builds.misses) == (73, 0)
 
     @pytest.mark.parametrize("fmt,expected", [
-        ("json", "d2031eee87f37a57dd9bccff5718600591f5d889f3403b764402ac774dc0d7db"),
-        ("table", "703bedd80b6014ac62dabc0a1e48de01a2e05b2d365bbd01e1d1f7389cc77342"),
+        ("json", "a77a8574a3e466c503224b7f30839bbd4c720f8d8084c945da83e3c6282378b2"),
+        ("table", "b62627b45b097e1dec5e15e5a1c76ea9c0d5f20f8f5cc5a10aacf34a209dbb2c"),
     ], ids=["json", "table"])
     def test_theorems_output_pinned(self, fmt, expected):
         """The CLI theorems report at the benchmark's bounds (n = 2..5,
@@ -265,29 +280,42 @@ class TestRunAll:
         with pytest.raises(ValueError, match="duplicate check id"):
             TheoremReport(checks=[dup, dup], bounds={})
 
-    def test_fixed_sweep_n_is_largest_fixed_sweep(self):
+    def test_fixed_sweep_n_is_largest_fixed_sweep(self, monkeypatch):
         # The path and cycle rows are exactly the P_m and C_m (m >= 3)
-        # with 2^n - 2 edges for some 2 <= n <= FIXED_SWEEP_N, and
-        # FIXED_SWEEP_N is the n of the largest tree order and of K_4.
+        # with 2^n - 2 edges at n = FIXED_SWEEP_N, and FIXED_SWEEP_N is
+        # the n of the tree order and of K_4.
         rule = [
             f"{kind}-nonexistence/m={m}"
             for kind in ("path", "cycle")
             for m in range(3, 1 << (FIXED_SWEEP_N + 2))
-            if any(family_edge_count(kind, m) == (1 << n) - 2 for n in range(2, FIXED_SWEEP_N + 1))
+            if family_edge_count(kind, m) == (1 << FIXED_SWEEP_N) - 2
         ]
         rows = check_path_cycle(HarnessConfig(n_range=(2, 2), max_element=6))
         assert [r.check_id for r in rows] == rule == [
-            "path-nonexistence/m=3", "path-nonexistence/m=7", "cycle-nonexistence/m=6"
+            "path-nonexistence/m=7", "cycle-nonexistence/m=6"
         ]
         k4_n = max(n for m, n in complete_graph_solutions() if m >= 2)
-        assert FIXED_SWEEP_N == max(TREE_ORDERS).bit_length() == k4_n
+        assert FIXED_SWEEP_N == TREE_ORDER.bit_length() == k4_n
+        # Every sweep outside n_range runs at FIXED_SWEEP_N: the 11 trees
+        # on 7 vertices, P_7, C_6 and K_4.
+        sizes = []
+        sweep = harness.sweep_ground_sets
+
+        def counted(g, n, max_element, cfg):
+            sizes.append((len(g.vertex_ids), n))
+            return sweep(g, n, max_element, cfg)
+
+        monkeypatch.setattr(harness, "sweep_ground_sets", counted)
+        run_all(HarnessConfig(n_range=(2, 2), max_element=6))
+        assert {n for _, n in sizes} == {FIXED_SWEEP_N}
+        assert [v for v, _ in sizes] == [7] * 11 + [7, 6, 4]
 
     def test_bounds_recorded(self):
         config = HarnessConfig(n_range=(2, 3), max_element=6)
         report = run_all(config)
         assert report.bounds["n_range"] == [2, 3]
         assert report.bounds["max_element"] == 6
-        assert report.bounds["tree_sizes"] == [3, 7]
+        assert report.bounds["tree_sizes"] == [TREE_ORDER] == [7]
         # The path, cycle and complete rows hold for every order: no range.
         assert sorted(report.bounds) == ["max_element", "n_range", "tree_sizes"]
 
@@ -305,9 +333,7 @@ class TestRunAll:
         results += check_path_cycle(config) + check_complete_graphs(config)
         status = {r.check_id: r.status for r in results}
         assert status == {
-            "tree-theorem/m=3": UNKNOWN,
             "tree-theorem/m=7": UNKNOWN,
-            "path-nonexistence/m=3": UNKNOWN,
             "path-nonexistence/m=7": CONFIRMED,
             "cycle-nonexistence/m=6": CONFIRMED,
             "complete/edge-count": CONFIRMED,
@@ -332,7 +358,7 @@ class TestRunAll:
             return SearchOutcome(status, [], SearchStats())
 
         monkeypatch.setattr(harness, "search_iasgl", search)
-        # check_path_cycle and check_complete_graphs search through
+        # The tree, path, cycle and complete checks search through
         # sweep_ground_sets, which calls the search module's own name.
         monkeypatch.setattr(iasgl.search, "search_iasgl", search)
         config = HarnessConfig(n_range=(3, 3), max_element=6)
